@@ -330,6 +330,7 @@ type brokerCounters struct {
 	invalid     *metrics.Counter
 	retransmits *metrics.Counter
 	acksIn      *metrics.Counter
+	oversized   *metrics.Counter // recorded events too large for a replay envelope
 }
 
 func resolveCounters(reg *metrics.Registry) brokerCounters {
@@ -343,6 +344,7 @@ func resolveCounters(reg *metrics.Registry) brokerCounters {
 		invalid:     reg.Counter("broker.invalid_events"),
 		retransmits: reg.Counter("broker.retransmits"),
 		acksIn:      reg.Counter("broker.acks_in"),
+		oversized:   reg.Counter("broker.replay_oversized"),
 	}
 }
 

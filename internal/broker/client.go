@@ -91,6 +91,7 @@ type Subscription struct {
 	// cancelling a subscription while traffic is in flight is safe.
 	mu     sync.Mutex
 	closed bool
+	err    error // why the subscription ended, when not by Cancel/Close
 	ring   []*event.Event
 	head   int
 	n      int
@@ -617,6 +618,26 @@ func (s *Subscription) pumpCompat() {
 	}
 }
 
+// Err reports why the subscription ended: nil while it is open and
+// after Cancel or Close. A replay subscription ends with an error
+// wrapping topiclog.ErrCorrupt when an envelope fails its end-to-end
+// check (records ahead of the damage are delivered, none after: the
+// stream stops at the gap), or with the broker's reason for ending it.
+func (s *Subscription) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
+// fail records why the subscription is about to end; the first reason sticks.
+func (s *Subscription) fail(err error) {
+	s.mu.Lock()
+	if s.err == nil && !s.closed {
+		s.err = err
+	}
+	s.mu.Unlock()
+}
+
 // closeRing marks the subscription closed and wakes both sides. Events
 // already buffered remain drainable (RecvBatch returns them before
 // reporting closure).
@@ -700,6 +721,14 @@ type Client struct {
 	// with burst dispatch they are coalesced to one cumulative ack per
 	// burst (asserted by tests, reported by the bench harness).
 	acksSent atomic.Uint64
+
+	// Replay unpack state, readLoop-owned like the dispatch state above:
+	// the per-envelope event scratch and the topic/source interner.
+	// replayCorrupt (client.replay_corrupt) counts envelopes that failed
+	// their end-to-end check.
+	replayEvents  []*event.Event
+	replayIntern  event.Interner
+	replayCorrupt atomic.Uint64
 
 	// waiters maps ping tokens to response channels for control fencing.
 	waiters map[string]chan struct{}
@@ -849,6 +878,10 @@ func (c *Client) SetDispatchBurst(n int) {
 // AckSends reports how many reverse-path reliable acks this client has
 // sent (one cumulative ack per received burst under batched dispatch).
 func (c *Client) AckSends() uint64 { return c.acksSent.Load() }
+
+// ReplayCorrupt reports how many replay envelopes failed their
+// end-to-end check, each ending its subscription (Subscription.Err).
+func (c *Client) ReplayCorrupt() uint64 { return c.replayCorrupt.Load() }
 
 // LocalClient attaches an in-process client directly to the broker,
 // shaping the broker→client direction with profile. It is the fast path
@@ -1412,6 +1445,7 @@ func (c *Client) handleReplayReply(e *event.Event) {
 		if sub != nil {
 			// The broker-side stream died (e.g. the log closed): end the
 			// subscription so consumers observe termination, not silence.
+			sub.fail(errors.New("broker: " + detail))
 			sub.closeRing()
 		}
 	case repLive:
@@ -1431,8 +1465,10 @@ func (c *Client) replayWaiter(id uint64) chan error { return c.replayWait[id] }
 // handleReplayData unpacks one replay envelope — a run of
 // topiclog-framed records — and delivers the decoded events to the
 // stream's subscription as one batch (one ring lock, one wakeup per
-// envelope). Each record's CRC is re-verified by ParseRecord on the
-// way out.
+// envelope). ParseRecord re-verifies each record's CRC on the way out:
+// the end-to-end check of an exactly-once stream. A record that fails
+// it, or does not decode, ends the subscription with ErrCorrupt after
+// the records ahead of it are delivered — never a silent gap.
 func (c *Client) handleReplayData(e *event.Event) {
 	id, err := headerUint(e, hdrReplay)
 	if err != nil {
@@ -1445,26 +1481,27 @@ func (c *Client) handleReplayData(e *event.Event) {
 		return
 	}
 	payload := e.Payload
-	var events []*event.Event
+	events := c.replayEvents[:0]
+	var bad error
 	for len(payload) > 0 {
 		seq, rec, n, perr := topiclog.ParseRecord(payload, 0)
 		if perr != nil {
+			bad = perr
 			break
 		}
 		payload = payload[n:]
-		if sub.replay != nil && seq <= sub.replay.lastSeq.Load() {
+		if seq <= sub.replay.lastSeq.Load() {
 			// Already delivered before a reconnect restarted the stream:
 			// the log sequence is the exactly-once dedup key across the
 			// old stream's salvaged tail and the restarted cursor.
 			continue
 		}
-		ev, uerr := event.Unmarshal(rec)
+		ev, uerr := event.UnmarshalIntern(rec, &c.replayIntern)
 		if uerr != nil {
-			continue
+			bad = fmt.Errorf("%w: record %d: %v", topiclog.ErrCorrupt, seq, uerr)
+			break
 		}
-		if sub.replay != nil {
-			sub.replay.lastSeq.Store(seq)
-		}
+		sub.replay.lastSeq.Store(seq)
 		// Replay delivery is reliable end to end regardless of the
 		// event's original class: the broker never sheds the stream, and
 		// ring admission must block (backpressuring the broker's pump via
@@ -1475,6 +1512,13 @@ func (c *Client) handleReplayData(e *event.Event) {
 	}
 	if len(events) > 0 {
 		sub.deliverBatch(events, c.done)
+	}
+	clear(events) // never pin delivered events in the reused buffer
+	c.replayEvents = events[:0]
+	if bad != nil {
+		c.replayCorrupt.Add(1)
+		sub.fail(fmt.Errorf("broker: replay envelope after record %d: %w", sub.replay.lastSeq.Load(), bad))
+		_ = c.Unsubscribe(sub) // closes the ring, stops the broker-side stream (best effort)
 	}
 }
 

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"time"
@@ -20,13 +21,23 @@ import (
 // recording a 256-event burst costs the same lock cadence as
 // delivering it.
 //
-// Replay rides the reliable lane: a session's replay pump drains a
-// cursor in record batches, packs each batch into one control envelope
-// (topicReplayData, payload = topiclog-framed records), and sends it
-// reliably — so history is never shed broker-side and stays FIFO with
-// the repLive handoff marker. When the cursor reaches the committed
-// tail the pump attaches it as a log tailer under the log's append
-// lock: every append from then on delivers to the session
+// Replay rides the reliable lane, and a replayed byte is copied once
+// broker-side: from the page cache into the buffer that is the wire
+// frame. The on-disk record framing (seq|len|crc|payload) is already
+// the data envelope's payload framing, so a session's replay pump
+// preads whole records into the payload region of a fresh frame buffer
+// (Cursor.ReadFramed, one CRC verify per record), event.NewFrameAround
+// writes the envelope header into the headroom before them and the
+// rseq slot after, and the session stamps the rseq in place. Per
+// envelope: three copies (page cache → frame → conn write buffer →
+// socket), two CRC passes (this one and the client's end-to-end one)
+// and one allocation, the frame buffer, which the reliable window owns
+// from enqueue until the cumulative ack and nobody recycles after (the
+// send queue or a fault conn may still hold the frame; DESIGN.md §5.3).
+// History is never shed broker-side and stays FIFO with the repLive
+// handoff marker. When the cursor reaches the committed tail the pump
+// attaches it as a log tailer under the log's append lock: every
+// append from then on hands its framed batch to the session
 // synchronously, which is what makes the cursor→live switch
 // exactly-once (no frame can slip between "history drained" and "tail
 // attached" — the append lock is the serialization point).
@@ -208,13 +219,12 @@ func (b *Broker) TopicLog(pattern string) *topiclog.Log {
 
 // ---- Session-side replay streams ----
 
-// replayBatchRecords bounds how many records one cursor read (and thus
-// one data envelope) carries.
-const replayBatchRecords = 128
-
-// replayEnvelopeTarget is the soft payload size at which a pump
-// flushes an envelope; replayEnvelopeMax is the hard cap (the wire
-// payload limit) an envelope never exceeds.
+// replayEnvelopeTarget is the size of the frame buffer a pump reads
+// history into (headroom, records, rseq slot: one 64 KiB allocation per
+// envelope); replayEnvelopeMax is the hard cap on an envelope's records
+// (the wire payload limit), reached only by a buffer grown for a single
+// record larger than the target. replayHeadroom holds the envelope's
+// header, whose shape is fixed and under 80 bytes.
 //
 // replayMaxInflight bounds unacked reliable events while a pump is
 // draining history. The reliable window itself (default 4096) is sized
@@ -223,17 +233,24 @@ const replayBatchRecords = 128
 // then pushes acks past the retransmit RTO and the link collapses into
 // resending history it already delivered. A few dozen envelopes keep
 // the pipe full (a couple of MiB, far above any bandwidth-delay
-// product on a LAN) while acks stay well inside the RTO.
+// product on a LAN) while acks stay well inside the RTO. A full window
+// is polled every replayBackoff, not woken by the ack: DESIGN.md §5.3
+// records why (the wake-up took the live stream's latency gain back).
 const (
 	replayEnvelopeTarget = 64 << 10
 	replayEnvelopeMax    = event.MaxPayloadLen
+	replayHeadroom       = 96
 	replayMaxInflight    = 32
+	replayBackoff        = time.Millisecond
 )
 
 // sessionReplay is one client replay stream on a session.
 type sessionReplay struct {
 	id  uint64
 	cur *topiclog.Cursor
+	// env is the stream's data envelope minus its payload, built once:
+	// every envelope shares it (read-only) as the header template.
+	env *event.Event
 	// stop is closed by stopReplay/teardown; the pump selects on it.
 	stop chan struct{}
 	// stopped/attached are guarded by the session's replayMu. attached
@@ -262,7 +279,7 @@ func (s *session) startReplay(e *event.Event) {
 		s.sendReliable(replayReplyEvent(repErr, id, "pattern not recorded: "+pattern))
 		return
 	}
-	sr := &sessionReplay{id: id, cur: r.log.NewCursor(from), stop: make(chan struct{})}
+	sr := &sessionReplay{id: id, cur: r.log.NewCursor(from), env: replayDataEvent(id, nil), stop: make(chan struct{})}
 	s.replayMu.Lock()
 	if s.replays == nil {
 		s.replays = make(map[uint64]*sessionReplay)
@@ -336,15 +353,19 @@ func (s *session) finishReplay(sr *sessionReplay) {
 
 // replayPump drains history from the cursor into reliable data
 // envelopes, self-pacing against the session's reliable window, then
-// performs the tail handoff: once Next reports the committed tail,
-// AttachTail registers live delivery under the log's append lock — if
-// an append slipped in between, the attach fails and the pump keeps
-// draining. On success the pump sends repLive and exits; the log now
-// delivers the stream synchronously from Append.
+// performs the tail handoff: once the cursor reports the committed
+// tail, AttachTail registers live delivery under the log's append lock
+// — if an append slipped in between, the attach fails and the pump
+// keeps draining. On success the pump sends repLive and exits; the log
+// now delivers the stream synchronously from Append.
 func (s *session) replayPump(sr *sessionReplay) {
 	defer s.wg.Done()
-	var recs []topiclog.Record
-	payload := make([]byte, 0, replayEnvelopeTarget+4096)
+	backoff := time.NewTimer(replayBackoff)
+	defer backoff.Stop()
+	// buf is the frame buffer the next step fills. A framed session gives
+	// it up with each envelope; an unframed one reuses it (the event path
+	// deep-copies the payload).
+	var buf []byte
 	for {
 		select {
 		case <-sr.stop:
@@ -359,19 +380,17 @@ func (s *session) replayPump(sr *sessionReplay) {
 		// traffic and the post-handoff tail share, and envelopes in
 		// flight stay few enough that acks return inside the RTO.
 		if s.unackedLen() > min(replayMaxInflight, s.b.cfg.ReliableWindow/2) {
+			backoff.Reset(replayBackoff)
 			select {
 			case <-sr.stop:
-				s.finishReplay(sr)
-				return
 			case <-s.closedCh:
-				s.finishReplay(sr)
-				return
-			case <-time.After(time.Millisecond):
+			case <-backoff.C:
 			}
-			continue
+			continue // a stop is acted on at the top of the loop
 		}
+		var progressed bool
 		var err error
-		recs, err = sr.cur.Next(recs[:0], replayBatchRecords)
+		buf, progressed, err = s.pumpHistory(sr, buf)
 		if err != nil {
 			if !errors.Is(err, topiclog.ErrClosed) {
 				s.sendReliable(replayReplyEvent(repErr, sr.id, err.Error()))
@@ -379,65 +398,107 @@ func (s *session) replayPump(sr *sessionReplay) {
 			s.finishReplay(sr)
 			return
 		}
-		if len(recs) == 0 {
-			if sr.cur.AttachTail(func(batch []topiclog.Record) { s.deliverTail(sr, batch) }) {
-				s.replayMu.Lock()
-				sr.attached = true
-				stopped := sr.stopped
-				s.replayMu.Unlock()
-				if stopped {
-					// stopReplay ran between the attach and the flag: it saw
-					// attached == false, so closing the cursor is on us.
-					sr.cur.Close()
-					return
-				}
-				s.sendReliable(replayReplyEvent(repLive, sr.id, ""))
-				return
-			}
+		if progressed {
+			continue
+		}
+		// At the committed tail: hand off to live delivery.
+		if !sr.cur.AttachTail(func(run []byte, _ uint64, _ int) { s.deliverTail(sr, run) }) {
 			continue // an append won the race; drain it and retry
 		}
-		for _, rec := range recs {
-			if len(payload) > 0 && len(payload)+topiclog.HeaderLen+len(rec.Payload) > replayEnvelopeMax {
-				s.sendReliable(replayDataEvent(sr.id, payload))
-				payload = payload[:0]
-			}
-			if topiclog.HeaderLen+len(rec.Payload) > replayEnvelopeMax {
-				s.b.metrics().Counter("broker.replay_oversized").Inc()
-				continue
-			}
-			payload = topiclog.AppendRecord(payload, rec.Seq, rec.Payload)
-			if len(payload) >= replayEnvelopeTarget {
-				s.sendReliable(replayDataEvent(sr.id, payload))
-				payload = payload[:0]
-			}
+		s.replayMu.Lock()
+		sr.attached = true
+		stopped := sr.stopped
+		s.replayMu.Unlock()
+		if stopped {
+			// stopReplay ran between the attach and the flag: it saw
+			// attached == false, so closing the cursor is on us.
+			sr.cur.Close()
+			return
 		}
-		if len(payload) > 0 {
-			s.sendReliable(replayDataEvent(sr.id, payload))
-			payload = payload[:0]
-		}
+		s.sendReliable(replayReplyEvent(repLive, sr.id, ""))
+		return
 	}
+}
+
+// pumpHistory is one pump step: read the next run of history into buf
+// (allocated here when nil) and send it as one envelope. It returns the
+// buffer for the next step (nil once the reliable window owns this one)
+// and whether it made progress; none, with a nil error, means the
+// cursor is at the committed tail.
+func (s *session) pumpHistory(sr *sessionReplay, buf []byte) (next []byte, progressed bool, err error) {
+	if buf == nil {
+		buf = make([]byte, replayEnvelopeTarget)
+	}
+	n, _, _, err := sr.cur.ReadFramed(buf[replayHeadroom : len(buf)-event.RSeqSlotLen])
+	switch {
+	case errors.Is(err, io.ErrShortBuffer):
+		// One record larger than the buffer: n is the room it needs.
+		if n > replayEnvelopeMax {
+			s.b.ctr.oversized.Inc()
+			sr.cur.Skip()
+			return buf, true, nil
+		}
+		return make([]byte, replayHeadroom+n+event.RSeqSlotLen), true, nil
+	case err != nil || n == 0:
+		return buf, false, err
+	}
+	s.sendRun(sr, buf[replayHeadroom:replayHeadroom+n], buf)
+	if s.framed {
+		buf = nil // the reliable window's now
+	}
+	return buf, true, nil
+}
+
+// sendRun sends one run of whole framed records as a data envelope. A
+// non-nil buf already holds the run at replayHeadroom (the pump read it
+// there); a borrowed run (tail delivery) is copied into a buffer of its
+// own. The frame is wrapped around the bytes where they lie and the
+// buffer passes to the reliable window. Unframed sessions take the
+// event path with the payload aliasing run; its deep copy is what the
+// window keeps, and buf stays the caller's.
+func (s *session) sendRun(sr *sessionReplay, run, buf []byte) {
+	if !s.framed {
+		e := *sr.env
+		e.Payload = run
+		s.sendReliable(&e)
+		return
+	}
+	if buf == nil {
+		buf = make([]byte, replayHeadroom+len(run)+event.RSeqSlotLen)
+		copy(buf[replayHeadroom:], run)
+	}
+	s.enqueueReliable(nil, nil, event.NewFrameAround(buf, replayHeadroom, len(run), sr.env), 0)
 }
 
 // deliverTail forwards one appended batch to the session as a data
 // envelope. It runs synchronously under the log's append lock (it is
-// the attached tailer), so it only packs bytes and enqueues — the
-// send queue and reliable plane never call back into the log. A
-// window-overflow close here tears the session down via
-// teardownReplays' own goroutine, never inline.
-func (s *session) deliverTail(sr *sessionReplay, batch []topiclog.Record) {
-	var payload []byte
-	for _, rec := range batch {
-		if len(payload) > 0 && len(payload)+topiclog.HeaderLen+len(rec.Payload) > replayEnvelopeMax {
-			s.sendReliableFrom(replayDataEvent(sr.id, payload), nil)
-			payload = nil
+// the attached tailer), inside the publisher's critical path, so it
+// does one memmove and enqueues — the send queue and reliable plane
+// never call back into the log. run is the log's write buffer: framed
+// and checksummed by Append, gone after the call. A window-overflow
+// close here tears the session down via teardownReplays' own
+// goroutine, never inline.
+func (s *session) deliverTail(sr *sessionReplay, run []byte) {
+	for len(run) > replayEnvelopeMax {
+		// A burst over the envelope cap: cut at the last whole record
+		// under it, dropping (and counting) a record over the cap alone.
+		cut := 0
+		for {
+			rn := topiclog.FramedLen(run[cut:])
+			if cut+rn > replayEnvelopeMax {
+				break
+			}
+			cut += rn
 		}
-		if topiclog.HeaderLen+len(rec.Payload) > replayEnvelopeMax {
-			s.b.metrics().Counter("broker.replay_oversized").Inc()
-			continue
+		if cut == 0 {
+			s.b.ctr.oversized.Inc()
+			cut = topiclog.FramedLen(run)
+		} else {
+			s.sendRun(sr, run[:cut], nil)
 		}
-		payload = topiclog.AppendRecord(payload, rec.Seq, rec.Payload)
+		run = run[cut:]
 	}
-	if len(payload) > 0 {
-		s.sendReliableFrom(replayDataEvent(sr.id, payload), nil)
+	if len(run) > 0 {
+		s.sendRun(sr, run, nil)
 	}
 }

@@ -326,47 +326,12 @@ func (s *session) deliver(e *event.Event, fs *frameSource) {
 // sendReliable tags e with this session's next rseq and enqueues it on
 // the never-dropped lane.
 func (s *session) sendReliable(e *event.Event) {
-	s.sendReliableFrom(e, nil)
+	s.enqueueReliable(e, nil, nil, 0)
 }
 
 // sendReliableFrom is sendReliable with an optional shared frame source.
-// On framed sessions the event is encoded once (into a frame with a
-// trailing rseq slot — shared across the whole fan-out when fs is
-// non-nil) and each target's tagging is an 8-byte patch on a buffer
-// copy; the frame is also what retransmits, so the entry never pins a
-// receive arena. Non-framed (in-process) sessions keep a deep copy —
-// reliable traffic is sparse signalling, and the copy detaches the
-// retained entry from any arena chunk the event was decoded in.
 func (s *session) sendReliableFrom(e *event.Event, fs *frameSource) {
-	s.relMu.Lock()
-	if len(s.unacked) >= s.b.cfg.ReliableWindow {
-		// The remote stopped acking; disconnecting is the only safe move
-		// that doesn't grow memory without bound.
-		s.relMu.Unlock()
-		s.b.metrics().Counter("broker.reliable_overflow").Inc()
-		s.close()
-		return
-	}
-	s.nextRSeq++
-	rseq := s.nextRSeq
-	var entry *relEntry
-	if s.framed {
-		var base *event.Frame
-		if fs != nil {
-			base = fs.reliableFrame()
-		} else {
-			base = event.NewFrameWithRSeqSlot(e)
-		}
-		entry = &relEntry{frame: base.WithRSeq(rseq), lastSend: time.Now(), attempts: 1}
-	} else {
-		c := e.Clone()
-		c.RSeq = rseq
-		entry = &relEntry{e: c, lastSend: time.Now(), attempts: 1}
-	}
-	s.unacked[rseq] = entry
-	s.relOrder.push(rseq)
-	s.relMu.Unlock()
-	s.queue.pushItem(entry.item())
+	s.enqueueReliable(e, fs, nil, 0)
 }
 
 // sendReliableAt re-sends a parked reliable event under its ORIGINAL
@@ -377,14 +342,47 @@ func (s *session) sendReliableFrom(e *event.Event, fs *frameSource) {
 // when the ack for the first delivery was lost in the disconnect.
 // Callers replay in ascending rseq order before the session starts.
 func (s *session) sendReliableAt(e *event.Event, rseq uint64) {
+	s.enqueueReliable(e, nil, nil, rseq)
+}
+
+// enqueueReliable is the one reliable send: take the next rseq (or
+// re-use at, for a resumed window), build the entry that goes out now
+// and retransmits later, and push it on the never-dropped lane. On
+// framed sessions the entry is a frame whose trailing rseq slot carries
+// the tag, so nothing is re-encoded and no receive arena is pinned: a
+// frame shared across a fan-out (fs) is tagged on a copy, one memmove
+// per target; a frame only this send holds — owned (the replay lane
+// built it and gives it up), or e encoded here — is stamped in place.
+// Non-framed (in-process) sessions keep a deep copy of e, which also
+// detaches the entry from whatever buffer e's payload aliases.
+func (s *session) enqueueReliable(e *event.Event, fs *frameSource, owned *event.Frame, at uint64) {
 	s.relMu.Lock()
-	var entry *relEntry
-	if s.framed {
-		entry = &relEntry{frame: event.NewFrameWithRSeqSlot(e).WithRSeq(rseq), lastSend: time.Now(), attempts: 1}
-	} else {
-		c := e.Clone()
-		c.RSeq = rseq
-		entry = &relEntry{e: c, lastSend: time.Now(), attempts: 1}
+	rseq := at
+	if at == 0 {
+		if len(s.unacked) >= s.b.cfg.ReliableWindow {
+			// The remote stopped acking; disconnecting is the only safe move
+			// that doesn't grow memory without bound.
+			s.relMu.Unlock()
+			s.b.metrics().Counter("broker.reliable_overflow").Inc()
+			s.close()
+			return
+		}
+		s.nextRSeq++
+		rseq = s.nextRSeq
+	}
+	entry := &relEntry{lastSend: time.Now(), attempts: 1}
+	switch {
+	case !s.framed:
+		entry.e = e.Clone()
+		entry.e.RSeq = rseq
+	case fs != nil:
+		entry.frame = fs.reliableFrame().WithRSeq(rseq)
+	default:
+		if owned == nil {
+			owned = event.NewFrameWithRSeqSlot(e)
+		}
+		owned.StampRSeq(rseq)
+		entry.frame = owned
 	}
 	s.unacked[rseq] = entry
 	s.relOrder.push(rseq)

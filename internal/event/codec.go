@@ -72,6 +72,14 @@ const (
 // make per-target rewrites an 8-byte patch (see Frame.WithRSeq and
 // Frame.WithMask).
 func AppendMarshal(dst []byte, e *Event) []byte {
+	return appendMarshal(dst, e, len(e.Payload), true)
+}
+
+// appendMarshal is AppendMarshal for a payload of payloadLen bytes.
+// With whole unset it stops after the payload-length varint: the part
+// of the layout NewFrameAround writes in front of payload bytes that
+// are already in place (it then adds the trailing fields itself).
+func appendMarshal(dst []byte, e *Event, payloadLen int, whole bool) []byte {
 	marshalCalls.Add(1)
 	var flags byte
 	if e.Reliable {
@@ -98,7 +106,10 @@ func AppendMarshal(dst []byte, e *Event) []byte {
 			dst = appendString(dst, v)
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(e.Payload)))
+	dst = binary.AppendUvarint(dst, uint64(payloadLen))
+	if !whole {
+		return dst
+	}
 	dst = append(dst, e.Payload...)
 	if flags&flagMask != 0 {
 		dst = binary.BigEndian.AppendUint64(dst, e.Mask)

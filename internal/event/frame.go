@@ -13,7 +13,8 @@ const ttlOffset = 3
 // of a full re-marshal or per-peer Clone.
 //
 // The byte slice returned by Bytes must never be mutated: it is shared
-// concurrently by every session the frame was fanned out to.
+// concurrently by every session the frame was fanned out to. (The one
+// in-place write, StampRSeq, is for a frame not shared yet.)
 type Frame struct {
 	b []byte
 }
@@ -71,6 +72,51 @@ func NewFrameWithRSeqSlot(e *Event) *Frame {
 	c := *e
 	c.RSeq = ^uint64(0) // placeholder; always overwritten by WithRSeq
 	return &Frame{b: Marshal(&c)}
+}
+
+// RSeqSlotLen is the size of the trailing rseq field.
+const RSeqSlotLen = 8
+
+// NewFrameAround builds e's frame, with an rseq slot, around payload
+// bytes already in place at buf[off:off+n]: the header is encoded to end
+// exactly at off, the trailing fields follow the payload, and the frame
+// aliases buf — byte for byte Marshal of e with that payload and rseq,
+// without copying the payload. e.Payload is ignored, and buf is the
+// frame's from here on. buf needs the header's length before off and
+// RSeqSlotLen (8 more with e.Mask set) after the payload; lacking
+// either is a sizing bug in the caller and panics.
+func NewFrameAround(buf []byte, off, n int, e *Event) *Frame {
+	c := *e
+	if c.RSeq == 0 {
+		c.RSeq = ^uint64(0) // placeholder, as NewFrameWithRSeqSlot
+	}
+	var scratch [128]byte
+	hdr := appendMarshal(scratch[:0], &c, n, false)
+	start, end := off-len(hdr), off+n
+	if c.Mask != 0 {
+		end += 8
+	}
+	if start < 0 || end+RSeqSlotLen > len(buf) {
+		panic("event: NewFrameAround: buffer lacks room for the header or trailer")
+	}
+	copy(buf[start:], hdr)
+	if c.Mask != 0 {
+		binary.BigEndian.PutUint64(buf[end-8:], c.Mask)
+	}
+	binary.BigEndian.PutUint64(buf[end:], c.RSeq)
+	end += RSeqSlotLen
+	return &Frame{b: buf[start:end:end]}
+}
+
+// StampRSeq overwrites the trailing rseq field in place. Only for a
+// frame nobody else holds yet (NewFrameAround, an unshared
+// NewFrameWithRSeqSlot); one fanned out to several sessions takes the
+// copying WithRSeq.
+func (f *Frame) StampRSeq(rseq uint64) {
+	if !f.HasRSeqSlot() {
+		panic("event: StampRSeq on a frame without an rseq slot")
+	}
+	binary.BigEndian.PutUint64(f.b[len(f.b)-RSeqSlotLen:], rseq)
 }
 
 // HasRSeqSlot reports whether the frame carries a trailing rseq field.

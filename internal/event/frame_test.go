@@ -214,3 +214,67 @@ func TestFrameMaskPatch(t *testing.T) {
 	}()
 	plain.WithMask(1)
 }
+
+// TestFrameAroundEqualsMarshal is the golden equivalence for frames
+// built in place: for payload lengths straddling every width of the
+// length varint, the frame wrapped around payload bytes already in a
+// buffer is byte for byte Marshal of the same event and rseq, decodes
+// back to it, and retags in place.
+func TestFrameAroundEqualsMarshal(t *testing.T) {
+	const headroom = 96
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384, 64<<10 + 123} {
+		e := frameEvent()
+		e.Reliable = true
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*7 + n)
+		}
+		buf := make([]byte, headroom+n+RSeqSlotLen)
+		copy(buf[headroom:], payload)
+
+		f := NewFrameAround(buf, headroom, n, e)
+		if !f.HasRSeqSlot() {
+			t.Fatalf("len %d: no rseq slot", n)
+		}
+		for _, rseq := range []uint64{1, 0xDEADBEEFCAFE} {
+			f.StampRSeq(rseq)
+			want := *e
+			want.Payload, want.RSeq = payload, rseq
+			if !bytes.Equal(f.Bytes(), Marshal(&want)) {
+				t.Fatalf("len %d rseq %d: in-place frame differs from Marshal", n, rseq)
+			}
+			got, err := f.Decode()
+			if err != nil {
+				t.Fatalf("len %d: decode: %v", n, err)
+			}
+			if got.RSeq != rseq || got.Topic != e.Topic || got.Source != e.Source || got.ID != e.ID ||
+				got.Headers["k"] != "v" || !got.Reliable || !bytes.Equal(got.Payload, payload) {
+				t.Fatalf("len %d: decoded %+v", n, got)
+			}
+		}
+		if &f.Bytes()[len(f.Bytes())-1] != &buf[len(buf)-1] {
+			t.Fatalf("len %d: frame does not alias the caller's buffer", n)
+		}
+	}
+
+	// The mask field keeps its place between payload and rseq.
+	e := frameEvent()
+	e.Mask = 0b1011
+	buf := make([]byte, headroom+4+8+RSeqSlotLen)
+	copy(buf[headroom:], "mask")
+	f := NewFrameAround(buf, headroom, 4, e)
+	f.StampRSeq(9)
+	want := *e
+	want.Payload, want.RSeq = []byte("mask"), 9
+	if !bytes.Equal(f.Bytes(), Marshal(&want)) {
+		t.Fatal("masked in-place frame differs from Marshal")
+	}
+
+	// Too little headroom is a sizing bug in the caller, reported loudly.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewFrameAround with no headroom did not panic")
+		}
+	}()
+	NewFrameAround(make([]byte, 16), 4, 4, frameEvent())
+}

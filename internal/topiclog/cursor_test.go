@@ -2,7 +2,11 @@ package topiclog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -88,12 +92,21 @@ func TestAttachTailExactlyOnce(t *testing.T) {
 
 	var mu sync.Mutex
 	var seqs []uint64
-	tail := func(recs []Record) {
+	tail := func(run []byte, first uint64, count int) {
 		mu.Lock()
-		for _, r := range recs {
-			seqs = append(seqs, r.Seq)
+		defer mu.Unlock()
+		for i := 0; len(run) > 0; i++ {
+			seq, _, n, err := ParseRecord(run, 0)
+			if err != nil || seq != first+uint64(i) {
+				t.Errorf("tail run record %d: seq %d (first %d), err %v", i, seq, first, err)
+				return
+			}
+			seqs = append(seqs, seq)
+			run = run[n:]
 		}
-		mu.Unlock()
+		if got := len(seqs); got == 0 || seqs[got-1] != first+uint64(count)-1 {
+			t.Errorf("tail run from %d does not hold %d records", first, count)
+		}
 	}
 
 	c := l.NewCursor(0)
@@ -133,8 +146,9 @@ func TestAttachTailExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestCloseDuringReplayChurn hammers concurrent Next/Close/Append/Reap
-// (run under -race in CI).
+// TestCloseDuringReplayChurn hammers concurrent Next/ReadFramed, Close,
+// Append and Reap (run under -race in CI): a read racing Close ends
+// with ErrClosed, never a torn cursor.
 func TestCloseDuringReplayChurn(t *testing.T) {
 	l, err := Open(t.TempDir(), Config{SegmentMaxBytes: 2048, MaxSegments: 4})
 	if err != nil {
@@ -165,18 +179,29 @@ func TestCloseDuringReplayChurn(t *testing.T) {
 		var cwg sync.WaitGroup
 		for k := 0; k < 4; k++ {
 			c := l.NewCursor(0)
+			framed := k%2 == 1
 			cwg.Add(2)
 			go func() {
 				defer cwg.Done()
 				var buf []Record
+				dst := make([]byte, 4096)
 				for {
 					var err error
-					buf, err = c.Next(buf[:0], 32)
+					n := 0
+					if framed {
+						n, _, _, err = c.ReadFramed(dst)
+					} else {
+						buf, err = c.Next(buf[:0], 32)
+						n = len(buf)
+					}
 					if err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("read racing close: %v", err)
+						}
 						return // closed under us
 					}
-					if len(buf) == 0 {
-						if c.AttachTail(func([]Record) {}) {
+					if n == 0 {
+						if c.AttachTail(func([]byte, uint64, int) {}) {
 							return
 						}
 					}
@@ -225,4 +250,230 @@ func TestCursorClampsAfterReap(t *testing.T) {
 		t.Fatalf("cursor resumed at %d, want earliest %d", out[0].Seq, earliest)
 	}
 	c.Close()
+}
+
+// drainFramed reads every committed record from seq from through
+// ReadFramed with a dst of size bytes, growing dst when one record
+// needs more, and checks each read's n/first/last against the bytes.
+func drainFramed(t *testing.T, l *Log, from uint64, size int) []Record {
+	t.Helper()
+	c := l.NewCursor(from)
+	defer c.Close()
+	var out []Record
+	dst := make([]byte, size)
+	for {
+		n, first, last, err := c.ReadFramed(dst)
+		if errors.Is(err, io.ErrShortBuffer) {
+			if n <= len(dst) || first != last {
+				t.Fatalf("short buffer: need %d for dst %d, seqs %d..%d", n, len(dst), first, last)
+			}
+			dst = make([]byte, n)
+			continue
+		}
+		if err != nil {
+			t.Fatalf("read framed: %v", err)
+		}
+		if n == 0 {
+			return out
+		}
+		seq := first
+		for run := dst[:n]; len(run) > 0; seq++ {
+			got, payload, rn, err := ParseRecord(run, 0)
+			if err != nil || got != seq {
+				t.Fatalf("framed run %d..%d: record seq %d (want %d), err %v", first, last, got, seq, err)
+			}
+			out = append(out, Record{Seq: got, Payload: bytes.Clone(payload)})
+			run = run[rn:]
+		}
+		if seq != last+1 {
+			t.Fatalf("framed run claims %d..%d, holds up to %d", first, last, seq-1)
+		}
+	}
+}
+
+// TestReadFramedMatchesNext reads one multi-segment log through both
+// views of the cursor core and requires identical (seq, payload)
+// sequences — with a dst smaller than most pairs of records (every
+// read cuts a record at the boundary), one that lands mid-segment (the
+// index skip-ahead leads the first read with records below the target)
+// and one larger than a segment (every read ends on a segment roll).
+func TestReadFramedMatchesNext(t *testing.T) {
+	l, err := Open(t.TempDir(), Config{SegmentMaxBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 0, 600, 13)
+	if _, err := l.Append([][]byte{bytes.Repeat([]byte("L"), 900), {}, []byte("after")}); err != nil {
+		t.Fatal(err)
+	}
+	if l.Stats().Segments < 10 {
+		t.Fatalf("setup: expected many segments, got %d", l.Stats().Segments)
+	}
+	for _, from := range []uint64{0, 151, 603} {
+		want := drain(t, l, from)
+		for _, size := range []int{100, 1000, 1 << 20} {
+			got := drainFramed(t, l, from, size)
+			if len(got) != len(want) {
+				t.Fatalf("from %d dst %d: framed read %d records, Next read %d", from, size, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Seq != want[i].Seq || !bytes.Equal(got[i].Payload, want[i].Payload) {
+					t.Fatalf("from %d dst %d: record %d differs (seq %d vs %d)", from, size, i, got[i].Seq, want[i].Seq)
+				}
+			}
+		}
+	}
+}
+
+// TestReadFramedOversizedSkip drops a record that does not fit with
+// Skip — the last one of a sealed segment, the case where a stale
+// position would strand the cursor — and still reaches the hand-off.
+func TestReadFramedOversizedSkip(t *testing.T) {
+	l, err := Open(t.TempDir(), Config{SegmentMaxBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	big := bytes.Repeat([]byte("B"), 5000)
+	if _, err := l.Append([][]byte{[]byte("one"), []byte("two"), big}); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 0, 3, 3) // rolls: the big record ends its segment
+	c := l.NewCursor(0)
+	defer c.Close()
+	dst := make([]byte, 256)
+	var seqs []uint64
+	for {
+		n, first, last, err := c.ReadFramed(dst)
+		if errors.Is(err, io.ErrShortBuffer) {
+			if n != HeaderLen+len(big) || first != 3 || last != 3 {
+				t.Fatalf("oversized report: need %d seq %d..%d", n, first, last)
+			}
+			c.Skip()
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		for s := first; s <= last; s++ {
+			seqs = append(seqs, s)
+		}
+	}
+	if fmt.Sprint(seqs) != "[1 2 4 5 6]" {
+		t.Fatalf("delivered %v, want every record but the skipped 3", seqs)
+	}
+	if !c.AttachTail(func([]byte, uint64, int) {}) {
+		t.Fatal("cursor that skipped a record never reached the tail")
+	}
+}
+
+// TestReadFramedClampsAfterReap is TestCursorClampsAfterReap through
+// the framed view: a cursor idling at the tail while retention reaps
+// past it resumes from the earliest retained record.
+func TestReadFramedClampsAfterReap(t *testing.T) {
+	l, err := Open(t.TempDir(), Config{SegmentMaxBytes: 1024, MaxSegments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c := l.NewCursor(0)
+	defer c.Close()
+	dst := make([]byte, 512)
+	if n, _, _, err := c.ReadFramed(dst); err != nil || n != 0 {
+		t.Fatalf("empty log: n %d err %v", n, err)
+	}
+	appendN(t, l, 0, 400, 10)
+	if _, err := l.Reap(); err != nil {
+		t.Fatal(err)
+	}
+	earliest := l.EarliestSeq()
+	if earliest == 1 {
+		t.Fatal("setup: nothing reaped")
+	}
+	n, first, _, err := c.ReadFramed(dst)
+	if err != nil || n == 0 || first != earliest {
+		t.Fatalf("after reap: n %d first %d (earliest %d) err %v", n, first, earliest, err)
+	}
+}
+
+// TestReadCorruptRecord flips one payload byte of the second record on
+// disk: both views deliver the record before the damage, then report
+// ErrCorrupt instead of the damaged record or anything after it.
+func TestReadCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 0, 3, 3)
+	seg := filepath.Join(dir, fmt.Sprintf("%020d.seg", 1))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[FramedLen(data)+HeaderLen+2] ^= 0x40
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := l.NewCursor(0)
+	defer c.Close()
+	dst := make([]byte, 4096)
+	if n, first, last, err := c.ReadFramed(dst); err != nil || n != FramedLen(data) || first != 1 || last != 1 {
+		t.Fatalf("framed read before the damage: n %d seqs %d..%d err %v", n, first, last, err)
+	}
+	if n, _, _, err := c.ReadFramed(dst); !errors.Is(err, ErrCorrupt) || n != 0 {
+		t.Fatalf("framed read at the damage: n %d err %v, want ErrCorrupt", n, err)
+	}
+
+	c2 := l.NewCursor(0)
+	defer c2.Close()
+	recs, err := c2.Next(nil, 8)
+	if err != nil || len(recs) != 1 || recs[0].Seq != 1 {
+		t.Fatalf("Next before the damage: %d records err %v", len(recs), err)
+	}
+	if recs, err = c2.Next(recs, 8); !errors.Is(err, ErrCorrupt) || len(recs) != 1 {
+		t.Fatalf("Next at the damage: %d records err %v, want ErrCorrupt", len(recs), err)
+	}
+}
+
+// BenchmarkCursorReadFramed is the framed-read rung: 1200-byte records
+// read 64 KiB at a time into one reused buffer.
+func BenchmarkCursorReadFramed(b *testing.B) {
+	l, err := Open(b.TempDir(), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	batch := make([][]byte, 256)
+	for i := range batch {
+		batch[i] = bytes.Repeat([]byte{byte(i)}, 1200)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := l.Append(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dst := make([]byte, 64<<10)
+	b.SetBytes(int64(l.Stats().Bytes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := l.NewCursor(0)
+		for {
+			n, _, _, err := c.ReadFramed(dst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+		}
+		c.Close()
+	}
 }

@@ -60,6 +60,13 @@ func AppendRecord(dst []byte, seq uint64, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// FramedLen returns the encoded size (header plus payload) of the
+// record at the head of b, which must hold its header. It trusts the
+// length field: callers walk runs ParseRecord or Append vouched for.
+func FramedLen(b []byte) int {
+	return HeaderLen + int(binary.BigEndian.Uint32(b[8:12]))
+}
+
 // ParseRecord decodes the record at the head of b. The returned
 // payload aliases b. n is the total encoded length consumed. A buffer
 // that ends mid-record returns ErrShort; an implausible length or CRC

@@ -113,7 +113,7 @@ type Log struct {
 	appended uint64
 	reaped   uint64
 	cursors  int
-	tailers  map[*Cursor]func([]Record)
+	tailers  map[*Cursor]TailFunc
 	scratch  []byte
 	writeErr error // sticky: a failed append poisons the log
 	closed   bool
@@ -134,7 +134,7 @@ func Open(dir string, cfg Config) (*Log, error) {
 		dir:     dir,
 		cfg:     cfg,
 		nextSeq: 1,
-		tailers: make(map[*Cursor]func([]Record)),
+		tailers: make(map[*Cursor]TailFunc),
 	}
 	if err := l.scan(); err != nil {
 		return nil, err
@@ -276,12 +276,17 @@ func (l *Log) needRollLocked() bool {
 	return false
 }
 
+// TailFunc receives one appended batch on an attached cursor: run is
+// the batch exactly as written to disk — count framed records
+// (seq|len|crc|payload) with consecutive sequences from first. It is
+// the log's own write buffer, valid only for the duration of the call.
+type TailFunc func(run []byte, first uint64, count int)
+
 // Append appends payloads as consecutive records in one file write
 // and returns the sequence of the first. Attached tail cursors are
-// delivered the new records synchronously, under the log lock, before
-// Append returns — the records slice and its payloads are valid only
-// for the duration of each tailer call. A write failure poisons the
-// log: the error is sticky and later appends fail fast.
+// handed the framed batch synchronously, under the log lock, before
+// Append returns (see TailFunc). A write failure poisons the log: the
+// error is sticky and later appends fail fast.
 func (l *Log) Append(payloads [][]byte) (first uint64, err error) {
 	if len(payloads) == 0 {
 		return 0, nil
@@ -352,14 +357,8 @@ func (l *Log) Append(payloads [][]byte) (first uint64, err error) {
 	l.nextSeq = seq
 	l.appended += uint64(len(payloads))
 
-	if len(l.tailers) > 0 {
-		recs := make([]Record, len(payloads))
-		for i, p := range payloads {
-			recs[i] = Record{Seq: first + uint64(i), Payload: p}
-		}
-		for _, fn := range l.tailers {
-			fn(recs)
-		}
+	for _, fn := range l.tailers {
+		fn(buf, first, len(payloads))
 	}
 	return first, nil
 }
@@ -453,7 +452,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	l.tailers = map[*Cursor]func([]Record){}
+	l.tailers = map[*Cursor]TailFunc{}
 	if l.active != nil {
 		err := l.active.Close()
 		l.active = nil

@@ -2,7 +2,6 @@ package globalmmcs
 
 import (
 	"context"
-	"errors"
 	"iter"
 	"sync"
 	"sync/atomic"
@@ -319,13 +318,16 @@ func brokerDepth(buffer int) int {
 
 // Recv returns the next event, blocking until one is available, the
 // stream closes (ErrStreamClosed), or ctx is cancelled (the context's
-// error). Buffered events are still delivered after Close.
+// error). Buffered events are still delivered after Close. A stream the
+// system ended — a replay stream whose recorded data failed its
+// integrity check, say — returns ErrStreamClosed wrapped with the
+// reason, never a silent end; a plain close returns the sentinel bare.
 func (s *Stream[T]) Recv(ctx context.Context) (T, error) {
 	var zero T
 	select {
 	case v, ok := <-s.ch:
 		if !ok {
-			return zero, ErrStreamClosed
+			return zero, s.closedErr()
 		}
 		return v, nil
 	default:
@@ -333,7 +335,7 @@ func (s *Stream[T]) Recv(ctx context.Context) (T, error) {
 	select {
 	case v, ok := <-s.ch:
 		if !ok {
-			return zero, ErrStreamClosed
+			return zero, s.closedErr()
 		}
 		return v, nil
 	case <-ctx.Done():
@@ -341,19 +343,27 @@ func (s *Stream[T]) Recv(ctx context.Context) (T, error) {
 	}
 }
 
+func (s *Stream[T]) closedErr() error {
+	if cause := s.sub.Err(); cause != nil {
+		return tag(ErrStreamClosed, cause)
+	}
+	return ErrStreamClosed
+}
+
 // All returns a single-use iterator over the stream's events, for
 //
 //	for msg, err := range room.All(ctx) { ... }
 //
 // The iterator ends cleanly when the stream is closed; if ctx is
-// cancelled it yields one final (zero, ctx.Err()) pair and stops. Any
-// non-nil error ends the iteration.
+// cancelled, or the system ended the stream (see Recv), it yields one
+// final (zero, err) pair and stops. Any non-nil error ends the
+// iteration.
 func (s *Stream[T]) All(ctx context.Context) iter.Seq2[T, error] {
 	return func(yield func(T, error) bool) {
 		for {
 			v, err := s.Recv(ctx)
 			if err != nil {
-				if !errors.Is(err, ErrStreamClosed) {
+				if err != ErrStreamClosed { // Recv returns it bare for a plain close only
 					yield(v, err)
 				}
 				return
