@@ -158,9 +158,11 @@ func (bc *BrokerClient) SubscribeReplay(ctx context.Context, pattern string, fro
 // stops the redial supervisor. Idempotent.
 func (bc *BrokerClient) Close() error { return wrapErr(bc.c.Close()) }
 
-// BrokerSubscription is one pattern subscription's receive handle.
+// BrokerSubscription is one pattern subscription's receive handle. One
+// goroutine at a time may call Recv.
 type BrokerSubscription struct {
 	sub *broker.Subscription
+	one [1]*event.Event // Recv's pop buffer
 }
 
 // Pattern returns the subscribed topic pattern.
@@ -170,20 +172,21 @@ func (s *BrokerSubscription) Pattern() string { return s.sub.Pattern() }
 func (s *BrokerSubscription) Drops() uint64 { return s.sub.Drops() }
 
 // Recv blocks for the next event. It returns ErrStreamClosed once the
-// subscription is cancelled or the client is closed, and the context
-// error if ctx expires first.
+// subscription is cancelled or the client is closed and the events
+// buffered by then have been received, and the context error if ctx
+// expires first.
 func (s *BrokerSubscription) Recv(ctx context.Context) (Event, error) {
-	select {
-	case e, ok := <-s.sub.C():
-		if !ok {
-			return Event{}, tag(ErrStreamClosed, errors.New("globalmmcs: subscription closed"))
+	out, err := s.sub.RecvBatchContext(ctx, s.one[:0], 1)
+	if err != nil {
+		if err == broker.ErrSubscriptionClosed { // returned bare
+			return Event{}, tag(ErrStreamClosed, err)
 		}
-		raw, _ := rawFromInternal(e)
-		return raw, nil
-	case <-ctx.Done():
-		return Event{}, wrapErr(ctx.Err())
+		return Event{}, wrapErr(err)
 	}
+	raw, _ := rawFromInternal(out[0])
+	s.one[0] = nil
+	return raw, nil
 }
 
-// Cancel unsubscribes and closes the receive channel.
+// Cancel unsubscribes; Recv reports closed once the buffer is drained.
 func (s *BrokerSubscription) Cancel() error { return wrapErr(s.sub.Cancel()) }

@@ -107,7 +107,7 @@ func (c *Client) SetPresence(ctx context.Context, community string, status Prese
 // WatchPresence streams every presence update of a community. Delivery
 // QoS is set with StreamOptions.
 func (c *Client) WatchPresence(ctx context.Context, community string, opts ...StreamOption) (*PresenceWatch, error) {
-	sub, err := c.c.Chat.WatchCommunity(ctx, community, brokerDepth(streamBuffer(defaultChatBuffer, opts)))
+	sub, err := c.c.Chat.WatchCommunity(ctx, community, ringDepth[Presence](defaultChatBuffer, false, opts))
 	if err != nil {
 		return nil, wrapErr(err)
 	}

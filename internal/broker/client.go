@@ -18,6 +18,10 @@ import (
 // ErrClientClosed is returned by operations on a closed Client.
 var ErrClientClosed = errors.New("broker: client closed")
 
+// ErrSubscriptionClosed is returned by RecvBatchContext once the
+// subscription is closed and every buffered event has been received.
+var ErrSubscriptionClosed = errors.New("broker: subscription closed")
+
 // ErrConnLost is returned when the client's conn to the broker is down:
 // the send raced a conn failure, or (for resilient clients) a redial is
 // in progress and the operation could not be buffered. Unlike
@@ -81,7 +85,8 @@ const clientRouteCacheBound = 1024
 // bounded park drained back into the ring as the consumer frees space,
 // and only a full park blocks the producer — so one backpressured
 // subscription cannot stall delivery to its siblings on the same read
-// loop.
+// loop. SetOverflow swaps that default (OverflowLanes) for one of the
+// SDK stream policies, which treat both lanes alike.
 type Subscription struct {
 	client  *Client
 	pattern string
@@ -95,8 +100,13 @@ type Subscription struct {
 	ring   []*event.Event
 	head   int
 	n      int
-	relN   int // reliable events buffered (never evicted by overflow)
+	relN   int // reliable events buffered (never evicted under OverflowLanes)
 	maxOcc int // high-water ring occupancy
+
+	// overflow and onDrop are set by SetOverflow. onDrop is read under mu
+	// and called outside it.
+	overflow OverflowMode
+	onDrop   func(dropped uint64)
 
 	// deliverLocks counts producer-side mu acquisitions and wakeups the
 	// consumer wakeup tokens deposited. Together they instrument the
@@ -192,8 +202,51 @@ func newSubscription(c *Client, pattern string, depth int) *Subscription {
 // Pattern returns the subscription pattern.
 func (s *Subscription) Pattern() string { return s.pattern }
 
-// Drops returns how many best-effort events were discarded because the
-// consumer was slow.
+// OverflowMode selects what the ring does with an event that arrives
+// while it is full.
+type OverflowMode uint8
+
+const (
+	// OverflowLanes is the default: a best-effort event displaces the
+	// oldest buffered best-effort event, a reliable one is parked and,
+	// past the park, blocks the read loop. Reliable events are never
+	// dropped.
+	OverflowLanes OverflowMode = iota
+	// OverflowDropOldest displaces the oldest buffered event for every
+	// newcomer, reliable or not.
+	OverflowDropOldest
+	// OverflowDropNewest keeps what is buffered and discards the
+	// newcomer, reliable or not.
+	OverflowDropNewest
+)
+
+// SetOverflow selects the full-ring policy and registers onDrop (nil
+// for none), which receives the size of every batch of events the ring
+// sheds from now on. onDrop runs on the goroutine that delivered the
+// overflowing burst — the client's read loop — after the ring lock is
+// released, so it must not block. Call it before traffic matters:
+// events already parked under OverflowLanes keep their place in line.
+func (s *Subscription) SetOverflow(mode OverflowMode, onDrop func(dropped uint64)) {
+	s.mu.Lock()
+	s.overflow = mode
+	s.onDrop = onDrop
+	s.mu.Unlock()
+}
+
+// noteDrops counts n shed events and reports them to the drop hook the
+// caller read under mu. Callers must not hold s.mu.
+func (s *Subscription) noteDrops(n uint64, hook func(uint64)) {
+	if n == 0 {
+		return
+	}
+	s.drops.Add(n)
+	if hook != nil {
+		hook(n)
+	}
+}
+
+// Drops returns how many events the ring and its park shed because the
+// consumer was slow: best-effort ones only, under OverflowLanes.
 func (s *Subscription) Drops() uint64 { return s.drops.Load() }
 
 // Cancel unsubscribes. Equivalent to Client.Unsubscribe.
@@ -266,6 +319,10 @@ func (s *Subscription) signalSpace() {
 	}
 }
 
+// Done returns a channel closed when the subscription closes, by
+// Cancel, by a failure (Err) or with its client.
+func (s *Subscription) Done() <-chan struct{} { return s.closedSig }
+
 // Wake returns the channel carrying the subscription's single wakeup
 // token, for consumers that multiplex ring draining against their own
 // delivery (select-based pumps). After receiving, call TryRecvBatch —
@@ -291,8 +348,10 @@ func (s *Subscription) deliverBatch(events []*event.Event, done <-chan struct{})
 			return
 		}
 		admitted := 0
+		var dropped uint64
 		if len(s.parked) == 0 {
-			rest := s.appendLocked(events)
+			var rest []*event.Event
+			rest, dropped = s.appendLocked(events)
 			admitted = len(events) - len(rest)
 			events = rest
 		}
@@ -301,11 +360,14 @@ func (s *Subscription) deliverBatch(events []*event.Event, done <-chan struct{})
 			// Ring full behind a reliable head (or earlier traffic already
 			// parked): everything further must queue behind the park so
 			// arrival order survives.
-			rest := s.parkLocked(events)
+			rest, shed := s.parkLocked(events)
 			parkedNow = len(events) - len(rest)
+			dropped += shed
 			events = rest
 		}
+		hook := s.onDrop
 		s.mu.Unlock()
+		s.noteDrops(dropped, hook)
 		if admitted > 0 {
 			s.delivered.Add(uint64(admitted))
 			s.signalData()
@@ -335,19 +397,16 @@ func (s *Subscription) deliverBatch(events []*event.Event, done <-chan struct{})
 
 // parkLocked appends events to the bounded park (capacity = ring
 // depth), preserving arrival order. Best-effort newcomers past the
-// bound are shed and counted as drops; the un-parked suffix is
-// returned non-empty only when its head is reliable and the park is
-// full. Callers hold s.mu.
-func (s *Subscription) parkLocked(events []*event.Event) []*event.Event {
+// bound are shed (returned as dropped, for noteDrops); the un-parked
+// suffix is returned non-empty only when its head is reliable and the
+// park is full. Callers hold s.mu.
+func (s *Subscription) parkLocked(events []*event.Event) (rest []*event.Event, dropped uint64) {
 	bound := len(s.ring)
-	var dropped uint64
 	for i, e := range events {
 		if len(s.parked) >= bound {
 			if e.Reliable {
-				if dropped > 0 {
-					s.drops.Add(dropped)
-				}
-				return events[i:]
+				rest = events[i:]
+				break
 			}
 			dropped++
 			continue
@@ -357,10 +416,7 @@ func (s *Subscription) parkLocked(events []*event.Event) []*event.Event {
 	if len(s.parked) > s.parkedPeak {
 		s.parkedPeak = len(s.parked)
 	}
-	if dropped > 0 {
-		s.drops.Add(dropped)
-	}
-	return nil
+	return rest, dropped
 }
 
 // drainParked is the subscription's park drainer, started lazily on
@@ -380,8 +436,10 @@ func (s *Subscription) drainParked() {
 			return
 		}
 		admitted := 0
+		var dropped uint64
 		if len(s.parked) > 0 {
-			rest := s.appendLocked(s.parked)
+			var rest []*event.Event
+			rest, dropped = s.appendLocked(s.parked)
 			admitted = len(s.parked) - len(rest)
 			if admitted > 0 {
 				n := copy(s.parked, rest)
@@ -391,7 +449,9 @@ func (s *Subscription) drainParked() {
 				s.parked = s.parked[:n]
 			}
 		}
+		hook := s.onDrop
 		s.mu.Unlock()
+		s.noteDrops(dropped, hook)
 		if admitted > 0 {
 			s.delivered.Add(uint64(admitted))
 			s.signalData()
@@ -403,31 +463,32 @@ func (s *Subscription) drainParked() {
 	}
 }
 
-// appendLocked copies events into the ring in arrival order, evicting
-// the oldest best-effort entries in bulk when full (drops are counted
-// once per call, not per event). It returns the un-admitted suffix,
-// non-empty only when its first event is reliable and the ring is full
-// — the caller must then block for space. Callers hold s.mu.
-func (s *Subscription) appendLocked(events []*event.Event) []*event.Event {
-	var dropped uint64
+// appendLocked copies events into the ring in arrival order. What a
+// full ring does with the next event is the overflow mode's call:
+// under OverflowLanes a best-effort event evicts the oldest best-effort
+// entry and a reliable one stops the append — the un-admitted suffix is
+// returned, and the caller must park it or block for space; the two
+// drop modes shed the oldest entry or the newcomer whatever its lane, so
+// they admit everything. dropped is how many events were shed, once per
+// call, for noteDrops after the lock is released. Callers hold s.mu.
+func (s *Subscription) appendLocked(events []*event.Event) (rest []*event.Event, dropped uint64) {
 	for i, e := range events {
 		if s.n == len(s.ring) {
-			if e.Reliable {
-				if dropped > 0 {
-					s.drops.Add(dropped)
-				}
-				return events[i:]
+			switch {
+			case s.overflow == OverflowDropNewest:
+				dropped++
+				continue
+			case s.overflow == OverflowDropOldest:
+				dropped++
+				s.replaceHeadLocked(e)
+				continue
+			case e.Reliable:
+				return events[i:], dropped
 			}
 			dropped++
 			if s.relN == 0 {
-				// Steady-state overload fast path: with the ring full,
-				// evicting the head and appending at the tail target the
-				// same slot — replace in place and advance.
-				s.ring[s.head] = e
-				s.head++
-				if s.head == len(s.ring) {
-					s.head = 0
-				}
+				// Steady-state overload fast path.
+				s.replaceHeadLocked(e)
 				continue
 			}
 			if !s.evictOldestLocked() {
@@ -448,10 +509,24 @@ func (s *Subscription) appendLocked(events []*event.Event) []*event.Event {
 			s.maxOcc = s.n
 		}
 	}
-	if dropped > 0 {
-		s.drops.Add(dropped)
+	return nil, dropped
+}
+
+// replaceHeadLocked evicts the oldest entry of a full ring to admit e:
+// evicting the head and appending at the tail target the same slot, so
+// replace in place and advance. Callers hold s.mu.
+func (s *Subscription) replaceHeadLocked(e *event.Event) {
+	if s.ring[s.head].Reliable {
+		s.relN--
 	}
-	return nil
+	if e.Reliable {
+		s.relN++
+	}
+	s.ring[s.head] = e
+	s.head++
+	if s.head == len(s.ring) {
+		s.head = 0
+	}
 }
 
 // evictOldestLocked removes the oldest best-effort entry to make room,
@@ -534,19 +609,39 @@ func (s *Subscription) tryRecv(buf []*event.Event, max int) ([]*event.Event, int
 // Subscription supports a single concurrent receiver; RecvBatch must
 // not be mixed with C.
 func (s *Subscription) RecvBatch(buf []*event.Event, max int) ([]*event.Event, bool) {
+	out, err := s.RecvBatchContext(context.Background(), buf, max)
+	return out, err == nil
+}
+
+// RecvBatchContext is RecvBatch for a caller that may give up: it
+// returns ctx.Err() when ctx ends before an event arrives, and
+// ErrSubscriptionClosed once the subscription is closed and fully
+// drained. Events come back only with a nil error, and only by being
+// popped here, so a cancel racing a delivery loses nothing — the events
+// stay in the ring for the next call.
+func (s *Subscription) RecvBatchContext(ctx context.Context, buf []*event.Event, max int) ([]*event.Event, error) {
 	if max <= 0 {
 		max = len(s.ring)
 	}
+	done := ctx.Done()
 	for {
 		out, n, drained := s.tryRecv(buf, max)
 		if n > 0 {
-			return out, true
+			return out, nil
 		}
 		if drained {
-			return out, false
+			return out, ErrSubscriptionClosed
 		}
 		buf = out
-		<-s.notify
+		if done == nil {
+			<-s.notify
+			continue
+		}
+		select {
+		case <-s.notify:
+		case <-done:
+			return buf, ctx.Err()
+		}
 	}
 }
 

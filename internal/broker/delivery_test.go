@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -741,5 +743,109 @@ func TestCoalescedAcksLossLink(t *testing.T) {
 	}
 	if got := b.Metrics().Counter("broker.acks_in").Value(); got == 0 {
 		t.Fatal("broker recorded no inbound acks")
+	}
+}
+
+// TestOverflowDropModes: the two SDK overflow modes treat both lanes
+// alike at a full ring — drop-oldest displaces a buffered reliable
+// event, drop-newest sheds a reliable newcomer, neither parks or blocks
+// — and the drop hook sees exactly the shed count, outside the ring
+// lock (it takes that lock itself here).
+func TestOverflowDropModes(t *testing.T) {
+	for _, tc := range []struct {
+		mode OverflowMode
+		want []uint64
+	}{
+		{OverflowDropOldest, []uint64{5, 6, 7}},
+		{OverflowDropNewest, []uint64{1, 2, 3}},
+	} {
+		sub := newSubscription(nil, "/ovf/t", 3)
+		var hooked uint64
+		sub.SetOverflow(tc.mode, func(n uint64) {
+			_ = sub.DeliveryStats() // deadlocks if the hook ran under mu
+			hooked += n
+		})
+		burst := make([]*event.Event, 7)
+		for i := range burst {
+			burst[i] = deliveryEvent(uint64(i+1), "/ovf/t", i%2 == 0)
+		}
+		sub.deliverBatch(burst[:2], nil)
+		sub.deliverBatch(burst[2:], nil) // returns: nothing blocks on a full ring
+		if hooked != 4 || sub.Drops() != 4 {
+			t.Fatalf("mode %d: hook saw %d drops, counter %d, want 4", tc.mode, hooked, sub.Drops())
+		}
+		if st := sub.DeliveryStats(); st.ParkedEvents != 0 {
+			t.Fatalf("mode %d: %d events parked", tc.mode, st.ParkedEvents)
+		}
+		buf, _ := sub.TryRecvBatch(nil, 8)
+		if len(buf) != len(tc.want) {
+			t.Fatalf("mode %d: ring holds %d events, want %d", tc.mode, len(buf), len(tc.want))
+		}
+		for i, e := range buf {
+			if e.ID != tc.want[i] {
+				t.Fatalf("mode %d: slot %d has ID %d, want %d", tc.mode, i, e.ID, tc.want[i])
+			}
+		}
+		// The reliable count followed the displacements: a lanes-mode
+		// ring that miscounted would now misjudge what it may evict.
+		sub.mu.Lock()
+		relN, n := sub.relN, sub.n
+		sub.mu.Unlock()
+		if relN != 0 || n != 0 {
+			t.Fatalf("mode %d: drained ring counts n=%d relN=%d", tc.mode, n, relN)
+		}
+	}
+}
+
+// TestRecvBatchContext: a blocked receive returns on cancel and on
+// close, and a cancel racing a delivery never loses the event — it is
+// either returned or still in the ring for the next call.
+func TestRecvBatchContext(t *testing.T) {
+	sub := newSubscription(nil, "/ctx/t", 8)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := sub.RecvBatchContext(ctx, nil, 8)
+		errc <- err
+	}()
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("blocked recv on cancel = %v", err)
+	}
+
+	const rounds = 2000
+	var next uint64 = 1
+	for i := 0; i < rounds; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func(id uint64) {
+			sub.deliverBatch([]*event.Event{deliveryEvent(id, "/ctx/t", false)}, nil)
+		}(uint64(i + 1))
+		go cancel()
+		for next == uint64(i+1) {
+			out, err := sub.RecvBatchContext(ctx, nil, 8)
+			if err != nil {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("round %d: %v", i, err)
+				}
+				ctx = context.Background() // lost the race: the event must still come
+				continue
+			}
+			for _, e := range out {
+				if e.ID != next {
+					t.Fatalf("round %d: got ID %d, want %d", i, e.ID, next)
+				}
+				next++
+			}
+		}
+	}
+
+	go func() {
+		_, err := sub.RecvBatchContext(context.Background(), nil, 8)
+		errc <- err
+	}()
+	sub.closeRing()
+	if err := <-errc; err != ErrSubscriptionClosed {
+		t.Fatalf("blocked recv on close = %v", err)
 	}
 }

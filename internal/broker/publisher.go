@@ -76,8 +76,10 @@ func (c *Client) Publisher(cfg PublisherConfig) *Publisher {
 func (p *Publisher) Batched() bool { return p.bw != nil }
 
 // Publish stamps identity onto e and sends it, batched when enabled.
-// The event must not be mutated afterwards; the payload may be reused
-// once Publish returns (the encoding is copied into the batch).
+// The event must not be mutated afterwards. Whether its payload may be
+// reused depends on the conn: a wire conn has copied it into the frame
+// or batch by the time Publish returns, an in-process pipe moves the
+// event by pointer, payload and all, and subscribers read those bytes.
 // Reliable events force the whole pending batch onto the wire so
 // signalling never lingers behind media in a user-space buffer.
 func (p *Publisher) Publish(e *event.Event) error {

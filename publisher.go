@@ -105,9 +105,12 @@ func eventKindOf(kind MediaKind) event.Kind {
 }
 
 // Publish sends one payload (for Audio/Video channels, RTP wire bytes).
-// The payload may be reused once Publish returns. With batching the
-// event may linger up to the flush interval before hitting the wire;
-// Flush forces it out.
+// A session's publisher is in-process: the event reaches the broker and
+// every in-process subscriber by reference, so the payload belongs to
+// them from here on — do not write to it after Publish, pass a fresh
+// slice per call. (Only a wire transport copies it, into the frame.)
+// With batching the event may linger up to the flush interval before
+// hitting the wire; Flush forces it out.
 func (p *Publisher) Publish(payload []byte) error {
 	e := event.New(p.topic, p.kind, payload)
 	e.Reliable = p.reliable

@@ -158,7 +158,7 @@ func (s *Session) Send(ctx context.Context, body string) error {
 // Chat joins the session's chat room and streams its messages until
 // the room is closed. Delivery QoS is set with StreamOptions.
 func (s *Session) Chat(ctx context.Context, opts ...StreamOption) (*ChatRoom, error) {
-	sub, err := s.c.Chat.JoinRoom(ctx, s.ID(), brokerDepth(streamBuffer(defaultChatBuffer, opts)))
+	sub, err := s.c.Chat.JoinRoom(ctx, s.ID(), ringDepth[ChatMessage](defaultChatBuffer, false, opts))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -189,23 +189,23 @@ func (s *Session) Subscribe(ctx context.Context, kind MediaKind, opts ...StreamO
 	if !ok {
 		return nil, tag(ErrNoSuchMedia, errMediaKind(kind))
 	}
-	sub, err := s.subscribeStream(ctx, stream.Topic, opts)
+	sub, err := s.subscribeStream(ctx, stream.Topic, ringDepth[*MediaPacket](defaultMediaBuffer, true, opts), opts)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
 	return newMediaSubscription(sub, s.c.Metrics, s.streamName("media."+string(kind)), opts), nil
 }
 
-// subscribeStream opens the broker subscription behind a stream,
-// switching to a replay subscription when the options ask for one.
-// Replay requires the node to record exactly the subscribed pattern
-// (see WithRecording).
-func (s *Session) subscribeStream(ctx context.Context, pattern string, opts []StreamOption) (*broker.Subscription, error) {
+// subscribeStream opens the broker subscription behind a stream, depth
+// deep (see ringDepth), switching to a replay subscription when the
+// options ask for one. Replay requires the node to record exactly the
+// subscribed pattern (see WithRecording).
+func (s *Session) subscribeStream(ctx context.Context, pattern string, depth int, opts []StreamOption) (*broker.Subscription, error) {
 	cfg := resolveStreamConfig(defaultMediaBuffer, opts)
 	if cfg.replay {
-		return s.c.BC.SubscribeReplay(ctx, pattern, cfg.replayFrom, brokerDepth(cfg.buffer))
+		return s.c.BC.SubscribeReplay(ctx, pattern, cfg.replayFrom, depth)
 	}
-	return s.c.BC.SubscribeContext(ctx, pattern, brokerDepth(cfg.buffer))
+	return s.c.BC.SubscribeContext(ctx, pattern, depth)
 }
 
 // Events streams every raw broker event published on this session's
@@ -220,7 +220,7 @@ func (s *Session) subscribeStream(ctx context.Context, pattern string, opts []St
 // Stream.CaughtUp signals when history is drained.
 func (s *Session) Events(ctx context.Context, opts ...StreamOption) (*Stream[Event], error) {
 	pattern := xgsp.SessionTopic(s.ID(), "#")
-	sub, err := s.subscribeStream(ctx, pattern, opts)
+	sub, err := s.subscribeStream(ctx, pattern, ringDepth[Event](defaultMediaBuffer, false, opts), opts)
 	if err != nil {
 		return nil, wrapErr(err)
 	}

@@ -13,7 +13,10 @@ import (
 )
 
 // DropPolicy selects what a Stream does with a new event when its
-// delivery buffer is full because the consumer lags.
+// delivery buffer is full because the consumer lags. The policy is
+// applied where the event meets the full buffer — on the client's read
+// loop, as the event arrives — so drops are counted whether or not
+// anyone is in Recv.
 type DropPolicy int
 
 const (
@@ -25,11 +28,15 @@ const (
 	// buffered — the right policy when the earliest events matter most
 	// (e.g. replay heads).
 	DropNewest
-	// Block stops draining the subscription until the consumer catches
-	// up. Backpressure propagates into the broker connection: reliable
-	// traffic stalls the sender, best-effort traffic is shed upstream in
-	// the broker's bounded queues. Nothing is dropped by the Stream
-	// itself.
+	// Block never discards a reliable event: one that meets a full
+	// buffer waits in a bounded overflow park of the same depth, and
+	// past that the client's connection stops reading until the consumer
+	// catches up — which delays every other stream on the same client,
+	// and lets backpressure reach the broker's reliable sender.
+	// Best-effort traffic does not wait for a slow consumer anywhere: at
+	// a full buffer the oldest buffered best-effort event gives way to
+	// the newest, as in every bounded queue upstream, and that is not
+	// counted in Drops — under Block, Drops stays 0.
 	Block
 )
 
@@ -50,9 +57,13 @@ type streamConfig struct {
 	replayFrom uint64
 }
 
-// WithBuffer sets the stream's delivery buffer depth (and sizes the
-// underlying broker subscription to match). n <= 0 keeps the stream's
-// default (64 for chat and presence, 256 for media and raw events).
+// WithBuffer sets the stream's delivery buffer depth: the stream holds
+// at most n undelivered events (plus the burst of up to 256 its
+// receiver has already taken out to decode) before the drop policy
+// applies. The buffer is the client-side subscription ring itself, not
+// a queue behind it. Conflating streams and Chan add a channel of the
+// same depth in front of it. n <= 0 keeps the stream's default (64 for
+// chat and presence, 256 for media and raw events).
 func WithBuffer(n int) StreamOption {
 	return func(c *streamConfig) { c.buffer = n }
 }
@@ -120,8 +131,9 @@ func WithConflationKey[T any](fn func(T) any) StreamOption {
 
 // WithLagNotify registers a callback fired whenever the stream discards
 // or conflates an event, with the cumulative number dropped so far. It
-// runs on the delivery goroutine and must not block; hand off to your
-// own goroutine for anything slow.
+// runs on the client's read loop (on the stream's own goroutine for a
+// conflating stream), where every stream of that client waits for it:
+// it must not block; hand off to your own goroutine for anything slow.
 func WithLagNotify(fn func(dropped uint64)) StreamOption {
 	return func(c *streamConfig) { c.lagNotify = fn }
 }
@@ -134,14 +146,38 @@ func WithLagNotify(fn func(dropped uint64)) StreamOption {
 // depth, full-buffer policy, conflation, lag notification — is set per
 // stream with StreamOptions at creation.
 //
+// A Stream is a typed cursor over its subscription's ring: Recv pops
+// events straight out of the buffer the client's read loop filled, so
+// an open stream costs no goroutine and no channel. Two kinds of
+// stream own a goroutine, one each: a conflating stream (merging has to
+// go on while the consumer is away) and a stream whose Chan has been
+// called (something has to feed the channel). One goroutine at a time
+// may receive from a stream — Recv, All and the first call of Chan share
+// the cursor without a lock; Close and Drops are safe from anywhere.
+//
 // Events discarded because the consumer lags are counted (Drops), fire
 // the WithLagNotify callback, and surface as a
 // "stream.<user>.<name>.queue_drops" gauge in the server's metrics
 // registry when the node runs WithMetrics.
 type Stream[T any] struct {
-	sub       *broker.Subscription
-	ch        chan T
-	policy    DropPolicy
+	sub    *broker.Subscription
+	decode func(*event.Event) (T, bool)
+
+	// buf[pos:] is the burst last popped from the ring and not yet
+	// returned. It belongs to the one receiver, and to the Chan forwarder
+	// once that runs.
+	buf    []*event.Event
+	pos    int
+	buffer int // the resolved WithBuffer
+
+	// ch is nil while the stream is consumed in place. A conflating stream
+	// makes it at open and Chan on first call; from then on Recv reads it.
+	// mu orders the forwarder's start against Close.
+	mu     sync.Mutex
+	ch     chan T
+	closed bool
+	wg     sync.WaitGroup // the stream's one goroutine, if it has one
+
 	pending   conflatePending[T] // non-nil when the stream conflates
 	lagNotify func(uint64)
 
@@ -149,10 +185,8 @@ type Stream[T any] struct {
 	unregister func()
 
 	drops    atomic.Uint64
-	closing  chan struct{}
 	once     sync.Once
 	closeErr error
-	wg       sync.WaitGroup
 }
 
 // conflatePending is the keyed pending set behind a conflating stream:
@@ -202,13 +236,14 @@ func (p *pendingSet[T, K]) pop() {
 	p.order = p.order[1:]
 }
 
-// newStream wires a typed pump over a broker subscription. decode maps
-// wire events to T (false skips malformed events); builtinKey, when
+// newStream opens a typed stream over a broker subscription. decode
+// maps wire events to T (false skips malformed events); builtinKey, when
 // non-nil, supplies the stream's built-in conflation key (the media
 // SSRC — a uint64, kept unboxed on the conflating fast path), used when
 // WithConflation is set without a custom WithConflationKey of the
 // matching type. reg/name register the per-stream drop gauge when the
-// node has a registry.
+// node has a registry. sub must have been sized with ringDepth for the
+// same T, builtinKey and opts.
 func newStream[T any](sub *broker.Subscription, reg *metrics.Registry, name string, defaultBuffer int, decode func(*event.Event) (T, bool), builtinKey func(T) (uint64, bool), opts []StreamOption) *Stream[T] {
 	cfg := resolveStreamConfig(defaultBuffer, opts)
 	if cfg.replay && !cfg.policySet {
@@ -218,29 +253,66 @@ func newStream[T any](sub *broker.Subscription, reg *metrics.Registry, name stri
 	}
 	s := &Stream[T]{
 		sub:       sub,
-		ch:        make(chan T, cfg.buffer),
-		policy:    cfg.policy,
+		decode:    decode,
+		buffer:    cfg.buffer,
 		lagNotify: cfg.lagNotify,
-		closing:   make(chan struct{}),
-	}
-	if cfg.conflate {
-		if fn, ok := cfg.keyFn.(func(T) any); ok {
-			s.pending = newPendingSet[T, any](func(v T) (any, bool) {
-				k := fn(v)
-				return k, k != nil
-			})
-		} else if builtinKey != nil {
-			s.pending = newPendingSet[T, uint64](builtinKey)
-		}
 	}
 	if reg != nil && name != "" {
 		gname := "stream." + name + ".queue_drops"
 		s.gauge = reg.Gauge(gname)
 		s.unregister = acquireGauge(reg, gname)
 	}
-	s.wg.Add(1)
-	go s.pump(decode)
+	if conflates[T](&cfg, builtinKey != nil) {
+		if fn, ok := cfg.keyFn.(func(T) any); ok {
+			s.pending = newPendingSet[T, any](func(v T) (any, bool) {
+				k := fn(v)
+				return k, k != nil
+			})
+		} else {
+			s.pending = newPendingSet[T, uint64](builtinKey)
+		}
+		s.ch = make(chan T, cfg.buffer) // the consumer-facing WithBuffer; the ring behind it is intake
+		s.wg.Add(1)
+		go s.pumpConflating()
+		return s
+	}
+	s.buf = make([]*event.Event, 0, min(cfg.buffer, streamDrainBurst))
+	switch cfg.policy {
+	case DropOldest:
+		sub.SetOverflow(broker.OverflowDropOldest, s.noteDrops)
+	case DropNewest:
+		sub.SetOverflow(broker.OverflowDropNewest, s.noteDrops)
+	}
 	return s
+}
+
+// conflates reports whether a stream of T opened with cfg merges queued
+// events: conflation was asked for and there is a key to merge by, a
+// custom one of the matching type or the stream's built-in one.
+func conflates[T any](cfg *streamConfig, builtinKey bool) bool {
+	if !cfg.conflate {
+		return false
+	}
+	_, custom := cfg.keyFn.(func(T) any)
+	return custom || builtinKey
+}
+
+// conflateIntake is the least ring a conflating stream gets. Its pump
+// empties the ring into the keyed pending set, where a lagging
+// consumer's backlog collapses; a ring as small as WithBuffer(1) would
+// instead shed a burst, last-update-per-key included, before the pump
+// saw it.
+const conflateIntake = 64
+
+// ringDepth sizes the broker subscription behind a stream of T: exactly
+// the stream's buffer, because the ring is that buffer — except under a
+// conflating stream (see conflateIntake).
+func ringDepth[T any](defaultBuffer int, builtinKey bool, opts []StreamOption) int {
+	cfg := resolveStreamConfig(defaultBuffer, opts)
+	if conflates[T](&cfg, builtinKey) && cfg.buffer < conflateIntake {
+		return conflateIntake
+	}
+	return cfg.buffer
 }
 
 // gaugeRefs refcounts per-stream gauges across streams that resolve to
@@ -297,32 +369,58 @@ func resolveStreamConfig(defaultBuffer int, opts []StreamOption) streamConfig {
 	return cfg
 }
 
-// streamBuffer resolves the effective stream buffer depth for the
-// given options.
-func streamBuffer(defaultBuffer int, opts []StreamOption) int {
-	return resolveStreamConfig(defaultBuffer, opts).buffer
-}
-
-// brokerDepth sizes the broker-side subscription channel backing a
-// stream buffer: it matches the buffer but keeps a floor, so a tiny
-// app-side buffer (WithBuffer(1) with conflation, say) doesn't force
-// upstream best-effort drops that the stream-level policy was meant to
-// manage.
-func brokerDepth(buffer int) int {
-	const floor = 64
-	if buffer < floor {
-		return floor
-	}
-	return buffer
-}
+// streamDrainBurst bounds how many events a receiver pops from the ring
+// per lock hold: one lock acquisition and at most one wakeup amortized
+// across the whole run.
+const streamDrainBurst = 256
 
 // Recv returns the next event, blocking until one is available, the
 // stream closes (ErrStreamClosed), or ctx is cancelled (the context's
-// error). Buffered events are still delivered after Close. A stream the
+// error; an event that arrives as ctx ends stays buffered for the next
+// call). Buffered events are still delivered after Close. A stream the
 // system ended — a replay stream whose recorded data failed its
 // integrity check, say — returns ErrStreamClosed wrapped with the
 // reason, never a silent end; a plain close returns the sentinel bare.
+//
+// Recv is not safe for concurrent use with itself, All or the first
+// call of Chan: a stream has one receiver at a time.
 func (s *Stream[T]) Recv(ctx context.Context) (T, error) {
+	if s.ch != nil {
+		return s.recvChan(ctx)
+	}
+	for {
+		if v, ok := s.next(); ok {
+			return v, nil
+		}
+		var err error
+		s.pos = 0
+		s.buf, err = s.sub.RecvBatchContext(ctx, s.buf[:0], streamDrainBurst)
+		if err != nil {
+			var zero T
+			if err == broker.ErrSubscriptionClosed { // returned bare
+				err = s.closedErr()
+			}
+			return zero, err
+		}
+	}
+}
+
+// next decodes the next event of the burst in hand, skipping malformed
+// ones; false means the burst is spent.
+func (s *Stream[T]) next() (v T, ok bool) {
+	for s.pos < len(s.buf) {
+		e := s.buf[s.pos]
+		s.buf[s.pos] = nil // never pin a delivered event in the reused burst
+		s.pos++
+		if v, ok = s.decode(e); ok {
+			return v, true
+		}
+	}
+	return v, false
+}
+
+// recvChan is Recv for a stream that has a delivery channel.
+func (s *Stream[T]) recvChan(ctx context.Context) (T, error) {
 	var zero T
 	select {
 	case v, ok := <-s.ch:
@@ -375,10 +473,67 @@ func (s *Stream[T]) All(ctx context.Context) iter.Seq2[T, error] {
 	}
 }
 
-// Chan returns the delivery channel, for select-based consumers. It is
-// closed when the stream closes; Recv and Chan draw from the same
-// buffer.
-func (s *Stream[T]) Chan() <-chan T { return s.ch }
+// Chan returns a channel of the stream's events, for select-based
+// consumers, closed when the stream closes. The first call switches the
+// stream from being read in place to being forwarded: it starts the
+// stream's one goroutine, which moves events from the buffer into a
+// channel as deep as WithBuffer — so the stream then holds up to twice
+// WithBuffer before the drop policy applies — and every later Recv
+// reads that channel. Nothing is lost or repeated across the switch. A
+// conflating stream has had its channel since it was opened.
+func (s *Stream[T]) Chan() <-chan T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch == nil {
+		// As deep as the ring, so that Close can hand over everything
+		// buffered without a reader.
+		s.ch = make(chan T, s.buffer)
+		if s.closed {
+			s.forward() // never blocks on a closed subscription
+		} else {
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				s.forward()
+			}()
+		}
+	}
+	return s.ch
+}
+
+// forward feeds the Chan channel from the ring: the burst the receiver
+// had in hand first, then burst after burst. While the subscription is
+// live it sends with backpressure, so a full channel fills the ring and
+// the drop policy applies there. Once the subscription closes it hands
+// over what still fits without blocking — the consumer may be gone —
+// and closes the channel.
+func (s *Stream[T]) forward() {
+	defer close(s.ch)
+	done := s.sub.Done()
+	for {
+		for v, ok := s.next(); ok; v, ok = s.next() {
+			if done != nil {
+				select {
+				case s.ch <- v:
+					continue
+				case <-done:
+					done = nil
+				}
+			}
+			select {
+			case s.ch <- v:
+			default:
+				return
+			}
+		}
+		var ok bool
+		s.pos = 0
+		s.buf, ok = s.sub.RecvBatch(s.buf[:0], streamDrainBurst)
+		if !ok {
+			return
+		}
+	}
+}
 
 // CaughtUp returns a channel that closes once a replay stream
 // (WithReplayFrom / WithReplayFromEarliest) has drained recorded
@@ -394,13 +549,16 @@ func (s *Stream[T]) CaughtUp() <-chan struct{} { return s.sub.CaughtUp() }
 // queue_drops counters.)
 func (s *Stream[T]) Drops() uint64 { return s.drops.Load() }
 
-// Close cancels the subscription and closes the delivery channel.
-// Events already buffered remain readable. Idempotent; safe to call
-// concurrently with Recv.
+// Close cancels the subscription; a Recv blocked on the stream returns,
+// and the Chan channel, if there is one, is closed by the time Close
+// returns. Events already buffered remain readable. Idempotent; safe to
+// call concurrently with Recv.
 func (s *Stream[T]) Close() error {
 	s.once.Do(func() {
-		close(s.closing)
 		s.closeErr = wrapErr(s.sub.Cancel())
+		s.mu.Lock()
+		s.closed = true // no forwarder starts from here on, so Wait sees them all
+		s.mu.Unlock()
 		s.wg.Wait()
 		if s.unregister != nil {
 			s.unregister()
@@ -409,6 +567,9 @@ func (s *Stream[T]) Close() error {
 	return s.closeErr
 }
 
+// noteDrops counts n discarded events and publishes the new total. It is
+// the subscription's drop hook (called on the client's read loop) and
+// the conflating pump's own accounting.
 func (s *Stream[T]) noteDrops(n uint64) {
 	total := s.drops.Add(n)
 	if s.gauge != nil {
@@ -419,9 +580,9 @@ func (s *Stream[T]) noteDrops(n uint64) {
 	}
 }
 
-// sendDropOldest delivers v without ever blocking, displacing the
-// oldest buffered event when full — the pre-existing pump policy, now
-// with every displacement counted and reported.
+// sendDropOldest puts v on the conflating stream's channel without ever
+// blocking, displacing the oldest buffered event when full; every
+// displacement is counted and reported.
 func (s *Stream[T]) sendDropOldest(v T) {
 	for {
 		select {
@@ -437,64 +598,18 @@ func (s *Stream[T]) sendDropOldest(v T) {
 	}
 }
 
-// streamDrainBurst bounds how many subscription events a pump drains
-// per ring wakeup: one lock acquisition and one wakeup amortized across
-// the whole run.
-const streamDrainBurst = 256
-
-func (s *Stream[T]) pump(decode func(*event.Event) (T, bool)) {
-	defer s.wg.Done()
-	defer close(s.ch)
-	if s.pending != nil {
-		s.pumpConflating(decode)
-		return
-	}
-	// Drain the subscription ring in bursts — decode a run of events per
-	// wakeup and apply the drop policy per batch, with drop/lag totals
-	// identical to the per-event pump's.
-	buf := make([]*event.Event, 0, streamDrainBurst)
-	for {
-		var ok bool
-		buf, ok = s.sub.RecvBatch(buf[:0], streamDrainBurst)
-		for _, e := range buf {
-			v, decoded := decode(e)
-			if !decoded {
-				continue
-			}
-			switch s.policy {
-			case Block:
-				select {
-				case s.ch <- v:
-				case <-s.closing:
-					return
-				}
-			case DropNewest:
-				select {
-				case s.ch <- v:
-				default:
-					s.noteDrops(1)
-				}
-			default: // DropOldest
-				s.sendDropOldest(v)
-			}
-		}
-		clear(buf) // never pin delivered events in the reused buffer
-		if !ok {
-			return
-		}
-	}
-}
-
 // pumpConflating drains the subscription ring eagerly into the keyed
 // pending set: while the consumer lags, a newer event replaces the
 // queued event with the same key instead of queueing behind it. Pending
 // events feed the delivery channel in arrival order of their keys.
 // Unkeyed events bypass conflation and are delivered drop-oldest.
-func (s *Stream[T]) pumpConflating(decode func(*event.Event) (T, bool)) {
+func (s *Stream[T]) pumpConflating() {
+	defer s.wg.Done()
+	defer close(s.ch)
 	buf := make([]*event.Event, 0, streamDrainBurst)
 	admit := func(events []*event.Event) {
 		for _, e := range events {
-			v, ok := decode(e)
+			v, ok := s.decode(e)
 			if !ok {
 				continue
 			}
@@ -560,8 +675,9 @@ func (s *Stream[T]) pumpConflating(decode func(*event.Event) (T, bool)) {
 		case <-s.sub.Wake():
 			// More input may be buffered; the next TryRecvBatch re-arms
 			// the token if it leaves events behind.
-		case <-s.closing:
-			return
+		case <-s.sub.Done():
+			// Closed: the next TryRecvBatch reports it once the ring is
+			// empty, and what is pending is handed over.
 		}
 	}
 }
