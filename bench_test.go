@@ -373,50 +373,43 @@ func BenchmarkTransportThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkRouteCache isolates the broker's per-topic match memoisation —
-// one of the "optimizations on the message transmission" the paper
-// credits for NaradaBrokering's media performance.
+// BenchmarkRouteCache publishes one topic through a realistic
+// subscription table, the case the broker's per-topic match memoisation
+// serves — one of the "optimizations on the message transmission" the
+// paper credits for NaradaBrokering's media performance.
 func BenchmarkRouteCache(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		name := "enabled"
-		if disabled {
-			name = "disabled"
+	br := broker.New(broker.Config{ID: "rc", QueueDepth: 65536})
+	defer br.Stop()
+	// A realistic subscription table: many sessions, some wildcards.
+	for i := range 200 {
+		c, err := br.LocalClient(fmt.Sprintf("c%d", i), transport.LinkProfile{})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			br := broker.New(broker.Config{ID: "rc", QueueDepth: 65536, DisableRouteCache: disabled})
-			defer br.Stop()
-			// A realistic subscription table: many sessions, some wildcards.
-			for i := range 200 {
-				c, err := br.LocalClient(fmt.Sprintf("c%d", i), transport.LinkProfile{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				pattern := fmt.Sprintf("/xgsp/session/s%d/video", i)
-				if i%10 == 0 {
-					pattern = "/xgsp/session/*/video"
-				}
-				sub, err := c.Subscribe(pattern, 65536)
-				if err != nil {
-					b.Fatal(err)
-				}
-				go func() {
-					for range sub.C() {
-					}
-				}()
+		defer c.Close()
+		pattern := fmt.Sprintf("/xgsp/session/s%d/video", i)
+		if i%10 == 0 {
+			pattern = "/xgsp/session/*/video"
+		}
+		sub, err := c.Subscribe(pattern, 65536)
+		if err != nil {
+			b.Fatal(err)
+		}
+		go func() {
+			for range sub.C() {
 			}
-			pub, err := br.LocalClient("pub", transport.LinkProfile{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer pub.Close()
-			payload := make([]byte, 1200)
-			b.ResetTimer()
-			for b.Loop() {
-				if err := pub.Publish("/xgsp/session/s100/video", event.KindRTP, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}()
+	}
+	pub, err := br.LocalClient("pub", transport.LinkProfile{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pub.Close()
+	payload := make([]byte, 1200)
+	b.ResetTimer()
+	for b.Loop() {
+		if err := pub.Publish("/xgsp/session/s100/video", event.KindRTP, payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

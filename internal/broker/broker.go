@@ -118,10 +118,6 @@ type Config struct {
 	// ingest cheap at wide fan-out. Default 256; 1 degenerates the data
 	// path to event-at-a-time ingest and egress (an ablation knob).
 	IngestBurst int
-	// DisableRouteCache turns off per-topic match memoisation — an
-	// ablation knob for the "optimizations on the message transmission"
-	// the paper credits for the broker's media performance.
-	DisableRouteCache bool
 	// RecordPatterns lists topic patterns recorded to durable on-disk
 	// logs (one segmented log per pattern; '+'/'#' wildcards allowed).
 	// Events matching a pattern are appended — sequence-stamped and
@@ -244,9 +240,10 @@ type Broker struct {
 
 	// router is the data plane: sharded subscription state + route cache.
 	router *router
-	// matchFn is router.match bound once, so the per-event route call
-	// does not allocate a method value.
-	matchFn func(string) []*session
+	// sweeps lends Broker.route a routeSweep per call (session readers
+	// own theirs), so a loopback publish routes through the same slab
+	// and arena as a decoded burst.
+	sweeps sync.Pool
 
 	mu       sync.RWMutex
 	closed   bool
@@ -277,9 +274,6 @@ type Broker struct {
 	// the atomically-published meshPlans snapshot instead.
 	meshRoutes map[string]*patternRoute
 	meshPlans  atomic.Pointer[meshPlanTable]
-	// planFn is planFor bound once so per-event plan resolution does not
-	// allocate a method value.
-	planFn func(string) *topicPlan
 
 	// relStash holds reliable events salvaged from dead peer links, keyed
 	// by remote broker id. The next link to the same peer (redial or
@@ -313,6 +307,10 @@ type Broker struct {
 	// binding across them.
 	pools    []*writerPool
 	poolNext atomic.Uint64
+
+	// handshakeTimeout is handshakeDeadline; a field only so a test can
+	// shorten it before Serve.
+	handshakeTimeout time.Duration
 
 	wg   sync.WaitGroup
 	done chan struct{}
@@ -361,7 +359,7 @@ func New(cfg Config) *Broker {
 	cfg = cfg.withDefaults()
 	b := &Broker{
 		cfg:         cfg,
-		router:      newRouter(cfg.RouteShards, cfg.DisableRouteCache),
+		router:      newRouter(cfg.RouteShards),
 		sessions:    make(map[*session]struct{}),
 		peers:       make(map[*session]struct{}),
 		ids:         make(map[string]*session),
@@ -374,10 +372,11 @@ func New(cfg Config) *Broker {
 		dedup:       newDedupCache(cfg.DedupCapacity),
 		ctr:         resolveCounters(cfg.Metrics),
 		done:        make(chan struct{}),
+
+		handshakeTimeout: handshakeDeadline,
 	}
 	b.routed = cfg.Mode == ModeClientServer && !cfg.MeshFlood
-	b.matchFn = b.router.match
-	b.planFn = b.planFor
+	b.sweeps.New = func() any { return b.newRouteSweep() }
 	if len(cfg.RecordPatterns) > 0 {
 		b.rec = newRecordPlane(cfg, cfg.Metrics)
 	}
@@ -443,11 +442,17 @@ func (b *Broker) Listen(url string) (transport.Listener, error) {
 	return l, nil
 }
 
+// handshakeDeadline bounds the wait for a new conn's first event: a
+// remote that connects and says nothing is closed instead of holding a
+// goroutine (and Stop, which waits for it) indefinitely.
+const handshakeDeadline = 10 * time.Second
+
 // handshake reads the first event on a new conn to learn whether the
 // remote is a client or a peer broker, then attaches a session.
 func (b *Broker) handshake(conn transport.Conn) {
+	deadline := time.AfterFunc(b.handshakeTimeout, func() { conn.Close() })
 	first, err := conn.Recv()
-	if err != nil {
+	if !deadline.Stop() || err != nil {
 		conn.Close()
 		return
 	}
@@ -1192,17 +1197,15 @@ func (b *Broker) peerList(except *session) []*session {
 
 // route delivers an event to matching local sessions and forwards it to
 // peers according to the routing mode. from is nil for loopback
-// publishes.
-//
-// This is the event-at-a-time entry to the data-plane hot path: it
-// takes no broker-wide lock, and the whole routing policy lives in
-// routeOne (shared with the burst path). The event is encoded at most
+// publishes. It is a burst of one through a borrowed sweep: the data
+// path takes no broker-wide lock, and the event is encoded at most
 // twice regardless of fan-out width — once for local sessions and once
 // (a one-byte TTL patch on a buffer copy) for peers.
 func (b *Broker) route(e *event.Event, from *session) {
-	var st routeStats
-	b.routeOne(e, from, b.matchFn, b.planFn, deliverDirect, b.recordDirect, nil, &st)
-	st.flush(&b.ctr)
+	rs := b.sweeps.Get().(*routeSweep)
+	rs.routeOne(e, from)
+	rs.finish()
+	b.sweeps.Put(rs)
 }
 
 // routeStats accumulates the data-path counters of one routing pass.
@@ -1231,31 +1234,15 @@ func (st *routeStats) flush(ctr *brokerCounters) {
 	*st = routeStats{}
 }
 
-// deliverDirect is route's delivery strategy: hand the event to the
-// session immediately.
-func deliverDirect(t *session, e *event.Event, fs *frameSource) { t.deliver(e, fs) }
-
-// deliverFn hands one resolved delivery to its target. Implementations
-// deliver immediately (Broker.route) or stage into a per-session batch
-// (routeSweep.routeBatch).
-type deliverFn func(t *session, e *event.Event, fs *frameSource)
-
-// planFn resolves the mesh forwarding plan for a concrete topic
-// (Broker.planFor, or a per-burst memo of it).
-type planFn func(string) *topicPlan
-
 // routeOne is the single implementation of the routing policy —
 // duplicate suppression, durable recording, split horizon, per-hop TTL
 // decrement, routed (serve-mask) peer forwarding, and the peer-to-peer
-// flood — behind both the event-at-a-time and the burst path. Target
-// resolution goes through match (the sharded router, or a per-burst
-// memo of it), plan resolution through plans, every delivery through
-// deliver, and every recorded-pattern hit through rec (immediate
-// append, or staged per burst). served is a reusable scratch buffer
-// for the flood's already-served peer set; the (possibly grown) buffer
-// is returned for reuse.
-func (b *Broker) routeOne(e *event.Event, from *session, match func(string) []*session, plans planFn, deliver deliverFn, rec recordFn, served []*session, stats *routeStats) []*session {
-	served = served[:0]
+// flood. Targets and mesh plans resolve through the sweep's memos,
+// deliveries and recorded-pattern hits are staged for finish, and the
+// event's frames come from the sweep's slab and arena.
+func (rs *routeSweep) routeOne(e *event.Event, from *session) {
+	b, stats := rs.b, &rs.stats
+	rs.peersServed = rs.peersServed[:0]
 	fromPeer := from != nil && from.isPeer
 	// Duplicate suppression arms whenever this broker is part of a mesh:
 	// peer-originated traffic always, flooding mode always, and — so that a
@@ -1268,17 +1255,17 @@ func (b *Broker) routeOne(e *event.Event, from *session, match func(string) []*s
 			if fromPeer && from.dupCtr != nil {
 				from.dupCtr.Inc()
 			}
-			return served
+			return
 		}
 	}
-	targets := match(e.Topic)
-	fs := newFrameSource(e)
+	targets := rs.matchMemo(e.Topic)
+	fs := rs.source(e)
 	// Record after duplicate suppression (a mesh copy must not be logged
 	// twice) and before target iteration (an event with zero current
 	// subscribers is still history a late joiner replays).
 	if b.rec != nil {
 		for _, r := range b.rec.match(e.Topic) {
-			rec(r, e, fs)
+			rs.recordStage(r, e, fs)
 		}
 	}
 	// Routed mode: resolve the forwarding plan once per event. inMask is
@@ -1288,7 +1275,7 @@ func (b *Broker) routeOne(e *event.Event, from *session, match func(string) []*s
 	var plan *topicPlan
 	var inMask uint64
 	if b.routed && e.TTL > 0 && b.hasPeers() {
-		if plan = plans(e.Topic); plan != nil {
+		if plan = rs.planMemo(e.Topic); plan != nil {
 			inMask = e.Mask
 			if inMask == 0 {
 				inMask = ^uint64(0)
@@ -1326,17 +1313,17 @@ func (b *Broker) routeOne(e *event.Event, from *session, match func(string) []*s
 					continue
 				}
 				me, mfs := fs.deriveMasked(e.TTL-1, m)
-				deliver(t, me, mfs)
+				rs.deliverStaged(t, me, mfs)
 			} else {
 				if !e.Reliable && !t.creditCharge() {
 					continue
 				}
 				preparePeer()
-				deliver(t, peerEvent, peerFS)
+				rs.deliverStaged(t, peerEvent, peerFS)
 			}
-			served = append(served, t)
+			rs.peersServed = append(rs.peersServed, t)
 		} else {
-			deliver(t, e, fs)
+			rs.deliverStaged(t, e, fs)
 		}
 		delivered++
 	}
@@ -1349,7 +1336,7 @@ func (b *Broker) routeOne(e *event.Event, from *session, match func(string) []*s
 			// A peer that advertised a matching pattern was already served
 			// above; flooding it again would put the same event on the
 			// wire twice.
-			for _, d := range served {
+			for _, d := range rs.peersServed {
 				if d == p {
 					continue flood
 				}
@@ -1358,7 +1345,7 @@ func (b *Broker) routeOne(e *event.Event, from *session, match func(string) []*s
 				continue
 			}
 			preparePeer()
-			deliver(p, peerEvent, peerFS)
+			rs.deliverStaged(p, peerEvent, peerFS)
 			delivered++
 		}
 	}
@@ -1366,7 +1353,6 @@ func (b *Broker) routeOne(e *event.Event, from *session, match func(string) []*s
 	if delivered == 0 {
 		stats.unroutable++
 	}
-	return served
 }
 
 // matchSessions resolves the sessions subscribed to a concrete topic via

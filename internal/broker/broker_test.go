@@ -466,28 +466,3 @@ func TestRouteCacheInvalidatedOnSubscriptionChange(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond) // nothing should arrive; channel closed anyway
 }
-
-func TestDisableRouteCacheStillRoutes(t *testing.T) {
-	b := New(Config{ID: "nocache", DisableRouteCache: true})
-	defer b.Stop()
-	pub, err := b.LocalClient("pub", transport.LinkProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	subC, err := b.LocalClient("sub", transport.LinkProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer subC.Close()
-	s, err := subC.Subscribe("/nc/t", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range 5 {
-		if err := pub.Publish("/nc/t", event.KindData, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		recvOne(t, s, 2*time.Second)
-	}
-}

@@ -58,9 +58,13 @@ type dedupRef struct {
 }
 
 type dedupShard struct {
-	mu      sync.Mutex
-	cap     int
-	stamp   uint64
+	mu    sync.Mutex
+	cap   int
+	stamp uint64
+	// sources is made on the shard's first insert and grows with the
+	// sources actually seen: a standalone broker never arms dedup, and
+	// maps sized to capacity up front are megabytes of pointer-dense
+	// buckets for every GC cycle to mark.
 	sources map[string]*sourceWindow
 	fifo    []dedupRef
 	head    int
@@ -127,7 +131,6 @@ func newDedupCache(capacity int) *dedupCache {
 	d := &dedupCache{mask: uint32(shards - 1), shards: make([]dedupShard, shards)}
 	for i := range d.shards {
 		d.shards[i].cap = perShard
-		d.shards[i].sources = make(map[string]*sourceWindow, perShard)
 	}
 	return d
 }
@@ -157,6 +160,9 @@ func (d *dedupCache) seen(k event.Key) bool {
 	}
 	w := &sourceWindow{maxID: k.ID, stamp: sh.stamp, gen: g}
 	w.set(k.ID)
+	if sh.sources == nil {
+		sh.sources = make(map[string]*sourceWindow)
+	}
 	sh.sources[k.Source] = w
 	sh.fifo = append(sh.fifo, dedupRef{src: k.Source, stamp: sh.stamp})
 	sh.stamp++

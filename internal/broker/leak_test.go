@@ -1,6 +1,10 @@
 package broker
 
 import (
+	"errors"
+	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,5 +117,32 @@ func TestReconnectLoopNoLeak(t *testing.T) {
 	})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSilentConnHandshakeDeadline: a remote that connects and never
+// says hello is closed when the handshake deadline passes, and the
+// goroutine that was waiting on it exits.
+func TestSilentConnHandshakeDeadline(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	b := newTestBroker(t, "leak-hs")
+	b.handshakeTimeout = 50 * time.Millisecond
+	l, err := b.Listen("tcp://127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", strings.TrimPrefix(l.Addr(), "tcp://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := nc.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := nc.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("read on a conn that never said hello: n=%d err=%v, want the broker to have closed it", n, err)
+	}
+	if n := b.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions attached for a conn that never said hello", n)
 	}
 }

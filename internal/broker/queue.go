@@ -45,13 +45,15 @@ const (
 // than condvar-based so the writer can multiplex "more traffic arrived"
 // against flush timers.
 type sendQueue struct {
-	mu     sync.Mutex
-	rel    []outItem
-	be     []outItem // ring storage
-	beHead int
-	beLen  int
-	closed bool
-	drops  uint64
+	mu      sync.Mutex
+	rel     []outItem // ring storage, doubled when full
+	relHead int
+	relLen  int
+	be      []outItem // ring storage
+	beHead  int
+	beLen   int
+	closed  bool
+	drops   uint64
 
 	// The pending-cumulative ack slot: the reverse path of hop-by-hop
 	// reliability queues at most one ack here, and later acks overwrite
@@ -258,9 +260,33 @@ func (q *sendQueue) pushItem(it outItem) {
 		q.mu.Unlock()
 		return
 	}
-	q.rel = append(q.rel, it)
+	q.appendReliableLocked(it)
 	q.mu.Unlock()
 	q.signal()
+}
+
+// appendReliableLocked inserts one item at the tail of the reliable
+// ring, doubling the storage when it is full: the lane is never shed,
+// and the reliable window bounds how far it grows. Callers hold q.mu.
+func (q *sendQueue) appendReliableLocked(it outItem) {
+	if q.relLen == len(q.rel) {
+		grown := make([]outItem, max(8, 2*len(q.rel)))
+		n := copy(grown, q.rel[q.relHead:])
+		copy(grown[n:], q.rel[:q.relHead])
+		q.rel, q.relHead = grown, 0
+	}
+	q.rel[(q.relHead+q.relLen)%len(q.rel)] = it
+	q.relLen++
+}
+
+// popReliableLocked removes the head of the reliable ring. Callers hold
+// q.mu and have checked q.relLen > 0.
+func (q *sendQueue) popReliableLocked() outItem {
+	it := q.rel[q.relHead]
+	q.rel[q.relHead] = outItem{}
+	q.relHead = (q.relHead + 1) % len(q.rel)
+	q.relLen--
+	return it
 }
 
 // tryPop removes one item without blocking, preferring the pending ack
@@ -274,11 +300,8 @@ func (q *sendQueue) tryPop() (outItem, popState) {
 	if q.creditDue {
 		return q.takeCreditLocked(), popOK
 	}
-	if len(q.rel) > 0 {
-		it := q.rel[0]
-		q.rel[0] = outItem{}
-		q.rel = q.rel[1:]
-		return it, popOK
+	if q.relLen > 0 {
+		return q.popReliableLocked(), popOK
 	}
 	if q.beLen > 0 {
 		it := q.be[q.beHead]
@@ -309,10 +332,8 @@ func (q *sendQueue) popBatch(buf []outItem, max int) ([]outItem, popState) {
 		buf = append(buf, q.takeCreditLocked())
 		n++
 	}
-	for n < max && len(q.rel) > 0 {
-		buf = append(buf, q.rel[0])
-		q.rel[0] = outItem{}
-		q.rel = q.rel[1:]
+	for n < max && q.relLen > 0 {
+		buf = append(buf, q.popReliableLocked())
 		n++
 	}
 	for n < max && q.beLen > 0 {
@@ -386,5 +407,5 @@ func (q *sendQueue) dataEvictedCount() uint64 { return q.beDataEvicted.Load() }
 func (q *sendQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.rel) + q.beLen
+	return q.relLen + q.beLen
 }

@@ -42,11 +42,6 @@ import (
 // exactly-once (no frame can slip between "history drained" and "tail
 // attached" — the append lock is the serialization point).
 
-// recordFn delivers one matched event to a recorder: immediately
-// (Broker.recordDirect, the event-at-a-time path) or staged per burst
-// (routeSweep.recordStage).
-type recordFn func(r *recorder, e *event.Event, fs *frameSource)
-
 // recorder is one recorded topic pattern and its backing log.
 type recorder struct {
 	pattern string
@@ -191,16 +186,6 @@ func (rp *recordPlane) close() {
 	for _, r := range rp.recorders {
 		r.log.Close()
 	}
-}
-
-// recordDirect is the event-at-a-time record hook (Broker.route):
-// append the event's frame immediately as a batch of one.
-func (b *Broker) recordDirect(r *recorder, e *event.Event, fs *frameSource) {
-	if _, err := r.log.Append([][]byte{fs.frame().Bytes()}); err != nil {
-		b.rec.appendErrs.Inc()
-		return
-	}
-	r.appended.Inc()
 }
 
 // TopicLog exposes the durable log behind a recorded pattern (nil when

@@ -88,7 +88,7 @@ func TestReliableFanoutNeverStampsShared(t *testing.T) {
 	const fanout = 16
 	e := burstEvent(1, "/rel/t")
 	e.Reliable = true
-	fs := newFrameSource(e)
+	fs := b.newRouteSweep().source(e)
 
 	before := event.MarshalCalls()
 	base := bytes.Clone(fs.reliableFrame().Bytes())

@@ -14,8 +14,7 @@ import (
 // through per-shard locks only and never contend with advertisement or
 // peering bookkeeping on b.mu.
 type router struct {
-	subs         *topic.ShardedTrie[*session]
-	disableCache bool
+	subs *topic.ShardedTrie[*session]
 	// caches is parallel to the trie shards: cache shard i memoises
 	// matches for topics owned by trie shard i, validated by that shard's
 	// mutation epoch.
@@ -40,7 +39,7 @@ type routeEntry struct {
 // shards (matching the pre-split broker's 4096-topic bound).
 const routeCacheBound = 4096
 
-func newRouter(shards int, disableCache bool) *router {
+func newRouter(shards int) *router {
 	subs := topic.NewShardedTrie[*session](shards)
 	n := subs.NumShards()
 	per := routeCacheBound / n
@@ -48,10 +47,9 @@ func newRouter(shards int, disableCache bool) *router {
 		per = 16
 	}
 	r := &router{
-		subs:         subs,
-		disableCache: disableCache,
-		caches:       make([]routeCacheShard, n),
-		maxPerShard:  per,
+		subs:        subs,
+		caches:      make([]routeCacheShard, n),
+		maxPerShard: per,
 	}
 	for i := range r.caches {
 		r.caches[i].entries = make(map[string]routeEntry)
@@ -86,9 +84,6 @@ func (r *router) remove(pattern string, s *session) {
 // bumps every shard epoch, so every cache shard is swept against them.
 func (r *router) removeAll(s *session, patterns []string) {
 	r.subs.RemoveAll(s)
-	if r.disableCache {
-		return
-	}
 	for i := range r.caches {
 		r.sweepCacheShard(i, patterns)
 	}
@@ -98,9 +93,6 @@ func (r *router) removeAll(s *session, patterns []string) {
 // pattern can affect: one shard for a concrete-first pattern, all shards
 // for a wildcard-first (replicated) one.
 func (r *router) invalidatePattern(pattern string) {
-	if r.disableCache {
-		return
-	}
 	pats := []string{pattern}
 	if shard, all := r.subs.PatternShard(pattern); all {
 		for i := range r.caches {
@@ -137,43 +129,22 @@ func (r *router) sweepCacheShard(i int, patterns []string) {
 	c.mu.Unlock()
 }
 
-// match resolves the sessions subscribed to a concrete topic. The fast
-// path is a cache shard RLock plus an atomic epoch check; a miss matches
-// under the trie shard's RLock and memoises the result stamped with the
-// epoch sampled before matching, so a concurrent mutation can only make
-// the entry conservatively stale, never wrongly fresh.
+// match resolves the sessions subscribed to a concrete topic.
 func (r *router) match(t string) []*session {
-	if r.disableCache {
-		return r.subs.Match(t, nil)
-	}
-	shard := r.subs.ShardFor(t)
-	c := &r.caches[shard]
-	c.mu.RLock()
-	ent, ok := c.entries[t]
-	c.mu.RUnlock()
-	if ok && ent.epoch == r.subs.EpochAt(shard) {
-		return ent.targets
-	}
-	targets, epoch := r.subs.MatchEpochAt(shard, t, nil)
-	c.mu.Lock()
-	if ok || len(c.entries) < r.maxPerShard {
-		c.entries[t] = routeEntry{targets: targets, epoch: epoch}
-	}
-	c.mu.Unlock()
+	targets, _, _ := r.matchEpoch(t)
 	return targets
 }
 
-// matchEpoch is match plus the validation coordinates — the owning trie
-// shard and the epoch the result is valid for — so sweep-local caches
-// can revalidate later hits with one atomic epoch load and no shared
-// lock at all. The shared cache shard is still maintained on the miss
-// path (other readers benefit from the same resolution).
+// matchEpoch resolves the sessions subscribed to a concrete topic, plus
+// the validation coordinates — the owning trie shard and the epoch the
+// result is valid for — so sweep-local caches can revalidate later hits
+// with one atomic epoch load and no shared lock at all. The fast path
+// is a cache shard RLock plus an atomic epoch check; a miss matches
+// under the trie shard's RLock and memoises the result stamped with the
+// epoch sampled before matching, so a concurrent mutation can only make
+// the entry conservatively stale, never wrongly fresh.
 func (r *router) matchEpoch(t string) ([]*session, int, uint64) {
 	shard := r.subs.ShardFor(t)
-	if r.disableCache {
-		targets, epoch := r.subs.MatchEpochAt(shard, t, nil)
-		return targets, shard, epoch
-	}
 	c := &r.caches[shard]
 	c.mu.RLock()
 	ent, ok := c.entries[t]
@@ -195,26 +166,46 @@ func (r *router) matchEpoch(t string) ([]*session, int, uint64) {
 // frame. A derived source (peer TTL decrement) patches the parent's
 // frame header instead of re-marshalling, and the reliable plane shares
 // a second lazy encoding that carries a trailing patchable rseq slot
-// (per-target tagging is then an 8-byte patch on a buffer copy). Not
-// safe for concurrent use: each route sweep owns one per event.
+// (per-target tagging is then an 8-byte patch on a buffer copy).
+//
+// Sources are slots of the owning sweep's slab, their frames are
+// embedded (a Frame with no bytes is one not encoded yet) and the
+// encode-once frames are cut from the sweep's arena, so routing an
+// event allocates nothing of its own. Neither slab nor arena is ever
+// reused: a queued item's frame pointer keeps its slab, and through it
+// the slab's events and arena chunks, reachable and unchanged. Not safe
+// for concurrent use.
 type frameSource struct {
 	e      *event.Event
-	f      *event.Frame
-	rf     *event.Frame // rseq-slot encoding for the reliable plane
-	mf     *event.Frame // mask-slot encoding shared by routed peer copies
+	rs     *routeSweep
 	parent *frameSource
+	f      event.Frame
+	rf     event.Frame // rseq-slot encoding for the reliable plane
+	mf     event.Frame // mask-slot encoding shared by routed peer copies
 	ttl    uint8
 	mask   uint64
 	masked bool
 }
 
-func newFrameSource(e *event.Event) *frameSource {
-	return &frameSource{e: e}
+// frameSlabLen is how many frameSources one slab allocation holds.
+const frameSlabLen = 64
+
+// source returns the next slab slot, bound to e.
+func (rs *routeSweep) source(e *event.Event) *frameSource {
+	if len(rs.srcs) == 0 {
+		rs.srcs = make([]frameSource, frameSlabLen)
+	}
+	fs := &rs.srcs[0]
+	rs.srcs = rs.srcs[1:]
+	fs.e, fs.rs = e, rs
+	return fs
 }
 
 // derive returns a source encoding the same event with a patched TTL.
 func (fs *frameSource) derive(ttl uint8) *frameSource {
-	return &frameSource{parent: fs, ttl: ttl}
+	d := fs.rs.source(nil)
+	d.parent, d.ttl = fs, ttl
+	return d
 }
 
 // deriveMasked returns the per-link copy for routed peer forwarding: the
@@ -226,37 +217,39 @@ func (fs *frameSource) deriveMasked(ttl uint8, mask uint64) (*event.Event, *fram
 	c := *fs.e
 	c.TTL = ttl
 	c.Mask = mask
-	return &c, &frameSource{e: &c, parent: fs, ttl: ttl, mask: mask, masked: true}
+	d := fs.rs.source(&c)
+	d.parent, d.ttl, d.mask, d.masked = fs, ttl, mask, true
+	return &c, d
 }
 
 // frame returns the shared encoded frame, encoding on first use.
 func (fs *frameSource) frame() *event.Frame {
-	if fs.f == nil {
+	if fs.f.Len() == 0 {
 		switch {
 		case fs.masked:
-			fs.f = fs.parent.maskFrame(fs.ttl).WithMask(fs.mask)
+			fs.f = *fs.parent.maskFrame(fs.ttl).WithMask(fs.mask)
 		case fs.parent != nil:
-			fs.f = fs.parent.frame().WithTTL(fs.ttl)
+			fs.f = *fs.parent.frame().WithTTL(fs.ttl)
 		default:
-			fs.f = event.NewFrame(fs.e)
+			fs.f = fs.rs.arena.NewFrame(fs.e)
 		}
 	}
-	return fs.f
+	return &fs.f
 }
 
 // maskFrame returns the shared mask-slot encoding of the root event at
 // the forwarded TTL, encoding on first use. Every routed peer copy of
 // one event patches this single buffer.
 func (fs *frameSource) maskFrame(ttl uint8) *event.Frame {
-	if fs.mf == nil {
+	if fs.mf.Len() == 0 {
 		c := *fs.e
 		c.TTL = ttl
 		if c.Mask == 0 {
 			c.Mask = ^uint64(0) // placeholder; always patched per link
 		}
-		fs.mf = event.NewFrame(&c)
+		fs.mf = fs.rs.arena.NewFrame(&c)
 	}
-	return fs.mf
+	return &fs.mf
 }
 
 // reliableFrame returns the shared rseq-slot encoding, encoding on first
@@ -265,17 +258,14 @@ func (fs *frameSource) maskFrame(ttl uint8) *event.Frame {
 // a clone+marshal. Masked sources encode per link — their masks differ,
 // and reliable mesh traffic is sparse signalling.
 func (fs *frameSource) reliableFrame() *event.Frame {
-	if fs.rf == nil {
-		switch {
-		case fs.masked:
-			fs.rf = event.NewFrameWithRSeqSlot(fs.e)
-		case fs.parent != nil:
-			fs.rf = fs.parent.reliableFrame().WithTTL(fs.ttl)
-		default:
-			fs.rf = event.NewFrameWithRSeqSlot(fs.e)
+	if fs.rf.Len() == 0 {
+		if fs.parent != nil && !fs.masked {
+			fs.rf = *fs.parent.reliableFrame().WithTTL(fs.ttl)
+		} else {
+			fs.rf = fs.rs.arena.NewFrameWithRSeqSlot(fs.e)
 		}
 	}
-	return fs.rf
+	return &fs.rf
 }
 
 // sweepGenCounter hands out globally unique burst generations to route
@@ -288,12 +278,13 @@ var sweepGenCounter atomic.Uint64
 // bits carry the sweep generation.
 const stageIdxBits = 20
 
-// routeSweep is the burst-at-a-time counterpart of Broker.route: it
-// routes a whole decoded burst in one sweep, resolving targets once per
-// topic (memoized across the burst) and staging best-effort deliveries
-// into per-session batches that are pushed — one queue lock, one writer
-// wakeup per session — when the sweep finishes. Owned by a single reader
-// goroutine; not safe for concurrent use.
+// routeSweep routes a whole decoded burst in one sweep, resolving
+// targets once per topic (memoized across the burst) and staging
+// best-effort deliveries into per-session batches that are pushed — one
+// queue lock, one writer wakeup per session — when the sweep finishes.
+// It is the broker's one routing path: a session reader owns a sweep
+// for its connection's life, and Broker.route borrows a pooled one for
+// a burst of one. Not safe for concurrent use.
 type routeSweep struct {
 	b *Broker
 
@@ -305,14 +296,11 @@ type routeSweep struct {
 	// with zero shared-lock acquisitions, instead of all meeting on the
 	// router's cache-shard RWMutex every burst. A mutation anywhere in
 	// the shard bumps its epoch and the stale entry re-resolves through
-	// the router. topics is the per-burst fallback memo used only when
-	// the route cache is disabled (the ablation keeps its pre-PR-9
-	// resolve-once-per-burst shape).
+	// the router.
 	lastTopic   string
 	lastTargets []*session
 	lastOK      bool
 	cache       map[string]sweepRoute
-	topics      map[string][]*session
 
 	// Per-burst mesh-plan memo, mirroring the target memo: one plan
 	// resolution per topic per burst (nil is a valid, memoized result —
@@ -337,6 +325,12 @@ type routeSweep struct {
 
 	peersServed []*session // per-event scratch for the p2p flood
 
+	// srcs is the unused tail of the current frameSource slab, and arena
+	// is where the burst's encode-once frames go. Both carry over from
+	// burst to burst and are replaced, never rewound, when used up.
+	srcs  []frameSource
+	arena event.FrameArena
+
 	// stats accumulates the burst's data-path counter deltas; finish()
 	// flushes them to the shared counters in one atomic add per counter
 	// per burst instead of one per event.
@@ -349,14 +343,6 @@ type routeSweep struct {
 	recIdx  map[*recorder]int
 	recList []*recorder
 	recBufs [][][]byte
-
-	// matchFn/planFn/deliverFn/recordFn are
-	// matchMemo/planMemo/deliverStaged/recordStage bound once so the
-	// per-event routeOne call does not allocate method values.
-	matchFn   func(string) []*session
-	planFn    planFn
-	deliverFn deliverFn
-	recordFn  recordFn
 }
 
 // sweepRoute is one sweep-local memoised match: targets valid while the
@@ -375,19 +361,11 @@ const sweepRouteCacheBound = 1024
 func (b *Broker) newRouteSweep() *routeSweep {
 	rs := &routeSweep{
 		b:     b,
+		cache: make(map[string]sweepRoute),
 		plans: make(map[string]*topicPlan),
 		idx:   make(map[*session]int),
 		gen:   sweepGenCounter.Add(1),
 	}
-	if b.cfg.DisableRouteCache {
-		rs.topics = make(map[string][]*session)
-	} else {
-		rs.cache = make(map[string]sweepRoute)
-	}
-	rs.matchFn = rs.matchMemo
-	rs.planFn = rs.planMemo
-	rs.deliverFn = rs.deliverStaged
-	rs.recordFn = rs.recordStage
 	if b.rec != nil {
 		rs.recIdx = make(map[*recorder]int)
 	}
@@ -411,36 +389,22 @@ func (rs *routeSweep) recordStage(r *recorder, e *event.Event, fs *frameSource) 
 
 // matchMemo resolves targets for a topic: the last-topic fast path, then
 // the sweep-private epoch-validated cache (a hit costs one atomic load,
-// no shared lock), then the router. With the route cache disabled it
-// degrades to the per-burst memo.
+// no shared lock), then the router.
 func (rs *routeSweep) matchMemo(topic string) []*session {
 	if rs.lastOK && topic == rs.lastTopic {
 		return rs.lastTargets
 	}
-	var targets []*session
-	if rs.cache != nil {
-		r := rs.b.router
-		if ent, ok := rs.cache[topic]; ok && ent.epoch == r.subs.EpochAt(ent.shard) {
-			targets = ent.targets
-		} else {
-			var shard int
-			var epoch uint64
-			targets, shard, epoch = r.matchEpoch(topic)
-			if len(rs.cache) >= sweepRouteCacheBound {
-				clear(rs.cache)
-			}
-			rs.cache[topic] = sweepRoute{targets: targets, shard: shard, epoch: epoch}
+	r := rs.b.router
+	ent, ok := rs.cache[topic]
+	if !ok || ent.epoch != r.subs.EpochAt(ent.shard) {
+		ent.targets, ent.shard, ent.epoch = r.matchEpoch(topic)
+		if len(rs.cache) >= sweepRouteCacheBound {
+			clear(rs.cache)
 		}
-	} else {
-		var ok bool
-		targets, ok = rs.topics[topic]
-		if !ok {
-			targets = rs.b.router.match(topic)
-			rs.topics[topic] = targets
-		}
+		rs.cache[topic] = ent
 	}
-	rs.lastTopic, rs.lastTargets, rs.lastOK = topic, targets, true
-	return targets
+	rs.lastTopic, rs.lastTargets, rs.lastOK = topic, ent.targets, true
+	return ent.targets
 }
 
 // planMemo resolves the mesh forwarding plan for a topic at most once
@@ -507,13 +471,12 @@ func (rs *routeSweep) deliverStaged(t *session, e *event.Event, fs *frameSource)
 	rs.stage(t, outItem{e: e, frame: f})
 }
 
-// routeBatch routes one decoded burst through the single routing-policy
-// implementation (Broker.routeOne), amortizing target resolution (the
+// routeBatch routes one decoded burst, amortizing target resolution (the
 // per-burst memo) and queue handoff (staged pushBatch) across the
 // burst.
 func (rs *routeSweep) routeBatch(events []*event.Event, from *session) {
 	for _, e := range events {
-		rs.peersServed = rs.b.routeOne(e, from, rs.matchFn, rs.planFn, rs.deliverFn, rs.recordFn, rs.peersServed, &rs.stats)
+		rs.routeOne(e, from)
 	}
 	rs.finish()
 }
@@ -560,11 +523,8 @@ func (rs *routeSweep) finish() {
 	clear(rs.idx)
 	// A fresh generation invalidates every staging slot this burst wrote.
 	// The epoch-validated cache persists across bursts (that is its
-	// point); only the ablation's per-burst memo is cleared.
+	// point).
 	rs.gen = sweepGenCounter.Add(1)
-	if rs.topics != nil {
-		clear(rs.topics)
-	}
 	rs.lastOK = false
 	rs.lastTargets = nil
 	rs.lastTopic = ""

@@ -296,33 +296,6 @@ func (s *session) start() {
 	go s.writeLoop()
 }
 
-// deliver routes one event to this session respecting its reliability.
-// fs, when non-nil, supplies the shared encode-once frame for framed
-// conns; callers on the fan-out path pass one frameSource for the whole
-// target set.
-func (s *session) deliver(e *event.Event, fs *frameSource) {
-	if e.Reliable {
-		if s.fwdCtr != nil {
-			s.fwdCtr.Inc()
-		}
-		s.sendReliableFrom(e, fs)
-		return
-	}
-	if s.fwdCtr != nil {
-		s.fwdCtr.Inc()
-	}
-	var f *event.Frame
-	if s.framed && fs != nil {
-		f = fs.frame()
-	}
-	if !s.queue.pushBestEffort(e, f) {
-		s.b.ctr.queueDrops.Inc()
-		if s.linkDropCtr != nil {
-			s.linkDropCtr.Inc()
-		}
-	}
-}
-
 // sendReliable tags e with this session's next rseq and enqueues it on
 // the never-dropped lane.
 func (s *session) sendReliable(e *event.Event) {
@@ -612,6 +585,7 @@ func (s *session) readLoop() {
 	defer s.close()
 	bc, burst := s.conn.(transport.BurstConn)
 	maxBurst := s.b.cfg.IngestBurst
+	sweep := s.b.newRouteSweep()
 	if !burst || maxBurst <= 1 {
 		for {
 			e, err := s.conn.Recv()
@@ -629,7 +603,8 @@ func (s *session) readLoop() {
 				if !e.Reliable {
 					s.noteConsumed(1)
 				}
-				s.b.route(e, s)
+				sweep.routeOne(e, s)
+				sweep.finish()
 			}
 		}
 	}
@@ -640,7 +615,6 @@ func (s *session) readLoop() {
 	// sweep first, so request ordering within the burst is preserved.
 	// The reliable reverse path is coalesced the same way: one cumulative
 	// ack per burst instead of one per rseq-tagged event.
-	sweep := s.b.newRouteSweep()
 	events := make([]*event.Event, 0, maxBurst)
 	routable := make([]*event.Event, 0, maxBurst)
 	flush := func() {

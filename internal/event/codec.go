@@ -129,9 +129,19 @@ var marshalCalls atomic.Uint64
 // Test instrumentation: take a delta around the operation under test.
 func MarshalCalls() uint64 { return marshalCalls.Load() }
 
+// encodedBound returns an upper bound on the encoded length of e: the
+// fixed fields and trailers, and every length prefix at its widest.
+func encodedBound(e *Event) int {
+	n := 80 + len(e.Source) + len(e.Topic) + len(e.Payload)
+	for k, v := range e.Headers {
+		n += 2*binary.MaxVarintLen64 + len(k) + len(v)
+	}
+	return n
+}
+
 // Marshal returns the wire encoding of e.
 func Marshal(e *Event) []byte {
-	return AppendMarshal(make([]byte, 0, 64+len(e.Topic)+len(e.Source)+len(e.Payload)), e)
+	return AppendMarshal(make([]byte, 0, encodedBound(e)), e)
 }
 
 // Unmarshal decodes one event from b, which must contain exactly one
@@ -141,60 +151,113 @@ func Unmarshal(b []byte) (*Event, error) {
 	return UnmarshalIntern(b, nil)
 }
 
-// Interner caches the most recent topic and source strings a decoder
-// produced, so a stream of events on the same topic (the common case for
-// media fan-in) allocates each string once instead of per event. The
-// zero value is ready. Not safe for concurrent use — one per decoding
-// goroutine.
+// Decode-state sizing. One connection's reader decodes through one
+// Interner, so these bound what a connection costs and what a retained
+// event pins.
+const (
+	// slabEvents is how many Events one slab allocation holds: the
+	// decoder allocates once per slabEvents events instead of once per
+	// event, and an event retained by a consumer keeps its slab — its
+	// slabEvents-1 siblings and their Headers maps — reachable.
+	slabEvents = 32
+	// internSets × internWays string slots: 4-way sets keep a few dozen
+	// interleaved topics (a conference's rooms) and their sources
+	// resident where a direct-mapped table of the same size still
+	// missed a fifth of them on collisions. Worst case retained:
+	// internSets*internWays strings of MaxTopicLen bytes.
+	internSets = 64
+	internWays = 4
+)
+
+// Interner is the per-connection decode state: a small set-associative
+// table of the topic and source strings recently decoded, so a stream
+// interleaving many topics (every room of a conference on one link)
+// allocates each string once instead of once per event, and a slab the
+// decoded Events are handed out of, one slot per event. The zero value
+// is ready. Not safe for concurrent use — one per decoding goroutine.
 type Interner struct {
-	topic, source string
+	strs [internSets * internWays]string
+	slab []Event // slots not handed out yet
 }
 
-func (in *Interner) internTopic(b []byte) string {
-	// string(b) in a comparison does not allocate.
-	if string(b) == in.topic {
-		return in.topic
+// intern returns the string equal to b, from the table when it is
+// resident. A miss allocates it and displaces the set's oldest entry.
+func (in *Interner) intern(b []byte) string {
+	i := int(internHash(b)%internSets) * internWays
+	set := in.strs[i : i+internWays]
+	for _, s := range set {
+		// string(b) in a comparison does not allocate.
+		if s == string(b) {
+			return s
+		}
 	}
-	in.topic = string(b)
-	return in.topic
+	s := string(b)
+	copy(set[1:], set)
+	set[0] = s
+	return s
 }
 
-func (in *Interner) internSource(b []byte) string {
-	if string(b) == in.source {
-		return in.source
+// internHash mixes b eight bytes at a time. Conference topics differ in
+// one or two characters in the middle ("/room/7/audio", "/room/8/audio"),
+// so every byte must reach the set index.
+func internHash(b []byte) uint32 {
+	const m = 0x9E3779B97F4A7C15
+	h := uint64(len(b)) * m
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * m
+		h ^= h >> 29
 	}
-	in.source = string(b)
-	return in.source
+	var tail uint64
+	for i, c := range b {
+		tail |= uint64(c) << (8 * i)
+	}
+	h = (h ^ tail) * m
+	return uint32(h >> 32)
 }
 
-// UnmarshalIntern is Unmarshal with string interning through in (which
-// may be nil).
+// UnmarshalIntern is Unmarshal through the decode state in (which may
+// be nil): strings are interned and the returned event is a slot of in's
+// current slab. A failed decode hands no slot out — the slot is zeroed
+// and the next decode reuses it — so an error leaves nothing behind in
+// a later event.
 func UnmarshalIntern(b []byte, in *Interner) (*Event, error) {
-	e, rest, err := consume(b, in)
+	var e *Event
+	if in == nil {
+		e = new(Event)
+	} else {
+		if len(in.slab) == 0 {
+			in.slab = make([]Event, slabEvents)
+		}
+		e = &in.slab[0]
+	}
+	rest, err := e.decode(b, in)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("event: %d trailing bytes after event", len(rest))
+	}
 	if err != nil {
+		*e = Event{}
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("event: %d trailing bytes after event", len(rest))
+	if in != nil {
+		in.slab = in.slab[1:]
 	}
 	return e, nil
 }
 
-// consume decodes one event from the front of b and returns the remainder.
-func consume(b []byte, in *Interner) (*Event, []byte, error) {
+// decode fills the zero event e from the front of b and returns the
+// remainder. On error e is left partly filled; the caller discards it.
+func (e *Event) decode(b []byte, in *Interner) ([]byte, error) {
 	if len(b) < 21 {
-		return nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	if b[0] != wireMagic {
-		return nil, nil, ErrBadMagic
+		return nil, ErrBadMagic
 	}
 	if b[1] != wireVersion {
-		return nil, nil, ErrBadVersion
+		return nil, ErrBadVersion
 	}
-	e := &Event{
-		Kind: Kind(b[2]),
-		TTL:  b[3],
-	}
+	e.Kind = Kind(b[2])
+	e.TTL = b[3]
 	flags := b[4]
 	e.Reliable = flags&flagReliable != 0
 	e.ID = binary.BigEndian.Uint64(b[5:13])
@@ -204,52 +267,52 @@ func consume(b []byte, in *Interner) (*Event, []byte, error) {
 	var err error
 	var raw []byte
 	if raw, b, err = readBytes(b, MaxSourceLen, "source"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if in != nil {
-		e.Source = in.internSource(raw)
+		e.Source = in.intern(raw)
 	} else {
 		e.Source = string(raw)
 	}
 	if raw, b, err = readBytes(b, MaxTopicLen, "topic"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if in != nil {
-		e.Topic = in.internTopic(raw)
+		e.Topic = in.intern(raw)
 	} else {
 		e.Topic = string(raw)
 	}
 	if flags&flagHeaders != 0 {
 		n, rest, err := readUvarint(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if n > MaxHeaders {
-			return nil, nil, fmt.Errorf("event: %d headers exceed %d", n, MaxHeaders)
+			return nil, fmt.Errorf("event: %d headers exceed %d", n, MaxHeaders)
 		}
 		b = rest
 		e.Headers = make(map[string]string, n)
 		for range n {
 			var k, v string
 			if k, b, err = readString(b, MaxHeaderStrLen, "header key"); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if v, b, err = readString(b, MaxHeaderStrLen, "header value"); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			e.Headers[k] = v
 		}
 	}
 	plen, rest, err := readUvarint(b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if plen > MaxPayloadLen {
-		return nil, nil, fmt.Errorf("event: payload length %d exceeds %d", plen, MaxPayloadLen)
+		return nil, fmt.Errorf("event: payload length %d exceeds %d", plen, MaxPayloadLen)
 	}
 	b = rest
 	if uint64(len(b)) < plen {
-		return nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	if plen > 0 {
 		e.Payload = b[:plen:plen]
@@ -257,22 +320,22 @@ func consume(b []byte, in *Interner) (*Event, []byte, error) {
 	b = b[plen:]
 	if flags&flagMask != 0 {
 		if len(b) < 8 {
-			return nil, nil, fmt.Errorf("event: reading mask: %w", ErrTruncated)
+			return nil, fmt.Errorf("event: reading mask: %w", ErrTruncated)
 		}
 		e.Mask = binary.BigEndian.Uint64(b[:8])
 		b = b[8:]
 	}
 	if flags&flagRSeq != 0 {
 		if len(b) < 8 {
-			return nil, nil, fmt.Errorf("event: reading rseq: %w", ErrTruncated)
+			return nil, fmt.Errorf("event: reading rseq: %w", ErrTruncated)
 		}
 		e.RSeq = binary.BigEndian.Uint64(b[:8])
 		b = b[8:]
 	}
 	if !e.Kind.Valid() {
-		return nil, nil, fmt.Errorf("event: invalid kind %d on wire", e.Kind)
+		return nil, fmt.Errorf("event: invalid kind %d on wire", e.Kind)
 	}
-	return e, b, nil
+	return b, nil
 }
 
 func appendString(dst []byte, s string) []byte {

@@ -66,12 +66,59 @@ const flagsOffset = 4
 // derives one 8-byte-patched copy per target, which is what extends the
 // encode-once fan-out path to the reliable/control plane.
 func NewFrameWithRSeqSlot(e *Event) *Frame {
-	if e.RSeq != 0 {
-		return &Frame{b: Marshal(e)}
-	}
-	c := *e
-	c.RSeq = ^uint64(0) // placeholder; always overwritten by WithRSeq
+	c := withRSeqSlot(e)
 	return &Frame{b: Marshal(&c)}
+}
+
+// withRSeqSlot returns a copy of e that encodes with a trailing rseq
+// field: an event carrying no rseq gets a placeholder, which WithRSeq
+// or StampRSeq always overwrites.
+func withRSeqSlot(e *Event) Event {
+	c := *e
+	if c.RSeq == 0 {
+		c.RSeq = ^uint64(0)
+	}
+	return c
+}
+
+// frameArenaSize is the size of one FrameArena chunk: a few hundred
+// small media frames, or one ingest burst at media MTU.
+const frameArenaSize = 64 << 10
+
+// FrameArena encodes frames back to back into shared chunks, so the
+// events of a burst routed together cost one allocation for all their
+// encodings instead of one each. A chunk is never rewritten and never
+// recycled: when the next frame does not fit, a fresh chunk takes over
+// and the old one lives until the last frame cut from it is dropped.
+// That is why no ownership has to be proven — a frame from an arena is
+// as immutable and as shareable as one from NewFrame — and the price is
+// that one frame still queued keeps its whole chunk reachable. The zero
+// value is ready. Not safe for concurrent use.
+type FrameArena struct {
+	free []byte // unused tail of the current chunk: len 0, cap the room left
+}
+
+// NewFrame is the package-level NewFrame, encoding into the arena.
+func (a *FrameArena) NewFrame(e *Event) Frame {
+	need := encodedBound(e)
+	if need > frameArenaSize/4 {
+		// A large frame gains nothing from sharing a chunk and would
+		// strand the rest of the current one.
+		return Frame{b: Marshal(e)}
+	}
+	if cap(a.free) < need {
+		a.free = make([]byte, 0, frameArenaSize)
+	}
+	b := AppendMarshal(a.free, e)
+	a.free = b[len(b):]
+	return Frame{b: b[:len(b):len(b)]}
+}
+
+// NewFrameWithRSeqSlot is the package-level NewFrameWithRSeqSlot,
+// encoding into the arena.
+func (a *FrameArena) NewFrameWithRSeqSlot(e *Event) Frame {
+	c := withRSeqSlot(e)
+	return a.NewFrame(&c)
 }
 
 // RSeqSlotLen is the size of the trailing rseq field.
@@ -86,10 +133,7 @@ const RSeqSlotLen = 8
 // RSeqSlotLen (8 more with e.Mask set) after the payload; lacking
 // either is a sizing bug in the caller and panics.
 func NewFrameAround(buf []byte, off, n int, e *Event) *Frame {
-	c := *e
-	if c.RSeq == 0 {
-		c.RSeq = ^uint64(0) // placeholder, as NewFrameWithRSeqSlot
-	}
+	c := withRSeqSlot(e)
 	var scratch [128]byte
 	hdr := appendMarshal(scratch[:0], &c, n, false)
 	start, end := off-len(hdr), off+n

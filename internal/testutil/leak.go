@@ -47,3 +47,12 @@ func stacks() string {
 	}
 	return s
 }
+
+// SkipAllocGateUnderRace skips an allocation-count gate when the race
+// detector, which inflates the counts, is on.
+func SkipAllocGateUnderRace(t *testing.T) {
+	t.Helper()
+	if RaceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+}

@@ -1,0 +1,8 @@
+//go:build race
+
+package testutil
+
+// RaceEnabled reports whether the race detector is compiled in. It
+// inflates allocation counts, so testing.AllocsPerRun gates skip
+// under it.
+const RaceEnabled = true

@@ -41,43 +41,59 @@ var (
 // Split parses a topic or pattern into segments, validating shape.
 // allowWildcards controls whether "*" and "#" are legal.
 func Split(s string, allowWildcards bool) ([]string, error) {
+	if err := validate(s, allowWildcards); err != nil {
+		return nil, err
+	}
+	return strings.Split(s[1:], "/"), nil
+}
+
+// validate checks the shape of a topic or pattern in one pass over its
+// bytes, allocating only to describe a failure. Depth outranks a
+// malformed segment, and among segments the first malformed one is
+// reported.
+func validate(s string, allowWildcards bool) error {
 	if s == "" {
-		return nil, ErrEmpty
+		return ErrEmpty
 	}
 	if s[0] != '/' {
-		return nil, ErrNoLeadingSlash
+		return ErrNoLeadingSlash
 	}
-	segs := strings.Split(s[1:], "/")
-	if len(segs) > MaxSegments {
-		return nil, ErrTooDeep
-	}
-	for i, seg := range segs {
-		switch {
-		case seg == "":
-			return nil, fmt.Errorf("%w (segment %d of %q)", ErrEmptySegment, i, s)
-		case seg == Single || seg == Rest:
-			if !allowWildcards {
-				return nil, fmt.Errorf("%w (%q)", ErrWildcard, s)
-			}
-			if seg == Rest && i != len(segs)-1 {
-				return nil, fmt.Errorf("%w (%q)", ErrRestNotLast, s)
+	var bad error // the first malformed segment's error, and its index
+	badSeg, segs := 0, 0
+	for start := 1; start <= len(s); segs++ {
+		end := start
+		for end < len(s) && s[end] != '/' {
+			end++
+		}
+		if bad == nil {
+			switch seg := s[start:end]; {
+			case seg == "":
+				bad, badSeg = ErrEmptySegment, segs
+			case seg != Single && seg != Rest:
+			case !allowWildcards:
+				bad = ErrWildcard
+			case seg == Rest && end != len(s):
+				bad = ErrRestNotLast
 			}
 		}
+		start = end + 1
 	}
-	return segs, nil
+	switch {
+	case segs > MaxSegments:
+		return ErrTooDeep
+	case bad == ErrEmptySegment:
+		return fmt.Errorf("%w (segment %d of %q)", bad, badSeg, s)
+	case bad != nil:
+		return fmt.Errorf("%w (%q)", bad, s)
+	}
+	return nil
 }
 
 // ValidateTopic checks a concrete (publishable) topic.
-func ValidateTopic(s string) error {
-	_, err := Split(s, false)
-	return err
-}
+func ValidateTopic(s string) error { return validate(s, false) }
 
 // ValidatePattern checks a subscription pattern.
-func ValidatePattern(s string) error {
-	_, err := Split(s, true)
-	return err
-}
+func ValidatePattern(s string) error { return validate(s, true) }
 
 // MatchPattern reports whether the concrete topic matches the pattern.
 // Both must be well-formed; malformed input reports false.

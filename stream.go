@@ -700,11 +700,14 @@ type Event struct {
 	// Payload is the raw application data. It may alias the broker's
 	// receive buffer: callers retaining events indefinitely should copy
 	// it (Clone) so a 256 KiB receive chunk is not pinned by one packet.
+	// Payload is all a retained Event shares with the receive path: the
+	// other fields were copied out of the decoded event, so the decode
+	// slab it came from is not kept alive.
 	Payload []byte
 }
 
 // Clone returns a deep copy of the event whose payload no longer
-// aliases any shared receive buffer.
+// aliases any shared receive buffer; a clone pins nothing but itself.
 func (e Event) Clone() Event {
 	c := e
 	c.Payload = append([]byte(nil), e.Payload...)
