@@ -90,336 +90,6 @@ func RunFig3(system BenchSystem, opt Fig3Options) (*Fig3Report, error) {
 	}, nil
 }
 
-// FanoutOptions parameterises the broker fan-out throughput benchmark.
-// Zero values run the default: 64 subscribers × 4 publishers over
-// loopback TCP in client-server mode.
-type FanoutOptions struct {
-	// Mode selects the routing mode (default BrokerClientServer).
-	Mode BrokerMode
-	// Subscribers is the fan-out width (default 64).
-	Subscribers int
-	// Publishers is the number of concurrent publishers (default 4).
-	Publishers int
-	// Events is the number of events each publisher sends (default 2000).
-	Events int
-	// PayloadBytes sizes each event payload (default 1200).
-	PayloadBytes int
-	// Transport is "tcp" (default) or "mem".
-	Transport string
-	// PublishBatching routes the publishers through the client-side
-	// batching Publisher (WithPublishBatching) so each hands the broker
-	// one write system call per batch instead of one per event.
-	PublishBatching bool
-}
-
-// FanoutReport is the outcome of one fan-out benchmark run. Fields carry
-// JSON tags so reports can be committed as machine-readable baselines.
-type FanoutReport struct {
-	Mode            string  `json:"mode"`
-	Transport       string  `json:"transport"`
-	Subscribers     int     `json:"subscribers"`
-	Publishers      int     `json:"publishers"`
-	Events          int     `json:"events_per_publisher"`
-	PayloadBytes    int     `json:"payload_bytes"`
-	PublishBatching bool    `json:"publish_batching"`
-	Expected        uint64  `json:"expected_deliveries"`
-	Delivered       uint64  `json:"delivered"`
-	ElapsedSec      float64 `json:"elapsed_sec"`
-	EventsPerSec    float64 `json:"events_per_sec"`
-	MBPerSec        float64 `json:"mb_per_sec"`
-	// PublishElapsedSec / PublishEventsPerSec report the publisher-side
-	// rate: how fast the publishers handed their load to the transport.
-	PublishElapsedSec   float64 `json:"publish_elapsed_sec"`
-	PublishEventsPerSec float64 `json:"publish_events_per_sec"`
-}
-
-// RunFanout measures broker fan-out throughput: Publishers flood one
-// topic that Subscribers listen on through a single broker over unshaped
-// links, reporting delivered events per second. Unlike RunFig3 this
-// exercises the broker data path at host speed rather than under the
-// paper's emulated 2003 testbed.
-func RunFanout(opt FanoutOptions) (*FanoutReport, error) {
-	res, err := bench.RunFanout(bench.FanoutConfig{
-		Mode:            broker.Mode(opt.Mode),
-		Subscribers:     opt.Subscribers,
-		Publishers:      opt.Publishers,
-		Events:          opt.Events,
-		PayloadBytes:    opt.PayloadBytes,
-		Transport:       opt.Transport,
-		PublishBatching: opt.PublishBatching,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &FanoutReport{
-		Mode:                res.Mode,
-		Transport:           res.Transport,
-		Subscribers:         res.Subscribers,
-		Publishers:          res.Publishers,
-		Events:              res.Events,
-		PayloadBytes:        res.PayloadBytes,
-		PublishBatching:     res.PublishBatching,
-		Expected:            res.Expected,
-		Delivered:           res.Delivered,
-		ElapsedSec:          res.ElapsedSec,
-		EventsPerSec:        res.EventsPerSec,
-		MBPerSec:            res.MBPerSec,
-		PublishElapsedSec:   res.PublishElapsedSec,
-		PublishEventsPerSec: res.PublishEventsPerSec,
-	}, nil
-}
-
-// PublishPathOptions parameterises the publish-path benchmark: M
-// publishers hand events to one broker over loopback TCP with no
-// subscribers attached, isolating the client→broker publish path that
-// WithPublishBatching accelerates.
-type PublishPathOptions struct {
-	// Publishers is the number of concurrent publishers (default 4).
-	Publishers int
-	// Events is the number of events each publisher sends (default 20000).
-	Events int
-	// PayloadBytes sizes each event payload (default 1200).
-	PayloadBytes int
-	// Batching enables the client-side batching publisher.
-	Batching bool
-}
-
-// PublishPathReport is the outcome of one publish-path run.
-type PublishPathReport struct {
-	Publishers   int     `json:"publishers"`
-	Events       int     `json:"events_per_publisher"`
-	PayloadBytes int     `json:"payload_bytes"`
-	Batching     bool    `json:"publish_batching"`
-	ElapsedSec   float64 `json:"elapsed_sec"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	MBPerSec     float64 `json:"mb_per_sec"`
-}
-
-// RunPublishPath measures the client→broker publish path: events
-// handed to the broker per second of publisher wall time, batched
-// versus per-event.
-func RunPublishPath(opt PublishPathOptions) (*PublishPathReport, error) {
-	res, err := bench.RunPublishPath(bench.PublishPathConfig{
-		Publishers:   opt.Publishers,
-		Events:       opt.Events,
-		PayloadBytes: opt.PayloadBytes,
-		Batching:     opt.Batching,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &PublishPathReport{
-		Publishers:   res.Publishers,
-		Events:       res.Events,
-		PayloadBytes: res.PayloadBytes,
-		Batching:     res.Batching,
-		ElapsedSec:   res.ElapsedSec,
-		EventsPerSec: res.EventsPerSec,
-		MBPerSec:     res.MBPerSec,
-	}, nil
-}
-
-// IngestOptions parameterises the sustained broker-ingest benchmark: M
-// publishers flood one broker continuously while N subscribers drain,
-// and the report carries the broker-side ingest rate over a steady-state
-// measurement window.
-type IngestOptions struct {
-	// Mode selects the routing mode (default BrokerClientServer).
-	Mode BrokerMode
-	// Subscribers is the fan-out width (default 64).
-	Subscribers int
-	// Publishers is the number of concurrent publishers (default 4).
-	Publishers int
-	// PayloadBytes sizes each event payload (default 1200).
-	PayloadBytes int
-	// Transport selects the subscribers' links: "mem" (default) keeps
-	// fan-out delivery cheap so the measured rate reflects broker-side
-	// ingest; "tcp" runs the full wire path on both sides.
-	Transport string
-	// PubTransport selects the publishers' links (default "tcp", which
-	// exercises the framed burst-decode ingest path).
-	PubTransport string
-	// Warmup runs load before the window opens (default 300ms).
-	Warmup time.Duration
-	// Duration is the measurement window (default 2s).
-	Duration time.Duration
-	// IngestBurst sets the broker's per-sweep burst bound: 0 keeps the
-	// default (burst ingest on), 1 degenerates to event-at-a-time ingest
-	// — the baseline configuration.
-	IngestBurst int
-	// DispatchBurst configures the subscribers' client-side delivery
-	// plane: 0 keeps batched dispatch (one ring lock and one wakeup per
-	// subscription per received burst), 1 degenerates to event-at-a-time
-	// delivery — the pre-batching client baseline.
-	DispatchBurst int
-	// DisablePublishBatching turns off the client-side batching
-	// Publisher the publishers use by default.
-	DisablePublishBatching bool
-	// WriterPool sets the broker's writer-pool width: 0 keeps the
-	// default (GOMAXPROCS-derived shared writer pools), negative
-	// degenerates to the legacy writer-goroutine-per-session plane.
-	WriterPool int
-}
-
-// IngestReport is the outcome of one sustained-ingest run. Fields carry
-// JSON tags so reports can be committed as machine-readable baselines.
-type IngestReport struct {
-	Mode            string  `json:"mode"`
-	Transport       string  `json:"transport"`
-	PubTransport    string  `json:"pub_transport,omitempty"`
-	Subscribers     int     `json:"subscribers"`
-	Publishers      int     `json:"publishers"`
-	PayloadBytes    int     `json:"payload_bytes"`
-	IngestBurst     int     `json:"ingest_burst"`
-	PublishBatching bool    `json:"publish_batching"`
-	WindowSec       float64 `json:"window_sec"`
-	// IngestedPerSec is the headline number: events the broker accepted
-	// and routed per second of steady-state window time.
-	IngestedPerSec float64 `json:"ingested_per_sec"`
-	// ArrivedPerSec is the raw inbound event rate including control
-	// traffic; DeliveredPerSec the outbound rate across all subscribers.
-	ArrivedPerSec   float64 `json:"arrived_per_sec"`
-	DeliveredPerSec float64 `json:"delivered_per_sec"`
-	// Client-side delivery-plane stats over the window: the subscribers'
-	// delivery mode, how many ring-delivery bursts and consumer wakeups
-	// the traffic cost, the events admitted to subscriber rings, the
-	// amortization ratio (events per wakeup — 1.0 is the old per-event
-	// path), and the high-water ring occupancy.
-	DispatchBurst    int     `json:"dispatch_burst"`
-	DeliveryBursts   uint64  `json:"delivery_bursts"`
-	DeliveryWakeups  uint64  `json:"delivery_wakeups"`
-	ClientDelivered  uint64  `json:"client_delivered"`
-	EventsPerBurst   float64 `json:"events_per_burst"`
-	EventsPerWakeup  float64 `json:"events_per_wakeup"`
-	RingOccupancyMax int     `json:"ring_occupancy_max"`
-	// GoMaxProcs is the runtime.GOMAXPROCS the run executed under;
-	// WriterPools the broker's writer-pool count (0 = the legacy
-	// per-session ablation); the pool stats report writer-pool occupancy
-	// over the window — ready-list services, events drained through the
-	// pools, and drained events per service.
-	GoMaxProcs           int     `json:"gomaxprocs"`
-	WriterPools          int     `json:"writer_pools"`
-	PoolServices         uint64  `json:"pool_services,omitempty"`
-	PoolDrained          uint64  `json:"pool_drained,omitempty"`
-	EventsPerPoolService float64 `json:"events_per_pool_service,omitempty"`
-}
-
-// RunIngest measures sustained broker ingest: the rate at which one
-// broker accepts and routes events under continuous multi-publisher
-// load at a given fan-out width. IngestBurst 1 reproduces the
-// event-at-a-time baseline; the default bursts ingest so routing and
-// queue handoff are amortized across everything one read delivered.
-func RunIngest(opt IngestOptions) (*IngestReport, error) {
-	res, err := bench.RunIngest(bench.IngestConfig{
-		Mode:                   broker.Mode(opt.Mode),
-		Subscribers:            opt.Subscribers,
-		Publishers:             opt.Publishers,
-		PayloadBytes:           opt.PayloadBytes,
-		Transport:              opt.Transport,
-		PubTransport:           opt.PubTransport,
-		Warmup:                 opt.Warmup,
-		Duration:               opt.Duration,
-		IngestBurst:            opt.IngestBurst,
-		DispatchBurst:          opt.DispatchBurst,
-		DisablePublishBatching: opt.DisablePublishBatching,
-		WriterPool:             opt.WriterPool,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ingestReport(res), nil
-}
-
-func ingestReport(res bench.IngestResult) *IngestReport {
-	return &IngestReport{
-		Mode:                 res.Mode,
-		Transport:            res.Transport,
-		PubTransport:         res.PubTransport,
-		Subscribers:          res.Subscribers,
-		Publishers:           res.Publishers,
-		PayloadBytes:         res.PayloadBytes,
-		IngestBurst:          res.IngestBurst,
-		PublishBatching:      res.PublishBatching,
-		WindowSec:            res.WindowSec,
-		IngestedPerSec:       res.IngestedPerSec,
-		ArrivedPerSec:        res.ArrivedPerSec,
-		DeliveredPerSec:      res.DeliveredPerSec,
-		DispatchBurst:        res.DispatchBurst,
-		DeliveryBursts:       res.DeliveryBursts,
-		DeliveryWakeups:      res.DeliveryWakeups,
-		ClientDelivered:      res.ClientDelivered,
-		EventsPerBurst:       res.EventsPerBurst,
-		EventsPerWakeup:      res.EventsPerWakeup,
-		RingOccupancyMax:     res.RingOccupancyMax,
-		GoMaxProcs:           res.GoMaxProcs,
-		WriterPools:          res.WriterPools,
-		PoolServices:         res.PoolServices,
-		PoolDrained:          res.PoolDrained,
-		EventsPerPoolService: res.EventsPerPoolService,
-	}
-}
-
-// IngestScalingOptions parameterises the GOMAXPROCS scaling ladder: the
-// base ingest workload rerun at each rung under the writer-pool plane
-// and the per-session-writer ablation.
-type IngestScalingOptions struct {
-	// Base is the per-cell workload (its WriterPool field is overridden
-	// per cell).
-	Base IngestOptions
-	// Procs is the GOMAXPROCS ladder; empty selects {1, 2, 4, ...,
-	// min(8, NumCPU)}.
-	Procs []int
-}
-
-// IngestScalingCell is one ladder rung: the same workload under the
-// writer-pool plane and the per-session ablation at one GOMAXPROCS.
-type IngestScalingCell struct {
-	GoMaxProcs int           `json:"gomaxprocs"`
-	WriterPool *IngestReport `json:"writer_pool"`
-	PerSession *IngestReport `json:"per_session"`
-}
-
-// IngestScalingReport is the full ladder plus the host core count.
-type IngestScalingReport struct {
-	HostCPUs int                 `json:"host_cpus"`
-	Cells    []IngestScalingCell `json:"cells"`
-}
-
-// RunIngestScaling runs the sustained-ingest workload across the
-// GOMAXPROCS ladder (restoring GOMAXPROCS afterwards), measuring the
-// writer-pool default against the writer-goroutine-per-session
-// ablation at every rung.
-func RunIngestScaling(opt IngestScalingOptions) (*IngestScalingReport, error) {
-	res, err := bench.RunIngestScaling(bench.IngestScalingConfig{
-		Base: bench.IngestConfig{
-			Mode:                   broker.Mode(opt.Base.Mode),
-			Subscribers:            opt.Base.Subscribers,
-			Publishers:             opt.Base.Publishers,
-			PayloadBytes:           opt.Base.PayloadBytes,
-			Transport:              opt.Base.Transport,
-			PubTransport:           opt.Base.PubTransport,
-			Warmup:                 opt.Base.Warmup,
-			Duration:               opt.Base.Duration,
-			IngestBurst:            opt.Base.IngestBurst,
-			DispatchBurst:          opt.Base.DispatchBurst,
-			DisablePublishBatching: opt.Base.DisablePublishBatching,
-		},
-		Procs: opt.Procs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &IngestScalingReport{HostCPUs: res.HostCPUs}
-	for _, cell := range res.Cells {
-		out.Cells = append(out.Cells, IngestScalingCell{
-			GoMaxProcs: cell.GoMaxProcs,
-			WriterPool: ingestReport(cell.WriterPool),
-			PerSession: ingestReport(cell.PerSession),
-		})
-	}
-	return out, nil
-}
-
 // MeshOptions parameterises the cross-mesh fan-out benchmark: a ring of
 // federated brokers linked by supervised TCP peer links, subscribers
 // spread round-robin across all nodes, publishers flooding node 0.
@@ -433,8 +103,6 @@ type MeshOptions struct {
 	// Topology shapes the peer links: "ring" (default), "star", or
 	// "full".
 	Topology string
-	// MeshFlood disables routed forwarding — the flood ablation cell.
-	MeshFlood bool
 	// CreditWindow overrides the per-peer-link credit window (0 keeps
 	// the broker default; negative disables flow control).
 	CreditWindow int
@@ -509,7 +177,6 @@ func RunMesh(opt MeshOptions) (*MeshReport, error) {
 		Mode:         broker.Mode(opt.Mode),
 		Brokers:      opt.Brokers,
 		Topology:     opt.Topology,
-		MeshFlood:    opt.MeshFlood,
 		CreditWindow: opt.CreditWindow,
 		Subscribers:  opt.Subscribers,
 		Publishers:   opt.Publishers,
@@ -600,108 +267,6 @@ func RunCapacity(opt CapacityOptions) (*CapacityReport, error) {
 		LossRate:     res.LossRate,
 		GoodQuality:  res.GoodQuality,
 		Elapsed:      res.Elapsed,
-	}, nil
-}
-
-// ReplayOptions parameterises the durable-topic-log benchmark: a live
-// fan-out control, the same load with the topic recorded (the
-// recording tax), a replay fan-out where N late joiners drain a
-// prefilled log, and a catch-up cell where a joiner starts a lag's
-// worth of history behind a paced live publisher. Zero values run the
-// defaults.
-type ReplayOptions struct {
-	// Subscribers is the fan-out width (default 16).
-	Subscribers int
-	// Publishers drive the live cells (default 2).
-	Publishers int
-	// PayloadBytes sizes each event payload (default 256).
-	PayloadBytes int
-	// Prefill is the recorded history the replay fan-out cell drains
-	// (default 50000 events).
-	Prefill int
-	// Warmup precedes each live window (default 300ms).
-	Warmup time.Duration
-	// Duration is the live cells' measurement window (default 1s).
-	Duration time.Duration
-	// CatchupLag is how far behind the catch-up joiner starts (default
-	// 10s); CatchupRate is the paced live publish rate it must outrun
-	// (default 20000 events/sec).
-	CatchupLag  time.Duration
-	CatchupRate int
-	// Transport selects the subscribers' links in every cell — live,
-	// recorded and replay alike, so the replay-vs-live ratio compares
-	// the same delivery path: "tcp" (default) or "mem".
-	Transport string
-}
-
-// ReplayReport is the outcome of one replay benchmark run. Fields
-// carry JSON tags so reports can be committed as machine-readable
-// baselines.
-type ReplayReport struct {
-	Subscribers  int    `json:"subscribers"`
-	Publishers   int    `json:"publishers"`
-	PayloadBytes int    `json:"payload_bytes"`
-	Prefill      int    `json:"prefill"`
-	Transport    string `json:"transport"`
-	// LivePerSec is delivered events/sec with recording off;
-	// RecordedLivePerSec the same load recorded; RecordOverheadPct the
-	// recording tax between them.
-	LivePerSec         float64 `json:"live_per_sec"`
-	RecordedLivePerSec float64 `json:"recorded_live_per_sec"`
-	RecordOverheadPct  float64 `json:"record_overhead_pct"`
-	// RecordedPerSec is the log append rate under the recorded live
-	// load.
-	RecordedPerSec float64 `json:"recorded_per_sec"`
-	// ReplayPerSec is the total replay delivery rate across all joiners
-	// draining the prefilled log; ReplayVsLive compares it with the
-	// live control.
-	ReplayPerSec float64 `json:"replay_per_sec"`
-	ReplayVsLive float64 `json:"replay_vs_live"`
-	// Catch-up cell: the joiner started CatchupEvents (CatchupLagSec of
-	// traffic at CatchupLiveRps) behind and reached the live tail in
-	// CatchupSec, draining history at CatchupPerSec.
-	CatchupLagSec  float64 `json:"catchup_lag_sec"`
-	CatchupEvents  int     `json:"catchup_events"`
-	CatchupSec     float64 `json:"catchup_sec"`
-	CatchupPerSec  float64 `json:"catchup_per_sec"`
-	CatchupLiveRps int     `json:"catchup_live_rate"`
-}
-
-// RunReplay measures the durable topic log end to end: the recording
-// tax on live fan-out, replay fan-out bandwidth for late joiners, and
-// how long a lagging joiner takes to catch up to a live publisher.
-func RunReplay(opt ReplayOptions) (*ReplayReport, error) {
-	res, err := bench.RunReplay(bench.ReplayConfig{
-		Subscribers:  opt.Subscribers,
-		Publishers:   opt.Publishers,
-		PayloadBytes: opt.PayloadBytes,
-		Prefill:      opt.Prefill,
-		Warmup:       opt.Warmup,
-		Duration:     opt.Duration,
-		CatchupLag:   opt.CatchupLag,
-		CatchupRate:  opt.CatchupRate,
-		Transport:    opt.Transport,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ReplayReport{
-		Subscribers:        res.Subscribers,
-		Publishers:         res.Publishers,
-		PayloadBytes:       res.PayloadBytes,
-		Prefill:            res.Prefill,
-		Transport:          res.Transport,
-		LivePerSec:         res.LivePerSec,
-		RecordedLivePerSec: res.RecordedLivePerSec,
-		RecordOverheadPct:  res.RecordOverheadPct,
-		RecordedPerSec:     res.RecordedPerSec,
-		ReplayPerSec:       res.ReplayPerSec,
-		ReplayVsLive:       res.ReplayVsLive,
-		CatchupLagSec:      res.CatchupLagSec,
-		CatchupEvents:      res.CatchupEvents,
-		CatchupSec:         res.CatchupSec,
-		CatchupPerSec:      res.CatchupPerSec,
-		CatchupLiveRps:     res.CatchupLiveRps,
 	}, nil
 }
 

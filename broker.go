@@ -39,31 +39,15 @@ type Broker struct {
 type BrokerConfig struct {
 	// QueueDepth bounds each session's best-effort lane (default 512).
 	QueueDepth int
-	// RouteShards is the routing-lock shard count (default 16, rounded
-	// up to a power of two).
-	RouteShards int
 	// MaxBatchBytes bounds per-session write batches (default 256 KiB).
 	MaxBatchBytes int
 	// FlushInterval is the batch linger once a session queue idles
 	// (default 0: flush immediately).
 	FlushInterval time.Duration
-	// IngestBurst bounds the per-sweep ingest burst (default 256;
-	// 1 = event-at-a-time ablation).
-	IngestBurst int
-	// WriterPoolSize sets how many shared writer pools drain session
-	// send queues (default GOMAXPROCS-derived — O(cores) writers instead
-	// of one goroutine per session; negative restores the legacy
-	// writer-goroutine-per-session plane).
-	WriterPoolSize int
 	// MeshID scopes this broker's peer links to one federation mesh:
 	// brokers link only when their mesh IDs match (empty matches
 	// anything).
 	MeshID string
-	// MeshFlood disables routed mesh forwarding: events flood every
-	// advertising peer link and rely on TTL + duplicate suppression to
-	// kill cyclic copies (the pre-routing behaviour, kept as an
-	// ablation/escape hatch).
-	MeshFlood bool
 	// PeerCreditWindow bounds the best-effort events in flight to one
 	// peer link before the sender sheds instead of staging (default
 	// QueueDepth/2, min 64; negative disables flow control).
@@ -104,13 +88,9 @@ func NewBrokerWithConfig(id string, mode BrokerMode, cfg BrokerConfig) *Broker {
 			ID:                 id,
 			Mode:               broker.Mode(mode),
 			QueueDepth:         cfg.QueueDepth,
-			RouteShards:        cfg.RouteShards,
 			MaxBatchBytes:      cfg.MaxBatchBytes,
 			FlushInterval:      cfg.FlushInterval,
-			IngestBurst:        cfg.IngestBurst,
-			WriterPoolSize:     cfg.WriterPoolSize,
 			MeshID:             cfg.MeshID,
-			MeshFlood:          cfg.MeshFlood,
 			PeerCreditWindow:   cfg.PeerCreditWindow,
 			RecordPatterns:     cfg.RecordPatterns,
 			RecordDir:          cfg.RecordDir,

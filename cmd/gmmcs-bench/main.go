@@ -7,23 +7,16 @@
 //     audio clients.
 //   - "-exp videocap": the §3.2 claim that one broker supports >400
 //     video clients.
-//   - "-exp fanout": raw broker fan-out throughput at host speed, with
-//     publishers per-event and batched (the format of BENCH_broker.json).
-//   - "-exp pubpath": the client→broker publish path in isolation,
-//     per-event versus batched publishing.
-//   - "-exp ingest": sustained broker-side ingest under continuous
-//     multi-publisher load, event-at-a-time versus burst ingest.
 //   - "-exp mesh": cross-mesh fan-out over a ring of federated brokers
 //     (supervised peer links, loop-guarded cyclic topology) versus the
 //     single-broker control.
-//   - "-exp replay": the durable topic log — recording tax on live
-//     fan-out, replay fan-out bandwidth for late joiners, and catch-up
-//     time for a joiner starting a lag's worth of history behind a
-//     paced live publisher.
 //   - "-exp churn": the resilience plane — a reconnect-enabled
 //     subscriber is repeatedly cut mid reliable stream and each cycle
 //     clocks kill → caught-up (resume, window salvage, log-backed
 //     catch-up), with exactly-once delivery verified inline.
+//
+// Broker throughput, latency and replay are measured by the benchmark/
+// module instead (see benchmark/README.md).
 //
 // Full paper-scale runs take a few minutes (they are paced in real time
 // like the original testbed); -scale shrinks them for a quick look, and
@@ -54,23 +47,16 @@ func main() {
 
 func run() error {
 	var (
-		exp    = flag.String("exp", "fig3", "experiment: fig3, audiocap, videocap, fanout, pubpath, ingest, mesh, replay, churn, all")
+		exp    = flag.String("exp", "fig3", "experiment: fig3, audiocap, videocap, mesh, churn, all")
 		scale  = flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper scale)")
 		outDir = flag.String("out", "bench-out", "directory for TSV series dumps")
-		subs   = flag.Int("fanout-subs", 64, "fanout/ingest: subscriber count")
-		pubs   = flag.Int("fanout-pubs", 4, "fanout/ingest: publisher count")
-		events = flag.Int("fanout-events", 2000, "fanout: events per publisher")
-		window = flag.Duration("ingest-window", 2*time.Second, "ingest: steady-state measurement window")
+		subs   = flag.Int("fanout-subs", 64, "mesh: subscriber count")
+		pubs   = flag.Int("fanout-pubs", 4, "mesh: publisher count")
+		window = flag.Duration("ingest-window", 2*time.Second, "mesh: steady-state measurement window")
 		topo   = flag.String("mesh-topology", "ring", "mesh: peer-link topology (ring, star, full)")
 		short  = flag.Bool("short", false, "shrink runs for a quick (or CI) look")
 		pprofA = flag.String("pprof", "", "serve net/http/pprof on this address while the experiment runs (empty = off)")
 		cpuOut = flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
-
-		replaySubs    = flag.Int("replay-subs", 16, "replay: late-joiner fan-out width")
-		replayPrefill = flag.Int("replay-prefill", 50000, "replay: recorded history the joiners drain")
-		catchupLag    = flag.Duration("replay-catchup-lag", 10*time.Second, "replay: how far behind the catch-up joiner starts")
-		catchupRate   = flag.Int("replay-catchup-rate", 20000, "replay: paced live publish rate the joiner must outrun (events/sec)")
-		replayTrans   = flag.String("replay-transport", "tcp", "replay: subscriber transport in every cell (tcp, mem)")
 
 		churnCycles = flag.Int("churn-cycles", 20, "churn: kill/reconnect rounds")
 		churnRate   = flag.Int("churn-rate", 5000, "churn: paced reliable publish rate (events/sec)")
@@ -103,12 +89,7 @@ func run() error {
 	if *short {
 		*scale = min(*scale, 0.05)
 		*subs = min(*subs, 16)
-		*events = min(*events, 250)
 		*window = min(*window, 300*time.Millisecond)
-		*replaySubs = min(*replaySubs, 4)
-		*replayPrefill = min(*replayPrefill, 2000)
-		*catchupLag = min(*catchupLag, time.Second)
-		*catchupRate = min(*catchupRate, 5000)
 		*churnCycles = min(*churnCycles, 8)
 		*churnRate = min(*churnRate, 2000)
 	}
@@ -119,16 +100,8 @@ func run() error {
 		return runCapacity(globalmmcs.Audio, *scale)
 	case "videocap":
 		return runCapacity(globalmmcs.Video, *scale)
-	case "fanout":
-		return runFanout(*subs, *pubs, *events)
-	case "pubpath":
-		return runPubPath(*pubs)
-	case "ingest":
-		return runIngest(*subs, *pubs, *window)
 	case "mesh":
 		return runMesh(*topo, *subs, *pubs, *window)
-	case "replay":
-		return runReplay(*replaySubs, *replayPrefill, *window, *catchupLag, *catchupRate, *replayTrans)
 	case "churn":
 		return runChurn(*churnCycles, *churnRate)
 	case "all":
@@ -141,19 +114,7 @@ func run() error {
 		if err := runCapacity(globalmmcs.Video, *scale); err != nil {
 			return err
 		}
-		if err := runFanout(*subs, *pubs, *events); err != nil {
-			return err
-		}
-		if err := runPubPath(*pubs); err != nil {
-			return err
-		}
-		if err := runIngest(*subs, *pubs, *window); err != nil {
-			return err
-		}
 		if err := runMesh(*topo, *subs, *pubs, *window); err != nil {
-			return err
-		}
-		if err := runReplay(*replaySubs, *replayPrefill, *window, *catchupLag, *catchupRate, *replayTrans); err != nil {
 			return err
 		}
 		return runChurn(*churnCycles, *churnRate)
@@ -162,34 +123,27 @@ func run() error {
 	}
 }
 
-// runMesh measures cross-mesh fan-out over a 4-broker federation in
-// routed and flood-ablation forwarding, plus the single-broker control
-// cell, and prints the reports as a JSON array (the format of
-// BENCH_broker.json's mesh section). The flood cell disables the credit
-// window too, reproducing the pre-routing forwarding plane exactly.
+// runMesh measures cross-mesh fan-out over a 4-broker routed
+// federation and the single-broker control cell, and prints the reports
+// as a JSON array (the format of BENCH_broker.json's mesh section).
 func runMesh(topology string, subs, pubs int, window time.Duration) error {
 	fmt.Fprintf(os.Stderr, "=== Cross-mesh fan-out (%s): %d subscribers, %d publishers on node 0, %s window ===\n",
 		topology, subs, pubs, window)
 	cells := []struct {
 		label   string
 		brokers int
-		flood   bool
-		credit  int
 	}{
-		{"4-broker routed", 4, false, 0},
-		{"4-broker flood", 4, true, -1},
-		{"single control", 1, false, 0},
+		{"4-broker routed", 4},
+		{"single control", 1},
 	}
 	var reports []*globalmmcs.MeshReport
 	for _, cell := range cells {
 		res, err := globalmmcs.RunMesh(globalmmcs.MeshOptions{
-			Brokers:      cell.brokers,
-			Topology:     topology,
-			MeshFlood:    cell.flood,
-			CreditWindow: cell.credit,
-			Subscribers:  subs,
-			Publishers:   pubs,
-			Duration:     window,
+			Brokers:     cell.brokers,
+			Topology:    topology,
+			Subscribers: subs,
+			Publishers:  pubs,
+			Duration:    window,
 		})
 		if err != nil {
 			return fmt.Errorf("mesh: %w", err)
@@ -207,36 +161,6 @@ func runMesh(topology string, subs, pubs int, window time.Duration) error {
 		reports = append(reports, res)
 	}
 	out, err := json.MarshalIndent(reports, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(out))
-	return nil
-}
-
-// runReplay measures the durable topic log — recording tax, replay
-// fan-out and catch-up — and prints the report as JSON (the format of
-// BENCH_broker.json's replay section).
-func runReplay(subs, prefill int, window, catchupLag time.Duration, catchupRate int, trans string) error {
-	fmt.Fprintf(os.Stderr, "=== Durable topic log: %d joiners x %d prefilled events over %s, %s live window, %s/%d ev/s catch-up ===\n",
-		subs, prefill, trans, window, catchupLag, catchupRate)
-	res, err := globalmmcs.RunReplay(globalmmcs.ReplayOptions{
-		Subscribers: subs,
-		Prefill:     prefill,
-		Duration:    window,
-		CatchupLag:  catchupLag,
-		CatchupRate: catchupRate,
-		Transport:   trans,
-	})
-	if err != nil {
-		return fmt.Errorf("replay: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "live %12.0f ev/s   recorded live %12.0f ev/s   overhead %5.1f%%   appended %12.0f ev/s\n",
-		res.LivePerSec, res.RecordedLivePerSec, res.RecordOverheadPct, res.RecordedPerSec)
-	fmt.Fprintf(os.Stderr, "replay fan-out %12.0f ev/s (%.2fx live)\n", res.ReplayPerSec, res.ReplayVsLive)
-	fmt.Fprintf(os.Stderr, "catch-up: %d events (%.1fs of history) drained in %.2fs (%.0f ev/s) against %d ev/s live\n",
-		res.CatchupEvents, res.CatchupLagSec, res.CatchupSec, res.CatchupPerSec, res.CatchupLiveRps)
-	out, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -262,151 +186,6 @@ func runChurn(cycles, rate int) error {
 		res.ResumesPerSec, res.CatchupP50Ms, res.CatchupP95Ms, res.CatchupMaxMs,
 		res.Delivered, res.Published, res.Duplicates, res.Gaps)
 	out, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(out))
-	return nil
-}
-
-// runIngest measures sustained broker-side ingest across the batching
-// ablation ladder — full event-at-a-time (the pre-batching data path),
-// broker burst ingest with per-event client delivery (the PR-4 plane),
-// and the full batched delivery plane — and prints the reports as a
-// JSON array (the format of BENCH_broker.json's ingest section).
-func runIngest(subs, pubs int, window time.Duration) error {
-	fmt.Fprintf(os.Stderr, "=== Sustained ingest: %d mem subscribers, %d continuous tcp publishers, %s window ===\n",
-		subs, pubs, window)
-	cells := []struct {
-		label                  string
-		ingestBurst, dispBurst int
-	}{
-		{"event-at-a-time", 1, 1},
-		{"burst ingest", 0, 1},
-		{"batched delivery", 0, 0},
-	}
-	var reports []*globalmmcs.IngestReport
-	for _, cell := range cells {
-		res, err := globalmmcs.RunIngest(globalmmcs.IngestOptions{
-			Subscribers:   subs,
-			Publishers:    pubs,
-			Duration:      window,
-			IngestBurst:   cell.ingestBurst,
-			DispatchBurst: cell.dispBurst,
-		})
-		if err != nil {
-			return fmt.Errorf("ingest: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "%-17s %12.0f ingested/s %12.0f delivered/s %8.1f ev/lock\n",
-			cell.label, res.IngestedPerSec, res.DeliveredPerSec, res.EventsPerBurst)
-		reports = append(reports, res)
-	}
-	if len(reports) == 3 && reports[0].IngestedPerSec > 0 {
-		fmt.Fprintf(os.Stderr, "burst/baseline ingest speedup: %.2fx\n",
-			reports[1].IngestedPerSec/reports[0].IngestedPerSec)
-		fmt.Fprintf(os.Stderr, "batched-delivery/burst delivered speedup: %.2fx\n",
-			reports[2].DeliveredPerSec/reports[1].DeliveredPerSec)
-	}
-	out, err := json.MarshalIndent(reports, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(out))
-
-	// GOMAXPROCS scaling ladder: the same workload per rung, writer-pool
-	// plane versus the writer-goroutine-per-session ablation (the format
-	// of BENCH_broker.json's ingest.scaling section).
-	scaling, err := globalmmcs.RunIngestScaling(globalmmcs.IngestScalingOptions{
-		Base: globalmmcs.IngestOptions{
-			Subscribers: subs,
-			Publishers:  pubs,
-			Duration:    window,
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("ingest scaling: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "=== GOMAXPROCS scaling ladder (%d host cpus) ===\n", scaling.HostCPUs)
-	for _, cell := range scaling.Cells {
-		ratio := 0.0
-		if cell.PerSession.DeliveredPerSec > 0 {
-			ratio = cell.WriterPool.DeliveredPerSec / cell.PerSession.DeliveredPerSec
-		}
-		fmt.Fprintf(os.Stderr, "GOMAXPROCS=%d  pool(%d): %12.0f delivered/s (%.1f ev/service)  per-session: %12.0f delivered/s  pool/legacy %.2fx\n",
-			cell.GoMaxProcs, cell.WriterPool.WriterPools, cell.WriterPool.DeliveredPerSec,
-			cell.WriterPool.EventsPerPoolService, cell.PerSession.DeliveredPerSec, ratio)
-	}
-	out, err = json.MarshalIndent(scaling, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(out))
-	return nil
-}
-
-// runPubPath compares the client→broker publish path per-event versus
-// batched (no subscribers, so fan-out work cannot mask the difference)
-// and prints the reports as a JSON array.
-func runPubPath(pubs int) error {
-	fmt.Fprintf(os.Stderr, "=== Publish path: %d publishers to one broker over loopback TCP, no subscribers ===\n", pubs)
-	var reports []*globalmmcs.PublishPathReport
-	for _, batching := range []bool{false, true} {
-		res, err := globalmmcs.RunPublishPath(globalmmcs.PublishPathOptions{
-			Publishers: pubs,
-			Batching:   batching,
-		})
-		if err != nil {
-			return fmt.Errorf("pubpath: %w", err)
-		}
-		label := "per-event publish"
-		if batching {
-			label = "batched publish"
-		}
-		fmt.Fprintf(os.Stderr, "%-18s %12.0f events/s %10.1f MB/s\n", label, res.EventsPerSec, res.MBPerSec)
-		reports = append(reports, res)
-	}
-	if len(reports) == 2 && reports[0].EventsPerSec > 0 {
-		fmt.Fprintf(os.Stderr, "batched/per-event speedup: %.2fx\n",
-			reports[1].EventsPerSec/reports[0].EventsPerSec)
-	}
-	out, err := json.MarshalIndent(reports, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(out))
-	return nil
-}
-
-// runFanout measures raw broker fan-out throughput in both routing
-// modes, with the publishers unbatched and then batched (the
-// WithPublishBatching client path), and prints the reports as a JSON
-// array (the format of BENCH_broker.json).
-func runFanout(subs, pubs, events int) error {
-	fmt.Fprintf(os.Stderr, "=== Fan-out: %d subscribers x %d publishers x %d events over loopback TCP ===\n",
-		subs, pubs, events)
-	var reports []*globalmmcs.FanoutReport
-	for _, mode := range []globalmmcs.BrokerMode{globalmmcs.BrokerClientServer, globalmmcs.BrokerPeerToPeer} {
-		for _, batching := range []bool{false, true} {
-			res, err := globalmmcs.RunFanout(globalmmcs.FanoutOptions{
-				Mode:            mode,
-				Subscribers:     subs,
-				Publishers:      pubs,
-				Events:          events,
-				PublishBatching: batching,
-			})
-			if err != nil {
-				return fmt.Errorf("fanout %s: %w", mode, err)
-			}
-			label := "per-event publish"
-			if batching {
-				label = "batched publish"
-			}
-			fmt.Fprintf(os.Stderr, "%-14s %-18s %12.0f events/s %10.1f MB/s  pub %12.0f events/s  delivered %d/%d\n",
-				res.Mode, label, res.EventsPerSec, res.MBPerSec, res.PublishEventsPerSec, res.Delivered, res.Expected)
-			reports = append(reports, res)
-		}
-	}
-	out, err := json.MarshalIndent(reports, "", "  ")
 	if err != nil {
 		return err
 	}

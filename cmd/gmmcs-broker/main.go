@@ -37,13 +37,9 @@ func run() error {
 		mode   = flag.String("mode", "client-server", "routing mode: client-server or p2p")
 		stats  = flag.Duration("stats", 30*time.Second, "stats print interval (0 = off)")
 		depth  = flag.Int("queue-depth", 0, "per-session best-effort queue depth (0 = default 512)")
-		shards = flag.Int("route-shards", 0, "routing-lock shard count (0 = default 16)")
 		batch  = flag.Int("max-batch-bytes", 0, "per-session write batch bound (0 = default 256KiB)")
 		flush  = flag.Duration("flush-interval", 0, "batch linger once a session queue idles (0 = flush immediately)")
-		burst  = flag.Int("ingest-burst", 0, "events decoded and routed per ingest sweep (0 = default 256, 1 = event-at-a-time)")
-		wpool  = flag.Int("writer-pool", 0, "shared writer pools draining session send queues (0 = GOMAXPROCS-derived default, negative = writer goroutine per session)")
 		pprofA = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
-		flood  = flag.Bool("mesh-flood", false, "flood every advertising peer link instead of routed spanning-tree forwarding")
 		credit = flag.Int("peer-credit-window", 0, "best-effort events in flight per peer link before sender-side shedding (0 = default queue-depth/2, negative = off)")
 
 		record         = flag.String("record", "", "comma-separated topic patterns to record to durable topic logs for replay")
@@ -70,13 +66,9 @@ func run() error {
 	}
 	b := globalmmcs.NewBrokerWithConfig(*id, m, globalmmcs.BrokerConfig{
 		QueueDepth:         *depth,
-		RouteShards:        *shards,
 		MaxBatchBytes:      *batch,
 		FlushInterval:      *flush,
-		IngestBurst:        *burst,
-		WriterPoolSize:     *wpool,
 		MeshID:             *meshID,
-		MeshFlood:          *flood,
 		PeerCreditWindow:   *credit,
 		RecordPatterns:     splitList(*record),
 		RecordDir:          *recordDir,

@@ -526,42 +526,18 @@ func TestSessionEventsReplay(t *testing.T) {
 	}
 }
 
-// TestRunFanoutFacade exercises the public fan-out benchmark entry
-// point at a trivial scale.
-func TestRunFanoutFacade(t *testing.T) {
-	res, err := globalmmcs.RunFanout(globalmmcs.FanoutOptions{
-		Subscribers: 4,
-		Publishers:  1,
-		Events:      50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered == 0 || res.EventsPerSec <= 0 {
-		t.Fatalf("empty fanout report: %+v", res)
-	}
-	if res.Mode != "client-server" || res.Transport != "tcp" {
-		t.Fatalf("unexpected defaults: %+v", res)
-	}
-	if _, err := globalmmcs.RunFanout(globalmmcs.FanoutOptions{Transport: "bogus"}); err == nil {
-		t.Fatal("bogus transport accepted")
-	}
-}
-
 // TestBrokerBatchingOptions checks the new broker tuning surface: a
 // server started with batching options comes up healthy, and a
 // standalone broker accepts a full BrokerConfig.
 func TestBrokerBatchingOptions(t *testing.T) {
 	srv := startNode(t,
 		globalmmcs.WithBrokerBatching(64<<10, 2*time.Millisecond),
-		globalmmcs.WithBrokerRouteShards(4),
 	)
 	if err := srv.WaitReady(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	b := globalmmcs.NewBrokerWithConfig("tuned", globalmmcs.BrokerClientServer, globalmmcs.BrokerConfig{
 		QueueDepth:    64,
-		RouteShards:   2,
 		MaxBatchBytes: 32 << 10,
 		FlushInterval: time.Millisecond,
 	})

@@ -32,10 +32,6 @@ type MeshConfig struct {
 	// successor, a cycle for n >= 3), "star" (every leaf dials broker 0),
 	// or "full" (every pair linked).
 	Topology string
-	// MeshFlood disables routed forwarding on every broker — the flood
-	// ablation cell, where TTL + dedup absorb the redundant ring copies
-	// instead of the spanning tree never sending them.
-	MeshFlood bool
 	// CreditWindow overrides each broker's per-peer-link credit window
 	// (0 keeps the broker default; negative disables flow control).
 	CreditWindow int
@@ -129,9 +125,9 @@ type MeshResult struct {
 	// over every broker's per-peer forwarded counters.
 	ForwardedPerSec float64 `json:"forwarded_per_sec"`
 	// ForwardedFramesPerDelivered is the mesh's wire-amplification ratio:
-	// peer-link frames staged per client-delivered event. Flood pays for
-	// the cycle's redundant copies here; routed forwarding should pay
-	// only for the spanning tree.
+	// peer-link frames staged per client-delivered event. Routed
+	// forwarding pays only for the spanning tree; peer-to-peer flooding
+	// pays for the cycle's redundant copies too.
 	ForwardedFramesPerDelivered float64 `json:"forwarded_frames_per_delivered_event"`
 	// QueueOverflowDrops sums the per-peer-link best-effort overflow
 	// drops across the mesh during the window — what blind shedding cost
@@ -204,7 +200,7 @@ func hopDistance(topology string, i, j, n int) int {
 func RunMesh(cfg MeshConfig) (MeshResult, error) {
 	cfg = cfg.withDefaults()
 	forwarding := "routed"
-	if cfg.MeshFlood || cfg.Mode != broker.ModeClientServer {
+	if cfg.Mode != broker.ModeClientServer {
 		forwarding = "flood"
 	}
 	res := MeshResult{
@@ -232,7 +228,6 @@ func RunMesh(cfg MeshConfig) (MeshResult, error) {
 			MeshID:           "bench-mesh",
 			QueueDepth:       cfg.QueueDepth,
 			FlushInterval:    cfg.FlushInterval,
-			MeshFlood:        cfg.MeshFlood,
 			PeerCreditWindow: cfg.CreditWindow,
 		})
 		defer brokers[i].Stop()

@@ -55,12 +55,6 @@ type Config struct {
 	// only if their mesh IDs match (an empty ID on either side matches
 	// anything, so unscoped deployments keep working).
 	MeshID string
-	// MeshFlood disables hop-cost routed forwarding in client-server mode
-	// and restores the flood-with-loop-guard behaviour: every peer link
-	// that advertised a matching pattern is staged, and TTL plus the
-	// duplicate cache kill the redundant copies. An ablation knob for
-	// benchmarking, and a fallback if routed convergence misbehaves.
-	MeshFlood bool
 	// PeerCreditWindow bounds the best-effort data events in flight to one
 	// mesh peer link: staging stops (and broker.peer.<id>.credit_stalls
 	// counts the shed events) once sent minus the receiver's cumulative
@@ -91,10 +85,6 @@ type Config struct {
 	// AdvRefreshInterval is the soft-state refresh period for
 	// subscription advertisements between brokers. Default 2s.
 	AdvRefreshInterval time.Duration
-	// RouteShards is the number of locks/tries the routing layer is split
-	// across (rounded up to a power of two). Default 16. One shard
-	// degenerates to a single-lock router — an ablation knob.
-	RouteShards int
 	// MaxBatchBytes bounds the encoded bytes a session writer aggregates
 	// before forcing a vectored flush. Default 256 KiB.
 	MaxBatchBytes int
@@ -104,20 +94,6 @@ type Config struct {
 	// batching then happens only under sustained load, costing no
 	// latency. Reliable events always flush immediately regardless.
 	FlushInterval time.Duration
-	// WriterPoolSize is the number of shared writer-pool goroutines that
-	// drain session send queues. The default (0) derives from GOMAXPROCS,
-	// giving the egress side O(cores) writers instead of one goroutine
-	// per session; negative restores the legacy writer-per-session model
-	// (the ablation knob for the scaling benchmark). Each session is
-	// bound to one pool for life, preserving per-session write ordering.
-	WriterPoolSize int
-	// IngestBurst bounds how many events a session reader decodes and
-	// routes per sweep on burst-capable conns. Within a burst, publish
-	// targets are resolved once per topic and each target session is
-	// locked and signalled once — the amortization that keeps sustained
-	// ingest cheap at wide fan-out. Default 256; 1 degenerates the data
-	// path to event-at-a-time ingest and egress (an ablation knob).
-	IngestBurst int
 	// RecordPatterns lists topic patterns recorded to durable on-disk
 	// logs (one segmented log per pattern; '+'/'#' wildcards allowed).
 	// Events matching a pattern are appended — sequence-stamped and
@@ -185,26 +161,11 @@ func (c Config) withDefaults() Config {
 	if c.PeerStaleAfter <= 0 {
 		c.PeerStaleAfter = 5 * time.Second
 	}
-	if c.RouteShards <= 0 {
-		c.RouteShards = topic.DefaultShards
-	}
 	if c.MaxBatchBytes <= 0 {
 		c.MaxBatchBytes = transport.DefaultMaxBatchBytes
 	}
 	if c.FlushInterval < 0 {
 		c.FlushInterval = 0
-	}
-	if c.IngestBurst == 0 {
-		c.IngestBurst = DefaultIngestBurst
-	}
-	if c.WriterPoolSize == 0 {
-		c.WriterPoolSize = runtime.GOMAXPROCS(0)
-	}
-	if c.WriterPoolSize < 0 {
-		c.WriterPoolSize = 0 // legacy writer-per-session ablation
-	}
-	if c.IngestBurst < 1 {
-		c.IngestBurst = 1
 	}
 	if c.SessionLinger < 0 {
 		c.SessionLinger = 0
@@ -265,9 +226,9 @@ type Broker struct {
 	dedup     *dedupCache
 	listeners []transport.Listener
 
-	// routed caches "client-server mode and MeshFlood off" — whether the
-	// mesh data path consults forwarding plans instead of flooding the
-	// advertisement trie.
+	// routed caches "client-server mode" — whether the mesh data path
+	// consults forwarding plans instead of flooding the advertisement
+	// trie.
 	routed bool
 	// meshRoutes is the control-plane routing table: advertised pattern →
 	// per-origin chosen next hop. Guarded by b.mu; the data plane reads
@@ -302,9 +263,8 @@ type Broker struct {
 	// would otherwise serialize on for every event.
 	ctr brokerCounters
 
-	// pools are the shared egress writers (empty in the legacy
-	// writer-per-session ablation); poolNext round-robins session
-	// binding across them.
+	// pools are the shared egress writers, one per GOMAXPROCS; poolNext
+	// round-robins session binding across them.
 	pools    []*writerPool
 	poolNext atomic.Uint64
 
@@ -349,17 +309,19 @@ func resolveCounters(reg *metrics.Registry) brokerCounters {
 // ErrBrokerStopped is returned by operations on a stopped Broker.
 var ErrBrokerStopped = errors.New("broker: closed")
 
-// DefaultIngestBurst bounds a session reader's per-sweep burst when the
-// config leaves IngestBurst zero. 256 events cover everything one
-// 256 KiB receive chunk holds at media MTU.
-const DefaultIngestBurst = 256
+// maxBurst bounds every burst on the data path: the events a session
+// reader decodes and routes per sweep, a writer's per-pop drain and
+// decoded-event batch, and a client reader's per-receive dispatch. 256
+// events cover everything one 256 KiB receive chunk holds at media MTU.
+const maxBurst = 256
 
-// New creates a broker and starts its housekeeping loop.
+// New creates a broker and starts its housekeeping loop and its writer
+// pools, one per GOMAXPROCS.
 func New(cfg Config) *Broker {
 	cfg = cfg.withDefaults()
 	b := &Broker{
 		cfg:         cfg,
-		router:      newRouter(cfg.RouteShards),
+		router:      newRouter(topic.DefaultShards),
 		sessions:    make(map[*session]struct{}),
 		peers:       make(map[*session]struct{}),
 		ids:         make(map[string]*session),
@@ -375,18 +337,16 @@ func New(cfg Config) *Broker {
 
 		handshakeTimeout: handshakeDeadline,
 	}
-	b.routed = cfg.Mode == ModeClientServer && !cfg.MeshFlood
+	b.routed = cfg.Mode == ModeClientServer
 	b.sweeps.New = func() any { return b.newRouteSweep() }
 	if len(cfg.RecordPatterns) > 0 {
 		b.rec = newRecordPlane(cfg, cfg.Metrics)
 	}
-	if cfg.WriterPoolSize > 0 {
-		b.pools = make([]*writerPool, cfg.WriterPoolSize)
-		for i := range b.pools {
-			b.pools[i] = newWriterPool(b)
-			b.wg.Add(1)
-			go b.pools[i].run()
-		}
+	b.pools = make([]*writerPool, runtime.GOMAXPROCS(0))
+	for i := range b.pools {
+		b.pools[i] = newWriterPool(b)
+		b.wg.Add(1)
+		go b.pools[i].run(&b.wg)
 	}
 	b.wg.Add(1)
 	go b.housekeeping()
@@ -541,6 +501,20 @@ func (b *Broker) hasPeers() bool {
 	return p != nil && len(*p) > 0
 }
 
+// bindWriter binds s to the writer pool that drains its send queue: the
+// next shared pool, or — for a conn whose sends deliberately block
+// (spin-wait link emulation) — a private pool of its own, so one
+// emulated link's host cost never head-of-line blocks a shared pool's
+// other sessions. s.start runs a private pool and s.close stops it.
+func (b *Broker) bindWriter(s *session) {
+	if sb, ok := s.conn.(transport.SendBlocker); ok && sb.SendBlocks() {
+		s.ownPool = true
+		s.bindPool(newWriterPool(b))
+		return
+	}
+	s.bindPool(b.pools[int(b.poolNext.Add(1)-1)%len(b.pools)])
+}
+
 // attach registers a session for conn and starts its goroutines. dialed
 // marks peer sessions this broker established (the tie-break input for
 // duplicate-link resolution).
@@ -550,16 +524,7 @@ func (b *Broker) attach(conn transport.Conn, id string, isPeer, dialed bool) (*s
 	if !isPeer && b.cfg.SessionLinger > 0 {
 		s.token = b.mintToken()
 	}
-	// Sender-blocking conns (spin-wait link emulation) keep a dedicated
-	// writer: one emulated link's host cost must not head-of-line block a
-	// pool shard's other sessions.
-	blocking := false
-	if sb, ok := conn.(transport.SendBlocker); ok {
-		blocking = sb.SendBlocks()
-	}
-	if len(b.pools) > 0 && !blocking {
-		s.bindPool(b.pools[int(b.poolNext.Add(1)-1)%len(b.pools)])
-	}
+	b.bindWriter(s)
 	b.mu.Lock()
 	if b.closed || b.draining {
 		b.mu.Unlock()
@@ -908,13 +873,7 @@ func (b *Broker) attachResumed(conn transport.Conn, park *parkedSession) error {
 	// downgrading the resume to a fresh attach and losing the window.
 	s.token = park.token
 	s.seedReliable(park.nextRSeq, park.ackFloor, park.recvCum)
-	blocking := false
-	if sb, ok := conn.(transport.SendBlocker); ok {
-		blocking = sb.SendBlocks()
-	}
-	if len(b.pools) > 0 && !blocking {
-		s.bindPool(b.pools[int(b.poolNext.Add(1)-1)%len(b.pools)])
-	}
+	b.bindWriter(s)
 	b.mu.Lock()
 	if b.closed || b.draining {
 		b.mu.Unlock()
@@ -1430,8 +1389,8 @@ func (b *Broker) connectPeerConn(conn transport.Conn) (*session, error) {
 		conn.Close()
 		return nil, err
 	}
-	if rseq, tagged, bad := inboundRSeq(reply); tagged && !bad {
-		cum, _ := s.acceptReliable(rseq)
+	if reply.RSeq != 0 {
+		cum, _ := s.acceptReliable(reply.RSeq)
 		s.queue.pushAck(cum)
 	}
 	b.replaySalvaged(s)
@@ -1581,10 +1540,11 @@ func (b *Broker) Stop() {
 	for _, s := range sessions {
 		s.stop()
 	}
-	// Stop the writer pools only after every session stopped: each closed
-	// queue has already deposited its final wakeup, so the pools' shutdown
-	// drain flushes whatever is still staged (reliable-flush-on-close)
-	// before exiting.
+	// Stop the shared writer pools only after every session stopped: each
+	// closed queue has already deposited its final wakeup, so the pools'
+	// shutdown drain flushes whatever is still staged
+	// (reliable-flush-on-close) before exiting. Private pools were
+	// stopped, in the same order, by their session's close.
 	for _, p := range b.pools {
 		close(p.done)
 	}
@@ -1595,5 +1555,3 @@ func (b *Broker) Stop() {
 }
 
 func formatUint(v uint64) string { return strconv.FormatUint(v, 10) }
-
-func parseUint(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) }

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -335,6 +336,90 @@ func TestBrokerOverTCP(t *testing.T) {
 	e := recvOne(t, s, 2*time.Second)
 	if string(e.Payload) != "over tcp" {
 		t.Fatalf("got %v", e)
+	}
+}
+
+// TestBrokerOverUDP runs both ends over udp://, the one transport that
+// cannot burst: the broker's session reader and the client's read loop
+// take each datagram as a burst of one. Best-effort and reliable events
+// must each arrive in publish order, exactly once, and the reliable ones
+// must be acked back to the broker.
+func TestBrokerOverUDP(t *testing.T) {
+	b := newTestBroker(t, "udp-broker")
+	l, err := b.Listen("udp://127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := Dial(l.Addr(), "udp-sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	pub, err := Dial(l.Addr(), "udp-pub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	s, err := sub.Subscribe("/udp/topic", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const perClass = 40
+	for i := 0; i < perClass; i++ {
+		if err := pub.Publish("/udp/topic", event.KindData, []byte("be")); err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.PublishReliable("/udp/topic", event.KindControl, []byte("rel")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var got []*event.Event
+	for len(got) < 2*perClass {
+		got, err = s.RecvBatchContext(ctx, got, 0)
+		if err != nil {
+			t.Fatalf("received %d/%d events: %v", len(got), 2*perClass, err)
+		}
+	}
+	seen := make(map[event.Key]bool)
+	var lastID [2]uint64 // per class: best-effort, reliable
+	for _, e := range got {
+		if seen[e.Key()] {
+			t.Fatalf("event %d delivered twice", e.ID)
+		}
+		seen[e.Key()] = true
+		class := 0
+		if e.Reliable {
+			class = 1
+		}
+		if e.ID <= lastID[class] {
+			t.Fatalf("reliable=%v event %d arrived after %d", e.Reliable, e.ID, lastID[class])
+		}
+		lastID[class] = e.ID
+		if e.RSeq != 0 {
+			t.Fatalf("event %d delivered with its rseq tag %d", e.ID, e.RSeq)
+		}
+	}
+	if lastID[0] == 0 || lastID[1] == 0 {
+		t.Fatalf("a delivery class is missing: last ids %v", lastID)
+	}
+	quiet, cancelQuiet := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancelQuiet()
+	if extra, err := s.RecvBatchContext(quiet, nil, 0); err == nil {
+		t.Fatalf("unexpected extra events %v", extra)
+	}
+
+	b.mu.RLock()
+	subSession := b.ids["udp-sub"]
+	b.mu.RUnlock()
+	waitCondition(t, 5*time.Second, "reliable window acked", func() bool {
+		return subSession.unackedLen() == 0
+	})
+	if sub.AckSends() == 0 {
+		t.Fatal("subscriber never acked its reliable deliveries")
 	}
 }
 

@@ -277,25 +277,41 @@ func TestBurstControlOrdering(t *testing.T) {
 	}
 }
 
-// TestBurstIngestDisabled: IngestBurst 1 degenerates to the event-at-a-
-// time path and still delivers everything (the ablation configuration
-// the ingest benchmark uses as its baseline).
-func TestBurstIngestDisabled(t *testing.T) {
-	b := New(Config{ID: "noburst", IngestBurst: 1})
-	defer b.Stop()
-	sub, err := b.LocalClient("nb-sub", transport.LinkProfile{})
+// eventAtATimeConn hides every optional interface of the conn it wraps
+// (BurstConn, EventBatchConn, ...), so readers fall back to one Recv per
+// event: the path UDP and any plain Conn take.
+type eventAtATimeConn struct{ transport.Conn }
+
+// eventAtATimeClient attaches a client to b whose broker-side conn cannot
+// burst, so the session's ingest loop takes each event as a burst of one.
+func eventAtATimeClient(t *testing.T, b *Broker, id string) *Client {
+	t.Helper()
+	clientEnd, serverEnd := transport.Pipe("mem:"+b.cfg.ID, "mem:"+id)
+	b.wg.Add(1)
+	go func() {
+		defer b.wg.Done()
+		b.handshake(eventAtATimeConn{serverEnd})
+	}()
+	c, err := Attach(clientEnd, id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// TestBurstIngestDisabled: with no burst-capable conn under the session,
+// ingest degenerates to event-at-a-time (bursts of one through the same
+// processBurst/routeBatch path) and still delivers every event.
+func TestBurstIngestDisabled(t *testing.T) {
+	b := New(Config{ID: "noburst"})
+	defer b.Stop()
+	sub := eventAtATimeClient(t, b, "nb-sub")
 	defer sub.Close()
 	s, err := sub.Subscribe("/nb/t", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := b.LocalClient("nb-pub", transport.LinkProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pub := eventAtATimeClient(t, b, "nb-pub")
 	defer pub.Close()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -319,6 +335,6 @@ func TestBurstIngestDisabled(t *testing.T) {
 	}
 	wg.Wait()
 	if got != 16 {
-		t.Fatalf("delivered %d/16 with IngestBurst=1", got)
+		t.Fatalf("delivered %d/16 with event-at-a-time ingest", got)
 	}
 }

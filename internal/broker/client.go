@@ -804,17 +804,10 @@ type Client struct {
 	stageGen    uint64
 	stageSubs   []*Subscription
 	stageItems  [][]*event.Event
-	oneEvent    [1]*event.Event
 
-	// dispatchBurst selects the delivery mode: >1 stages a received burst
-	// per subscription and delivers it with one ring lock and one wakeup
-	// per subscription (the default); <=1 degenerates to event-at-a-time
-	// delivery — the ablation the benchmark measures against.
-	dispatchBurst atomic.Int32
-
-	// acksSent counts reverse-path reliable acks this client has sent;
-	// with burst dispatch they are coalesced to one cumulative ack per
-	// burst (asserted by tests, reported by the bench harness).
+	// acksSent counts reverse-path reliable acks this client has sent,
+	// coalesced to one cumulative ack per received burst (asserted by
+	// tests).
 	acksSent atomic.Uint64
 
 	// Replay unpack state, readLoop-owned like the dispatch state above:
@@ -888,7 +881,6 @@ func newClient(id string, conn transport.Conn) *Client {
 		done:       make(chan struct{}),
 		stageGen:   1,
 	}
-	c.dispatchBurst.Store(clientRecvBurst)
 	return c
 }
 
@@ -958,20 +950,8 @@ func (c *Client) sendData(e *event.Event) error {
 	return nil
 }
 
-// SetDispatchBurst selects the client's delivery dispatch mode: n <= 1
-// degenerates dispatch to event-at-a-time delivery (one ring lock and
-// one wakeup per event, per-event acks — the pre-batching ablation the
-// benchmark measures against); any larger value keeps the default
-// batched dispatch. Safe to call while traffic flows.
-func (c *Client) SetDispatchBurst(n int) {
-	if n <= 0 {
-		n = clientRecvBurst
-	}
-	c.dispatchBurst.Store(int32(n))
-}
-
 // AckSends reports how many reverse-path reliable acks this client has
-// sent (one cumulative ack per received burst under batched dispatch).
+// sent (one cumulative ack per received burst).
 func (c *Client) AckSends() uint64 { return c.acksSent.Load() }
 
 // ReplayCorrupt reports how many replay envelopes failed their
@@ -1291,44 +1271,21 @@ func (c *Client) stamp(e *event.Event) error {
 	return nil
 }
 
-// clientRecvBurst bounds how many events the client reader takes per
-// burst receive.
-const clientRecvBurst = 256
-
+// readLoop receives burst by burst: one wakeup and one conn operation
+// per batch the broker's writer flushed (a conn that cannot burst yields
+// bursts of one); dispatch then rides the same burst — staged per
+// subscription, delivered with one ring lock and one consumer wakeup per
+// subscription per burst, and reverse-path acks coalesced to one
+// cumulative ack per burst.
 func (c *Client) readLoop(conn transport.Conn) {
 	defer c.wg.Done()
 	defer c.connDone(conn)
 	c.rlConn = conn
-	bc, canBurst := conn.(transport.BurstConn)
-	if !canBurst {
-		for {
-			e, err := conn.Recv()
-			if err != nil {
-				return
-			}
-			c.handleInbound(e)
-			if c.rlGoaway {
-				c.rlGoaway = false
-				conn.Close()
-			}
-		}
-	}
-	// Burst receive: one wakeup and one conn operation per batch the
-	// broker's writer flushed; dispatch then rides the same burst —
-	// staged per subscription, delivered with one ring lock and one
-	// consumer wakeup per subscription per burst, and reverse-path acks
-	// coalesced to one cumulative ack per burst.
-	events := make([]*event.Event, 0, clientRecvBurst)
+	events := make([]*event.Event, 0, maxBurst)
 	for {
 		events = events[:0]
-		events, err := bc.RecvBurst(events, clientRecvBurst)
-		if c.dispatchBurst.Load() > 1 {
-			c.processBurst(events)
-		} else {
-			for _, e := range events {
-				c.handleInbound(e)
-			}
-		}
+		events, err := transport.RecvBurst(conn, events, maxBurst)
+		c.processBurst(events)
 		clear(events) // never pin delivered events in the reused buffer
 		if c.rlGoaway {
 			// Deferred from the goaway handler: the burst's cumulative ack
@@ -1376,45 +1333,17 @@ func (c *Client) connDone(conn transport.Conn) {
 	}
 }
 
-// handleInbound processes one event from the broker: hop reliability,
-// control fencing, then subscription dispatch. This is the per-event
-// path (non-burst conns, and the dispatch ablation).
-func (c *Client) handleInbound(e *event.Event) {
-	if rseq, tagged, bad := inboundRSeq(e); tagged && e.Topic != topicAck {
-		if bad {
-			return
-		}
-		cum, fresh := c.acceptReliable(rseq)
-		c.acksSent.Add(1)
-		_ = c.rlConn.Send(ackEvent(cum))
-		if !fresh {
-			return
-		}
-		e = stripRSeq(e)
-	}
-	if isControlTopic(e.Topic) {
-		c.handleControl(e)
-		return
-	}
-	c.oneEvent[0] = e
-	c.dispatchStaged(c.oneEvent[:1])
-	c.oneEvent[0] = nil
-}
-
-// processBurst is the burst mirror of handleInbound: per-event hop
-// reliability and control handling are unchanged, but matched events
-// are staged per subscription and handed over as one batch each, and
-// the reliable reverse path sends ONE cumulative ack for the whole
-// burst instead of one per rseq-tagged event.
+// processBurst processes one burst from the broker: per-event hop
+// reliability and control fencing, with matched events staged per
+// subscription and handed over as one batch each, and the reliable
+// reverse path sending ONE cumulative ack for the whole burst instead of
+// one per rseq-tagged event.
 func (c *Client) processBurst(events []*event.Event) {
 	ackDue := false
 	var ackCum uint64
 	for _, e := range events {
-		if rseq, tagged, bad := inboundRSeq(e); tagged && e.Topic != topicAck {
-			if bad {
-				continue
-			}
-			cum, fresh := c.acceptReliable(rseq)
+		if e.RSeq != 0 {
+			cum, fresh := c.acceptReliable(e.RSeq)
 			ackDue, ackCum = true, cum
 			if !fresh {
 				continue
@@ -1680,16 +1609,6 @@ func (c *Client) flushStaged() {
 	clear(c.stageSubs)
 	c.stageSubs = c.stageSubs[:0]
 	c.stageGen++
-}
-
-// dispatchStaged delivers a pre-assembled burst for one topic: stage
-// every event, then flush. Used by the per-event path with a one-event
-// burst.
-func (c *Client) dispatchStaged(events []*event.Event) {
-	for _, e := range events {
-		c.stageEvent(e)
-	}
-	c.flushStaged()
 }
 
 func (c *Client) acceptReliable(rseq uint64) (cum uint64, fresh bool) {

@@ -80,19 +80,29 @@ func (c *captureConn) allFlushed() []*event.Event {
 	return out
 }
 
-// startWriter wires a session around conn with only the write loop
+// startWriter wires a session around conn with only its writer
 // running, giving tests full control of the queue.
 func startWriter(t *testing.T, b *Broker, conn transport.Conn) *session {
 	t.Helper()
 	s := newSession(b, conn, "writer-under-test", false)
+	runPrivatePool(t, s)
+	return s
+}
+
+// runPrivatePool drains s through a private writer pool — the writer a
+// SendBlocker conn gets — until the test ends. Items queued before the
+// call signalled no pool, so the pool is woken for them here.
+func runPrivatePool(t *testing.T, s *session) {
+	t.Helper()
+	s.ownPool = true
+	s.bindPool(newWriterPool(s.b))
 	s.wg.Add(1)
-	go s.writeLoop()
+	go s.pool.run(&s.wg)
+	s.pool.rewake(s)
 	t.Cleanup(func() {
-		s.queue.close()
-		conn.Close()
+		s.close()
 		s.wg.Wait()
 	})
-	return s
 }
 
 func beItem(id uint64, payload int) (*event.Event, *event.Frame) {
@@ -150,13 +160,7 @@ func TestBatchFlushOnFlushInterval(t *testing.T) {
 	e2, f2 := beItem(2, 100)
 	s.queue.pushBestEffort(e1, f1)
 	s.queue.pushBestEffort(e2, f2)
-	s.wg.Add(1)
-	go s.writeLoop()
-	defer func() {
-		s.queue.close()
-		conn.Close()
-		s.wg.Wait()
-	}()
+	runPrivatePool(t, s)
 	waitFor(t, 2*time.Second, func() bool { return conn.flushCount() >= 1 },
 		"linger flush never happened")
 	if got := conn.flush(0); len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
@@ -214,13 +218,7 @@ func TestBatchOrderingAcrossLanes(t *testing.T) {
 		rel.Source, rel.ID = "dp", i
 		s.queue.pushReliable(rel)
 	}
-	s.wg.Add(1)
-	go s.writeLoop()
-	defer func() {
-		s.queue.close()
-		conn.Close()
-		s.wg.Wait()
-	}()
+	runPrivatePool(t, s)
 	waitFor(t, 2*time.Second, func() bool { return len(conn.allFlushed()) == 5 },
 		"not all events reached the wire")
 	got := conn.allFlushed()

@@ -368,12 +368,27 @@ func TestCoalescedAckPerBurst(t *testing.T) {
 	}
 }
 
-// TestPerEventDispatchAblation: SetDispatchBurst(1) degenerates the
-// client to event-at-a-time delivery — one lock, one wakeup, one ack
-// per event — the measured baseline configuration.
+// TestPerEventDispatchAblation: a client whose conn cannot burst
+// degenerates to event-at-a-time delivery — one lock, one wakeup, one
+// ack per event — the measured baseline configuration.
 func TestPerEventDispatchAblation(t *testing.T) {
-	rig := newFakeBrokerRig(t, "ablation-client")
-	rig.c.SetDispatchBurst(1)
+	clientEnd, brokerEnd := transport.Pipe("mem:client", "mem:fake-broker")
+	c, err := Attach(eventAtATimeConn{clientEnd}, "ablation-client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if first, err := brokerEnd.Recv(); err != nil || first.Topic != topicHello {
+		t.Fatalf("expected hello, got %v (err %v)", first, err)
+	}
+	go func() {
+		for {
+			if _, err := brokerEnd.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	rig := &fakeBrokerRig{c: c, conn: brokerEnd, bc: brokerEnd.(transport.EventBatchConn)}
 	sub := rig.addSub(t, "/abl/t", 64)
 
 	const burst = 8

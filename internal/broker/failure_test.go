@@ -217,8 +217,8 @@ func TestStaleAdvertisementsPruned(t *testing.T) {
 			}
 			// Ack reliable traffic so the session stays healthy, but never
 			// re-advertise.
-			if rseq, tagged, bad := inboundRSeq(e); tagged && !bad && e.Topic != topicAck {
-				_ = client.Send(ackEvent(rseq))
+			if e.RSeq != 0 {
+				_ = client.Send(ackEvent(e.RSeq))
 			}
 		}
 	}()

@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -79,6 +81,49 @@ func TestMeshLinkChurnNoLeak(t *testing.T) {
 		return b1.PeerCount() == 1
 	})
 	mesh.Stop()
+}
+
+// TestPrivatePoolChurnNoLeak: a session whose conn blocks its sender
+// (SendCost link emulation) is drained by a private writer pool, and
+// closing the client with traffic in flight must stop that pool with
+// the session — the broker, created before the baseline, keeps running
+// through the check.
+func TestPrivatePoolChurnNoLeak(t *testing.T) {
+	b := newTestBroker(t, "leak-pp")
+	pub := localClient(t, b, "leak-pp-pub")
+	testutil.CheckGoroutines(t)
+	payload := make([]byte, 256)
+	for i := range 20 {
+		id := fmt.Sprintf("leak-pp-%d", i)
+		c, err := b.LocalClient(id, transport.LinkProfile{SendCost: 20 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := c.Subscribe("/leak/pp", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.mu.RLock()
+		s := b.ids[id]
+		b.mu.RUnlock()
+		if s == nil || !s.ownPool {
+			t.Fatalf("session %s is not drained by a private writer pool", id)
+		}
+		for range 64 {
+			if err := pub.Publish("/leak/pp", event.KindRTP, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, err = sub.RecvBatchContext(ctx, nil, 1)
+		cancel()
+		if err != nil {
+			t.Fatalf("client %d received nothing: %v", i, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestReconnectLoopNoLeak(t *testing.T) {

@@ -266,17 +266,17 @@ func TestMeshPartitionHealResync(t *testing.T) {
 	}
 }
 
-// TestMeshTTLLoopGuard3Cycle: on a 3-broker cyclic client-server mesh
-// in MeshFlood mode, an event reaches every subscriber exactly once —
-// the origin-armed duplicate suppression (with the TTL decrement as
+// TestMeshTTLLoopGuard3Cycle: on a 3-broker cyclic peer-to-peer mesh,
+// which floods every peer link, an event reaches every subscriber
+// exactly once — the duplicate suppression (with the TTL decrement as
 // backstop) kills the loop, and the redundant ring arrivals land in the
-// dup counters instead of client queues. (Routed mode never produces
-// the redundant copies in the first place; this exercises the safety
-// net the ablation knob falls back to.)
+// dup counters instead of client queues. (Routed client-server mode
+// never produces the redundant copies in the first place; this
+// exercises the safety net it keeps for convergence windows.)
 func TestMeshTTLLoopGuard3Cycle(t *testing.T) {
-	b1 := newTestBrokerCfg(t, Config{ID: "c1", MeshFlood: true})
-	b2 := newTestBrokerCfg(t, Config{ID: "c2", MeshFlood: true})
-	b3 := newTestBrokerCfg(t, Config{ID: "c3", MeshFlood: true})
+	b1 := newTestBrokerCfg(t, Config{ID: "c1", Mode: ModePeerToPeer})
+	b2 := newTestBrokerCfg(t, Config{ID: "c2", Mode: ModePeerToPeer})
+	b3 := newTestBrokerCfg(t, Config{ID: "c3", Mode: ModePeerToPeer})
 	linkBrokers(t, b1, b2)
 	linkBrokers(t, b2, b3)
 	linkBrokers(t, b3, b1)
@@ -417,9 +417,9 @@ func TestAckSlotCoalesces(t *testing.T) {
 // cache entries whose topics the mutated pattern matches; unrelated
 // entries in the same shard are re-stamped and keep serving from cache.
 func TestRouteCachePerPatternInvalidation(t *testing.T) {
-	b := New(Config{ID: "cache-inv", RouteShards: 1})
+	b := New(Config{ID: "cache-inv"})
 	defer b.Stop()
-	r := b.router
+	r := newRouter(1)
 
 	s1 := newSession(b, newCaptureConn(), "cache-s1", false)
 	if err := r.add("/a/one", s1); err != nil {

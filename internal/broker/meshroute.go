@@ -4,18 +4,19 @@ import (
 	"github.com/globalmmcs/globalmmcs/internal/topic"
 )
 
-// Routed forwarding: instead of staging a publish on every peer link
-// that advertised a matching pattern (the PR-6 flood, where TTL and the
-// duplicate cache kill the redundant copies at the far side), the broker
-// maintains, per advertised (pattern, origin-broker), the single
-// cheapest next-hop link — costs come from the hop counts carried on
-// advertisements — and forwards one copy per chosen link, tagged with a
-// serve-mask naming the origins that copy is responsible for. Receivers
-// re-forward only the mask bits assigned to their own chosen links, so
-// dissemination follows one spanning tree per origin even across
-// equal-cost paths (where purely local cheapest-link pruning would still
-// emit crossing duplicates). TTL and dedup remain as the safety net for
-// convergence windows. Config.MeshFlood restores the flood.
+// Routed forwarding (ModeClientServer): instead of staging a publish on
+// every peer link that advertised a matching pattern (the flood, where
+// TTL and the duplicate cache kill the redundant copies at the far
+// side), the broker maintains, per advertised (pattern, origin-broker),
+// the single cheapest next-hop link — costs come from the hop counts
+// carried on advertisements — and forwards one copy per chosen link,
+// tagged with a serve-mask naming the origins that copy is responsible
+// for. Receivers re-forward only the mask bits assigned to their own
+// chosen links, so dissemination follows one spanning tree per origin
+// even across equal-cost paths (where purely local cheapest-link pruning
+// would still emit crossing duplicates). TTL and dedup remain as the
+// safety net for convergence windows. ModePeerToPeer keeps the flood:
+// every advertiser stays in the routing trie and no plan is published.
 
 // originBit hashes an origin broker id onto one bit of the 64-bit
 // serve-mask (FNV-1a). Collisions merely over-serve: two origins sharing

@@ -48,7 +48,7 @@ const (
 	hdrOp      = "op"      // "add" or "remove" for advertisements
 	hdrOrigin  = "origin"  // originating broker of an advertisement
 	hdrSeq     = "seq"     // advertisement sequence number
-	hdrRSeq    = "rseq"    // reliable delivery sequence number
+	hdrRSeq    = "rseq"    // cumulative ack floor carried by an ack
 	hdrMode    = "mode"    // routing mode carried on peer hello
 	hdrMesh    = "mesh"    // mesh identity carried on peer hello
 	hdrHops    = "hops"    // advertiser's hop distance to the origin broker

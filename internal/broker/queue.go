@@ -85,15 +85,16 @@ type sendQueue struct {
 	// regression tests.
 	pushLocks atomic.Uint64
 
-	// notify carries at most one wakeup token; every push and close
-	// deposits one, the single consumer drains to empty before waiting.
+	// notify carries at most one wakeup token for a queue with no writer
+	// pool bound (pop's consumer); every push and close deposits one, the
+	// single consumer drains to empty before waiting.
 	notify chan struct{}
 
-	// onSignal, when set (before the session starts; immutable after),
-	// replaces the notify-channel deposit: writer-pool mode routes the
-	// wakeup to the pool's ready list instead of a dedicated writer
-	// goroutine. It reports whether a wakeup was actually deposited
-	// (false when the consumer is already armed).
+	// onSignal, when set (by session.bindPool, before the session
+	// starts; immutable after), replaces the notify-channel deposit: the
+	// wakeup goes to the writer pool's ready list. It reports whether a
+	// wakeup was actually deposited (false when the consumer is already
+	// armed).
 	onSignal func() bool
 
 	// wakeups counts deposited wakeup tokens (channel sends that landed,
@@ -126,9 +127,6 @@ func (q *sendQueue) signal() {
 	default:
 	}
 }
-
-// waitCh returns the channel the consumer blocks on between drains.
-func (q *sendQueue) waitCh() <-chan struct{} { return q.notify }
 
 // pushBestEffort enqueues e (with its optional shared frame), dropping
 // the oldest queued event if full. It reports whether the queue accepted

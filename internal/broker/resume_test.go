@@ -72,7 +72,7 @@ func (rc *rawClient) recvData(topic string, n int) []*event.Event {
 		if e.Topic != topic {
 			continue
 		}
-		if _, tagged, bad := inboundRSeq(e); !tagged || bad {
+		if e.RSeq == 0 {
 			rc.t.Fatalf("event on %s not rseq-tagged: %v", topic, e)
 		}
 		got = append(got, e)
@@ -126,8 +126,7 @@ func TestResumeWindowSalvage(t *testing.T) {
 	rc2 := rawAttach(t, b, resumeHelloEvent("rs-sub", token))
 	replayed := rc2.recvData("/rs/t", n)
 	for i, e := range replayed {
-		rseq, _, _ := inboundRSeq(e)
-		origRSeq, _, _ := inboundRSeq(first[i])
+		rseq, origRSeq := e.RSeq, first[i].RSeq
 		if rseq != origRSeq {
 			t.Fatalf("replayed event %d: rseq %d, want original %d", i, rseq, origRSeq)
 		}
@@ -157,7 +156,7 @@ func TestResumeWindowSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := rc2.recvData("/rs/t", 1)[0]
-	if rseq, _, _ := inboundRSeq(next); rseq != n+1 {
+	if rseq := next.RSeq; rseq != n+1 {
 		t.Fatalf("post-resume rseq %d, want %d", rseq, n+1)
 	}
 	rc2.conn.Close()

@@ -88,10 +88,11 @@ type session struct {
 	framed bool
 	queue  *sendQueue
 
-	// pool is the writer pool that drains this session's queue; nil runs
-	// the legacy dedicated writeLoop goroutine instead (the per-session
-	// ablation). Bound once before start; immutable after.
-	pool *writerPool
+	// pool is the writer pool that drains this session's queue, bound
+	// once before start and immutable after. ownPool marks a private pool
+	// (see Broker.bindWriter) whose goroutine this session runs and stops.
+	pool    *writerPool
+	ownPool bool
 	// scheduled is the pool-mode dirty flag: true while the session sits
 	// on (or is being appended to) its pool's ready list. Producers
 	// CAS-arm it so a burst deposits exactly one ready entry.
@@ -273,27 +274,23 @@ func (s *session) lastRecvTime() time.Time {
 // touchRecv records inbound traffic for freshness/heartbeat checks.
 func (s *session) touchRecv() { s.lastRecv.Store(time.Now().UnixNano()) }
 
-// bindPool routes this session's queue wakeups to a writer pool instead
-// of a dedicated writeLoop goroutine. Must run before start (and before
-// any concurrent push can signal the queue).
+// bindPool routes this session's queue wakeups to the writer pool that
+// drains it. Must run before start (and before any concurrent push can
+// signal the queue).
 func (s *session) bindPool(p *writerPool) {
 	s.pool = p
-	p.bound.Add(1)
 	s.queue.onSignal = func() bool { return p.wake(s) }
 }
 
-// start launches the session goroutines: the reader always, plus the
-// dedicated writer only in the legacy (pool-less) mode — pool-bound
-// sessions are drained by their pool's goroutine instead.
+// start launches the session goroutines: the reader, plus the pool
+// goroutine when the session owns its writer pool.
 func (s *session) start() {
-	if s.pool != nil {
-		s.wg.Add(1)
-		go s.readLoop()
-		return
-	}
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.readLoop()
-	go s.writeLoop()
+	if s.ownPool {
+		s.wg.Add(1)
+		go s.pool.run(&s.wg)
+	}
 }
 
 // sendReliable tags e with this session's next rseq and enqueues it on
@@ -548,73 +545,25 @@ func (s *session) acceptReliable(rseq uint64) (cum uint64, fresh bool) {
 	return s.recvCum, true
 }
 
-// inboundRSeq extracts the hop-by-hop reliable sequence tag from an
-// inbound event: the wire-native trailing field, or the legacy header.
-// bad reports a malformed tag (the event must be discarded).
-func inboundRSeq(e *event.Event) (rseq uint64, tagged, bad bool) {
-	if e.RSeq != 0 {
-		return e.RSeq, true, false
-	}
-	str, ok := e.Headers[hdrRSeq]
-	if !ok {
-		return 0, false, false
-	}
-	v, err := parseUint(str)
-	if err != nil {
-		return 0, true, true
-	}
-	return v, true, false
-}
-
-// stripRSeq returns e without its per-hop sequence tag, never mutating
-// the original (which other sessions may share). The wire-native tag
-// costs a shallow struct copy; the legacy header form pays a clone.
+// stripRSeq returns e without its per-hop sequence tag (a shallow
+// copy), never mutating the original, which other sessions may share.
 func stripRSeq(e *event.Event) *event.Event {
-	if e.RSeq != 0 {
-		c := *e
-		c.RSeq = 0
-		return &c
-	}
-	c := e.Clone()
-	delete(c.Headers, hdrRSeq)
-	return c
+	c := *e
+	c.RSeq = 0
+	return &c
 }
 
+// readLoop ingests burst by burst: decode everything one read delivered
+// (a conn that cannot burst yields bursts of one), then route the burst
+// in one sweep — targets resolved once per topic, each session locked
+// and signalled once. A control event flushes the pending sweep first,
+// so request ordering within the burst is preserved. The reliable
+// reverse path is coalesced the same way: one cumulative ack per burst
+// instead of one per rseq-tagged event.
 func (s *session) readLoop() {
 	defer s.wg.Done()
 	defer s.close()
-	bc, burst := s.conn.(transport.BurstConn)
-	maxBurst := s.b.cfg.IngestBurst
 	sweep := s.b.newRouteSweep()
-	if !burst || maxBurst <= 1 {
-		for {
-			e, err := s.conn.Recv()
-			if err != nil {
-				return
-			}
-			s.touchRecv()
-			s.b.ctr.eventsIn.Inc()
-			e, isControl := s.ingestPrepare(e, nil)
-			switch {
-			case e == nil:
-			case isControl:
-				s.handleControl(e)
-			default:
-				if !e.Reliable {
-					s.noteConsumed(1)
-				}
-				sweep.routeOne(e, s)
-				sweep.finish()
-			}
-		}
-	}
-
-	// Burst ingest: decode everything one read delivered, then route the
-	// burst in one sweep — targets resolved once per topic, each session
-	// locked and signalled once. A control event flushes the pending
-	// sweep first, so request ordering within the burst is preserved.
-	// The reliable reverse path is coalesced the same way: one cumulative
-	// ack per burst instead of one per rseq-tagged event.
 	events := make([]*event.Event, 0, maxBurst)
 	routable := make([]*event.Event, 0, maxBurst)
 	flush := func() {
@@ -627,7 +576,7 @@ func (s *session) readLoop() {
 	var ack ackState
 	for {
 		events = events[:0]
-		events, err := bc.RecvBurst(events, maxBurst)
+		events, err := transport.RecvBurst(s.conn, events, maxBurst)
 		if len(events) > 0 {
 			s.touchRecv()
 		}
@@ -675,22 +624,15 @@ type ackState struct {
 // ingestPrepare applies the per-event front half of ingest — hop
 // reliability, control detection, validation. It returns the prepared
 // event (nil when consumed or discarded) and whether it is a control
-// request for handleControl rather than a routable publish. When ack is
-// non-nil the reliable acknowledgement is recorded there for the caller
-// to send once per burst; otherwise it is pushed immediately.
+// request for handleControl rather than a routable publish. The reliable
+// acknowledgement is recorded in ack for the caller to send once per
+// burst.
 func (s *session) ingestPrepare(e *event.Event, ack *ackState) (*event.Event, bool) {
 	// Hop-by-hop reliability: rseq-tagged events (control or data) are
 	// deduplicated and cumulatively acknowledged before processing.
-	if rseq, tagged, bad := inboundRSeq(e); tagged && e.Topic != topicAck {
-		if bad {
-			return nil, false
-		}
-		cum, fresh := s.acceptReliable(rseq)
-		if ack != nil {
-			ack.due, ack.cum = true, cum
-		} else {
-			s.queue.pushAck(cum)
-		}
+	if e.RSeq != 0 {
+		cum, fresh := s.acceptReliable(e.RSeq)
+		ack.due, ack.cum = true, cum
 		if !fresh {
 			return nil, false
 		}
@@ -762,9 +704,10 @@ func (s *session) handleControl(e *event.Event) {
 
 // outSink abstracts the writer's aggregation strategy per conn
 // capability: encoded frame batches flushed with one vectored write
-// (FrameConn), decoded-event batches handed over in one call
-// (EventBatchConn — in-process pipes, where the shaper charges syscall
-// cost per call), or plain per-event sends.
+// (FrameConn), or decoded-event batches handed over in one call where
+// the conn takes them (EventBatchConn — in-process pipes, where the
+// shaper charges syscall cost per call) and one Send per event where it
+// does not.
 type outSink interface {
 	// add queues one item; implementations may flush internally on size.
 	add(it outItem) error
@@ -777,22 +720,13 @@ type outSink interface {
 	// non-blocking partial flush first when it supports one. Pool
 	// goroutines check it per round so one clogged session never
 	// head-of-line-blocks its pool siblings; sinks without a
-	// non-blocking path always report true (their flushes block, as the
-	// legacy per-session writer's did).
+	// non-blocking path always report true (their flushes block).
 	ready() (bool, error)
 	// flushIdle empties the sink if it can do so without blocking and
 	// reports whether everything went out; sinks without a non-blocking
 	// path flush fully (blocking) and report true.
 	flushIdle() (bool, error)
 }
-
-type directSink struct{ conn transport.Conn }
-
-func (d *directSink) add(it outItem) error     { return d.conn.Send(it.e) }
-func (d *directSink) flush() error             { return nil }
-func (d *directSink) pending() int             { return 0 }
-func (d *directSink) ready() (bool, error)     { return true, nil }
-func (d *directSink) flushIdle() (bool, error) { return true, nil }
 
 type frameSink struct{ bw *transport.Batcher }
 
@@ -808,20 +742,18 @@ func (f *frameSink) ready() (bool, error)     { return true, nil }
 func (f *frameSink) flushIdle() (bool, error) { return true, f.bw.Flush() }
 
 type eventBatchSink struct {
-	bc transport.EventBatchConn
-	// try, when non-nil, is bc's non-blocking partial-send path. Only
-	// pool-owned sinks set it: the legacy per-session writer wants the
-	// blocking send — consumer backpressure pacing its dedicated
-	// goroutine — while a pool goroutine must never stall on one
-	// session's full pipe.
+	conn transport.Conn
+	// try, when non-nil, is conn's non-blocking partial-send path, so a
+	// shared pool goroutine never stalls on one session's full pipe.
+	// Conns without one (shaped and fault-injecting links) block in
+	// flush, which their consumer's backpressure paces.
 	try transport.TryEventBatchConn
 	buf []*event.Event
-	max int
 }
 
 func (s *eventBatchSink) add(it outItem) error {
 	s.buf = append(s.buf, it.e)
-	if len(s.buf) >= s.max {
+	if len(s.buf) >= maxBurst {
 		if s.try != nil {
 			return s.tryFlush()
 		}
@@ -834,7 +766,7 @@ func (s *eventBatchSink) flush() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	err := s.bc.SendEvents(s.buf)
+	err := transport.SendEvents(s.conn, s.buf)
 	clear(s.buf) // never pin delivered events in the reused buffer
 	s.buf = s.buf[:0]
 	return err
@@ -849,7 +781,7 @@ func (s *eventBatchSink) tryFlush() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	n, err := s.try.TrySendEvents(s.buf, s.max/4)
+	n, err := s.try.TrySendEvents(s.buf, maxBurst/4)
 	if err != nil {
 		return err
 	}
@@ -864,13 +796,13 @@ func (s *eventBatchSink) tryFlush() error {
 func (s *eventBatchSink) pending() int { return len(s.buf) }
 
 func (s *eventBatchSink) ready() (bool, error) {
-	if s.try == nil || len(s.buf) < s.max {
+	if s.try == nil || len(s.buf) < maxBurst {
 		return true, nil
 	}
 	if err := s.tryFlush(); err != nil {
 		return false, err
 	}
-	return len(s.buf) < s.max, nil
+	return len(s.buf) < maxBurst, nil
 }
 
 func (s *eventBatchSink) flushIdle() (bool, error) {
@@ -884,120 +816,12 @@ func (s *eventBatchSink) flushIdle() (bool, error) {
 }
 
 // newOutSink picks the aggregation strategy for this session's conn.
-// IngestBurst <= 1 (the ablation setting) also disables decoded-event
-// egress batching, so one knob degenerates the whole data path to
-// event-at-a-time behaviour.
 func (s *session) newOutSink() outSink {
-	cfg := s.b.cfg
 	if fc, ok := s.conn.(transport.FrameConn); ok {
-		return &frameSink{bw: transport.NewBatcher(fc, cfg.MaxBatchBytes)}
+		return &frameSink{bw: transport.NewBatcher(fc, s.b.cfg.MaxBatchBytes)}
 	}
-	if bc, ok := s.conn.(transport.EventBatchConn); ok && cfg.IngestBurst > 1 {
-		sink := &eventBatchSink{bc: bc, max: cfg.IngestBurst}
-		if s.pool != nil {
-			if tc, ok := bc.(transport.TryEventBatchConn); ok {
-				sink.try = tc
-			}
-		}
-		return sink
-	}
-	return &directSink{conn: s.conn}
-}
-
-// writeLoop drains the send queue onto the conn through an outSink,
-// flushing on three triggers: the sink's own size bound, the reliable
-// lane (which must never linger in user space), and the queue going
-// idle — either immediately (FlushInterval 0) or after lingering up to
-// FlushInterval for more traffic to coalesce with.
-func (s *session) writeLoop() {
-	defer s.wg.Done()
-	cfg := s.b.cfg
-	sink := s.newOutSink()
-
-	// fail closes the session and discards the remaining queue so close()
-	// can complete.
-	fail := func() {
-		s.close()
-		for {
-			if _, st := s.queue.tryPop(); st != popOK {
-				return
-			}
-		}
-	}
-
-	// Burst drain: pop everything queued under one lock acquisition (the
-	// consumer-side mirror of pushBatch). IngestBurst <= 1 keeps the
-	// event-at-a-time pops of the pre-batching data path.
-	batchMax := 0
-	if cfg.IngestBurst > 1 {
-		batchMax = cfg.IngestBurst
-	}
-	var drain []outItem
-
-	var lingerTimer *time.Timer
-	for {
-		var st popState
-		drain = drain[:0]
-		if batchMax > 0 {
-			drain, st = s.queue.popBatch(drain, batchMax)
-		} else {
-			var it outItem
-			it, st = s.queue.tryPop()
-			if st == popOK {
-				drain = append(drain, it)
-			}
-		}
-		switch st {
-		case popOK:
-			for _, it := range drain {
-				if err := sink.add(it); err != nil {
-					fail()
-					return
-				}
-				if it.reliable {
-					// Signalling and acks flush as soon as the reliable lane
-					// drains; they are never coalesced past their turn.
-					if err := sink.flush(); err != nil {
-						fail()
-						return
-					}
-				}
-			}
-			s.b.ctr.eventsOut.Add(uint64(len(drain)))
-			// Drop references so the reused drain buffer never pins events.
-			clear(drain)
-		case popEmpty:
-			if sink.pending() > 0 {
-				if cfg.FlushInterval > 0 {
-					if lingerTimer == nil {
-						lingerTimer = time.NewTimer(cfg.FlushInterval)
-					} else {
-						lingerTimer.Reset(cfg.FlushInterval)
-					}
-					select {
-					case <-s.queue.waitCh():
-						if !lingerTimer.Stop() {
-							<-lingerTimer.C
-						}
-						continue // more traffic arrived; keep batching
-					case <-lingerTimer.C:
-					}
-				}
-				if err := sink.flush(); err != nil {
-					fail()
-					return
-				}
-				continue // re-check: traffic may have arrived during flush
-			}
-			<-s.queue.waitCh()
-		case popClosed:
-			// Graceful drain: whatever reached the sink goes out before
-			// the writer exits (the conn may already be closed on abortive
-			// shutdown, in which case the flush error is moot).
-			_ = sink.flush()
-			return
-		}
-	}
+	try, _ := s.conn.(transport.TryEventBatchConn)
+	return &eventBatchSink{conn: s.conn, try: try}
 }
 
 // close tears the session down and detaches it from the broker. Safe to
@@ -1005,10 +829,15 @@ func (s *session) writeLoop() {
 func (s *session) close() {
 	s.closeOnce.Do(func() {
 		// Close the queue first so a writer mid-drain flushes its batch
-		// and exits before the conn is torn down under it; Send/Flush on
-		// the closed conn then fail cleanly for any write already past
-		// the queue.
+		// before the conn is torn down under it; Send/Flush on the closed
+		// conn then fail cleanly for any write already past the queue. A
+		// private pool stops after its queue closed, the order Broker.Stop
+		// uses for the shared pools: its shutdown drain is this session's
+		// final flush.
 		s.queue.close()
+		if s.ownPool {
+			close(s.pool.done)
+		}
 		_ = s.conn.Close()
 		s.b.detach(s)
 		close(s.closedCh)

@@ -7,21 +7,20 @@ import (
 )
 
 // writerPool drains a shard of sessions' send queues from one goroutine,
-// replacing the writer-goroutine-per-session model: with
-// Config.WriterPoolSize pools (GOMAXPROCS-derived by default) the broker
-// runs O(cores) writers instead of O(sessions), which is what lets the
-// egress side scale with cores instead of with the Go scheduler's
-// appetite for runnable goroutines.
+// and it is the only code that drains a send queue. The broker runs one
+// shared pool per GOMAXPROCS — O(cores) writers instead of O(sessions),
+// which is what lets the egress side scale with cores instead of with
+// the Go scheduler's appetite for runnable goroutines — plus a private
+// pool for each session whose conn blocks its sender (Broker.bindWriter).
 //
 // Scheduling is a classic dirty-flag ready list. Each session carries a
 // scheduled flag; the queue's signal hook CAS-arms it and appends the
 // session to the pool's FIFO exactly once per quiet→ready transition, so
-// the one-wakeup-per-session-per-burst contract of the legacy writer is
-// preserved bit for bit (a burst's pushBatch deposits at most one ready
-// entry, later pushes while armed deposit none). The pool goroutine
-// clears the flag *before* draining, so a push that arrives mid-service
-// re-arms and re-enqueues — no lost wakeups, at worst one spurious
-// empty service.
+// a burst costs each session one wakeup (a burst's pushBatch deposits at
+// most one ready entry, later pushes while armed deposit none). The pool
+// goroutine clears the flag *before* draining, so a push that arrives
+// mid-service re-arms and re-enqueues — no lost wakeups, at worst one
+// spurious empty service.
 //
 // Each session keeps its own persistent outSink (Batcher and buffers
 // live as long as the session), touched only by its owning pool
@@ -33,9 +32,10 @@ type writerPool struct {
 	// notify carries at most one wakeup token for the ready list, the
 	// pool-level twin of sendQueue.notify.
 	notify chan struct{}
-	// done is closed by Broker.Stop after every session stopped; the pool
-	// then drains the remaining ready entries (each closed queue flushes
-	// through popClosed) before exiting.
+	// done is closed after the pool's sessions closed their queues — by
+	// Broker.Stop for a shared pool, by session.close for a private one;
+	// the pool then drains the remaining ready entries (each closed queue
+	// flushes through popClosed) before exiting.
 	done chan struct{}
 
 	mu    sync.Mutex
@@ -44,12 +44,11 @@ type writerPool struct {
 	// drain is the pool's reusable popBatch buffer.
 	drain []outItem
 
-	// Occupancy instrumentation, read by the scaling benchmark: sessions
-	// ever bound, services performed, and events drained through this
-	// pool. clogs counts clog-parks — services cut short because a
-	// session's consumer stopped draining and its sink could not accept
-	// more without blocking.
-	bound    atomic.Uint64
+	// Occupancy instrumentation, read by WriterPoolStats: services
+	// performed and events drained through this pool. clogs counts
+	// clog-parks — services cut short because a session's consumer
+	// stopped draining and its sink could not accept more without
+	// blocking.
 	services atomic.Uint64
 	drained  atomic.Uint64
 	clogs    atomic.Uint64
@@ -63,9 +62,8 @@ const poolServiceBatches = 4
 
 // clogRetry is how soon a session parked on consumer backpressure (its
 // sink's non-blocking flush could not empty) is retried. Tight, because
-// a blocked legacy writer resumes the instant its consumer frees pipe
-// space — polling latency here is the writer-pool plane's only pacing
-// disadvantage against the per-session ablation.
+// polling latency here is how late a clogged session resumes after its
+// consumer frees pipe space.
 const clogRetry = 100 * time.Microsecond
 
 // lingerSweepEvery bounds how many services a busy pool performs before
@@ -113,9 +111,9 @@ func (wp *writerPool) next() *session {
 
 // run is the pool goroutine: service ready sessions, linger over
 // non-empty sinks when FlushInterval allows or a consumer clogged,
-// drain everything on shutdown.
-func (wp *writerPool) run() {
-	defer wp.b.wg.Done()
+// drain everything on shutdown. It calls wg.Done on exit.
+func (wp *writerPool) run(wg *sync.WaitGroup) {
+	defer wg.Done()
 	var lingerTimer *time.Timer
 	var linger []*session // sessions holding a non-empty sink: coalescing or clogged
 	sinceSweep := 0
@@ -134,7 +132,7 @@ func (wp *writerPool) run() {
 		sinceSweep = 0
 		// Idle. Flush parked sinks whose window expired; keep the rest
 		// armed on a timer so batching under light load still bounds
-		// latency at FlushInterval, exactly like the legacy writer.
+		// latency at FlushInterval.
 		if len(linger) > 0 {
 			var next time.Time
 			linger, next = wp.sweepLinger(linger)
@@ -242,9 +240,9 @@ func (wp *writerPool) shutdown(linger []*session) {
 	}
 }
 
-// service drains one session's queue into its sink, mirroring the legacy
-// writeLoop body: batch pops under one lock, immediate flush behind
-// reliable items, error → close-and-discard. linger is the pool's
+// service drains one session's queue into its sink: batch pops under
+// one lock, immediate flush behind reliable items, error →
+// close-and-discard. linger is the pool's
 // coalescing list; nil (during shutdown) flushes immediately instead of
 // lingering.
 func (wp *writerPool) service(s *session, linger *[]*session) {
@@ -260,10 +258,6 @@ func (wp *writerPool) service(s *session, linger *[]*session) {
 	}
 	wp.services.Add(1)
 	cfg := wp.b.cfg
-	batchMax := 1
-	if cfg.IngestBurst > 1 {
-		batchMax = cfg.IngestBurst
-	}
 	drained := 0
 	defer func() { wp.drained.Add(uint64(drained)) }()
 	for round := 0; round < poolServiceBatches; round++ {
@@ -287,7 +281,7 @@ func (wp *writerPool) service(s *session, linger *[]*session) {
 		}
 		var st popState
 		wp.drain = wp.drain[:0]
-		wp.drain, st = s.queue.popBatch(wp.drain, batchMax)
+		wp.drain, st = s.queue.popBatch(wp.drain, maxBurst)
 		switch st {
 		case popOK:
 			for _, it := range wp.drain {
@@ -360,8 +354,8 @@ func (wp *writerPool) park(s *session, linger *[]*session, d time.Duration) {
 	}
 }
 
-// fail closes the session and discards its remaining queue, the pool
-// analogue of the legacy writeLoop's fail path.
+// fail closes the session and discards its remaining queue so close()
+// can complete.
 func (wp *writerPool) fail(s *session) {
 	s.writerDone = true
 	s.close()
@@ -372,21 +366,19 @@ func (wp *writerPool) fail(s *session) {
 	}
 }
 
-// WriterPoolStat is one pool's occupancy snapshot, surfaced by the
-// scaling benchmark to show how egress work spreads across pools.
+// WriterPoolStat is one pool's occupancy snapshot, showing how egress
+// work spreads across pools.
 type WriterPoolStat struct {
-	Sessions uint64 // sessions ever bound to this pool
 	Services uint64 // ready-list services performed
 	Drained  uint64 // events drained through this pool
 }
 
-// WriterPoolStats returns per-pool occupancy counters (empty in the
-// legacy per-session-writer ablation).
+// WriterPoolStats returns per-pool occupancy counters of the shared
+// pools (private pools are not included).
 func (b *Broker) WriterPoolStats() []WriterPoolStat {
 	out := make([]WriterPoolStat, len(b.pools))
 	for i, p := range b.pools {
 		out[i] = WriterPoolStat{
-			Sessions: p.bound.Load(),
 			Services: p.services.Load(),
 			Drained:  p.drained.Load(),
 		}

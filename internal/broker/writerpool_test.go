@@ -12,11 +12,10 @@ import (
 )
 
 // TestWriterPoolSingleLockSingleWakeupPerBurst is the batching contract
-// under the shared-writer-pool plane, and its parity with the legacy
-// per-session ablation: a burst fanned to N sessions costs each session
+// of the writer pools: a burst fanned to N sessions costs each session
 // one producer-side queue lock and deposits at most one consumer wakeup
-// — whether the consumer is a dedicated writeLoop or a pool's ready
-// list.
+// — whether the sessions share pools or each has a private one (the
+// writer a SendBlocker conn gets).
 func TestWriterPoolSingleLockSingleWakeupPerBurst(t *testing.T) {
 	const subscribers = 8
 	const burst = 16
@@ -36,14 +35,7 @@ func TestWriterPoolSingleLockSingleWakeupPerBurst(t *testing.T) {
 			if pooled {
 				s.bindPool(b.pools[i%len(b.pools)])
 			} else {
-				// Legacy plane: a dedicated writer goroutine per session.
-				s.wg.Add(1)
-				go s.writeLoop()
-				t.Cleanup(func() {
-					s.queue.close()
-					conn.Close()
-					s.wg.Wait()
-				})
+				runPrivatePool(t, s)
 			}
 			if err := b.router.add("/wp/t", s); err != nil {
 				t.Fatal(err)
@@ -104,7 +96,7 @@ func TestWriterPoolSingleLockSingleWakeupPerBurst(t *testing.T) {
 	}
 
 	t.Run("writer-pool", func(t *testing.T) { run(t, true) })
-	t.Run("per-session-ablation", func(t *testing.T) { run(t, false) })
+	t.Run("per-session-pool", func(t *testing.T) { run(t, false) })
 }
 
 // TestWriterPoolReliableFlushOnClose: traffic already queued when a

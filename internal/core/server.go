@@ -37,22 +37,12 @@ import (
 type Config struct {
 	// BrokerID names this node's broker. Default "gmmcs-broker".
 	BrokerID string
-	// BrokerRouteShards is the broker's routing-lock shard count
-	// (0 = broker default).
-	BrokerRouteShards int
 	// BrokerMaxBatchBytes bounds the broker's per-session write batches
 	// (0 = broker default).
 	BrokerMaxBatchBytes int
 	// BrokerFlushInterval is the broker's batch linger once a session
 	// queue idles (0 = flush immediately).
 	BrokerFlushInterval time.Duration
-	// BrokerIngestBurst bounds the broker's per-sweep ingest burst
-	// (0 = broker default; 1 = event-at-a-time ablation).
-	BrokerIngestBurst int
-	// BrokerWriterPool sets the broker's shared writer-pool width
-	// (0 = GOMAXPROCS-derived default; negative = legacy
-	// writer-goroutine-per-session plane).
-	BrokerWriterPool int
 	// BrokerListenURLs are transport URLs the broker accepts remote
 	// clients and peer brokers on (e.g. "tcp://127.0.0.1:0"). Optional.
 	BrokerListenURLs []string
@@ -161,11 +151,8 @@ func Start(ctx context.Context, cfg Config) (*Server, error) {
 	}
 	s.Broker = broker.New(broker.Config{
 		ID:                 cfg.BrokerID,
-		RouteShards:        cfg.BrokerRouteShards,
 		MaxBatchBytes:      cfg.BrokerMaxBatchBytes,
 		FlushInterval:      cfg.BrokerFlushInterval,
-		IngestBurst:        cfg.BrokerIngestBurst,
-		WriterPoolSize:     cfg.BrokerWriterPool,
 		MeshID:             cfg.BrokerMeshID,
 		RecordPatterns:     cfg.BrokerRecordPatterns,
 		RecordDir:          cfg.BrokerRecordDir,

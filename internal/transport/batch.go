@@ -20,11 +20,10 @@ type FrameConn interface {
 }
 
 // BurstConn is a Conn whose receive path can yield every event already
-// buffered in one call — the inbound mirror of SendFrames. A broker
-// session reader detects BurstConn once at attach and switches from
-// event-at-a-time Recv to burst ingest, amortizing routing and queueing
-// work across everything one read (or one batch from the peer's
-// Batcher) delivered.
+// buffered in one call — the inbound mirror of SendFrames. Broker and
+// client readers receive through RecvBurst, amortizing routing and
+// queueing work across everything one read (or one batch from the
+// peer's Batcher) delivered.
 type BurstConn interface {
 	Conn
 	// RecvBurst appends decoded events to dst and returns the extended
@@ -34,6 +33,34 @@ type BurstConn interface {
 	// goroutine; errors are returned only when no events were decoded
 	// (a burst cut short by an error resurfaces it on the next call).
 	RecvBurst(dst []*event.Event, max int) ([]*event.Event, error)
+}
+
+// RecvBurst receives the next burst from c under the BurstConn.RecvBurst
+// contract: c's own burst path when it has one, otherwise one Recv
+// returned as a burst of one.
+func RecvBurst(c Conn, dst []*event.Event, max int) ([]*event.Event, error) {
+	if bc, ok := c.(BurstConn); ok {
+		return bc.RecvBurst(dst, max)
+	}
+	e, err := c.Recv()
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, e), nil
+}
+
+// SendEvents transmits events in order: in one call when c is an
+// EventBatchConn, otherwise one Send per event.
+func SendEvents(c Conn, events []*event.Event) error {
+	if bc, ok := c.(EventBatchConn); ok {
+		return bc.SendEvents(events)
+	}
+	for _, e := range events {
+		if err := c.Send(e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EventBatchConn is a Conn that can accept many decoded events per send

@@ -137,18 +137,9 @@ func (f *FaultConn) Send(e *event.Event) error {
 // Recv delegates to the inner conn.
 func (f *FaultConn) Recv() (*event.Event, error) { return f.inner.Recv() }
 
-// RecvBurst delegates to the inner conn's burst path when it has one,
-// falling back to single-event receives (the RecvBurst contract allows
-// a one-event burst).
+// RecvBurst delegates to the inner conn.
 func (f *FaultConn) RecvBurst(dst []*event.Event, max int) ([]*event.Event, error) {
-	if bc, ok := f.inner.(BurstConn); ok {
-		return bc.RecvBurst(dst, max)
-	}
-	e, err := f.inner.Recv()
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, e), nil
+	return RecvBurst(f.inner, dst, max)
 }
 
 // Close closes the inner conn.

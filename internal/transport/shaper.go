@@ -87,9 +87,9 @@ func (l *SharedLimiter) Backlog(now time.Time) time.Duration {
 }
 
 // SendBlocker marks conns whose Send/SendEvents deliberately block the
-// calling goroutine (spin-wait host-cost emulation). The broker keeps a
-// dedicated writer goroutine for such conns instead of binding them to a
-// shared writer pool: the emulation models a synchronous per-connection
+// calling goroutine (spin-wait host-cost emulation). The broker drains
+// such conns through a private writer pool of their own instead of a
+// shared one: the emulation models a synchronous per-connection
 // device, and serializing many emulated links through one pool goroutine
 // would compound their blocking costs into head-of-line delay that no
 // real NIC exhibits.
@@ -242,15 +242,7 @@ func (s *shapedConn) SendEvents(events []*event.Event) error {
 	if len(surviving) == 0 {
 		return nil
 	}
-	if bc, ok := s.inner.(EventBatchConn); ok {
-		return bc.SendEvents(surviving)
-	}
-	for _, e := range surviving {
-		if err := s.inner.Send(e); err != nil {
-			return err
-		}
-	}
-	return nil
+	return SendEvents(s.inner, surviving)
 }
 
 func (s *shapedConn) Recv() (*event.Event, error) { return s.inner.Recv() }
@@ -258,17 +250,9 @@ func (s *shapedConn) Recv() (*event.Event, error) { return s.inner.Recv() }
 var _ BurstConn = (*shapedConn)(nil)
 
 // RecvBurst passes burst receives through (receiving is never shaped;
-// wrap both ends for a symmetric link), degrading to single-event
-// delivery when the inner conn cannot burst.
+// wrap both ends for a symmetric link).
 func (s *shapedConn) RecvBurst(dst []*event.Event, max int) ([]*event.Event, error) {
-	if bc, ok := s.inner.(BurstConn); ok {
-		return bc.RecvBurst(dst, max)
-	}
-	e, err := s.inner.Recv()
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, e), nil
+	return RecvBurst(s.inner, dst, max)
 }
 
 // shapedFrameConn preserves the inner conn's FrameConn capability so

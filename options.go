@@ -37,26 +37,6 @@ func WithBrokerBatching(maxBatchBytes int, flushInterval time.Duration) Option {
 	}
 }
 
-// WithIngestBurst bounds how many events the broker decodes and routes
-// per ingest sweep on burst-capable connections (0 keeps the default of
-// 256). Within a burst, publish targets are resolved once per topic and
-// each subscriber session is locked and woken once, which is what keeps
-// sustained ingest cheap at wide fan-out. 1 degenerates the data path
-// to event-at-a-time ingest — an ablation knob.
-func WithIngestBurst(n int) Option {
-	return func(c *core.Config) { c.BrokerIngestBurst = n }
-}
-
-// WithWriterPool sets how many shared writer pools drain the broker's
-// session send queues (0 keeps the GOMAXPROCS-derived default). The
-// pools replace the writer-goroutine-per-session model with O(cores)
-// writers, which is what lets egress scale with cores at high session
-// counts; a negative width restores the legacy per-session plane — an
-// ablation knob.
-func WithWriterPool(n int) Option {
-	return func(c *core.Config) { c.BrokerWriterPool = n }
-}
-
 // WithPeers declares peer broker URLs this node keeps supervised
 // federation-mesh links to. Each peer is dialed at start and redialed
 // with exponential backoff after drops or partitions (detected via
@@ -100,14 +80,6 @@ func WithRecordingRetention(segmentBytes int64, maxSegments int, maxBytes int64)
 		c.BrokerRecordMaxSegments = maxSegments
 		c.BrokerRecordMaxBytes = maxBytes
 	}
-}
-
-// WithBrokerRouteShards sets how many independent locks the broker's
-// subscription-routing state is sharded across (rounded up to a power of
-// two; 0 keeps the default of 16). One shard degenerates to a single
-// routing lock — useful for ablation.
-func WithBrokerRouteShards(n int) Option {
-	return func(c *core.Config) { c.BrokerRouteShards = n }
 }
 
 // WithDomain sets the SIP domain (default "mmcs.local").
