@@ -12,6 +12,7 @@
 package globalmmcs_test
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"testing"
@@ -142,12 +143,13 @@ func BenchmarkBrokerChainDepth(b *testing.B) {
 			waitRoutable(b, pub, sub)
 
 			payload := make([]byte, 1200)
+			buf := make([]*event.Event, 0, 1)
 			b.ResetTimer()
 			for b.Loop() {
 				if err := pub.Publish("/chain/bench", event.KindRTP, payload); err != nil {
 					b.Fatal(err)
 				}
-				if _, ok := <-sub.C(); !ok {
+				if _, ok := sub.RecvBatch(buf[:0], 1); !ok {
 					b.Fatal("subscription closed")
 				}
 			}
@@ -163,17 +165,12 @@ func waitRoutable(b *testing.B, pub *broker.Client, sub *broker.Subscription) {
 		if err := pub.Publish(sub.Pattern(), event.KindData, nil); err != nil {
 			b.Fatal(err)
 		}
-		select {
-		case <-sub.C():
-			// Drain any additional buffered probes.
-			for {
-				select {
-				case <-sub.C():
-				default:
-					return
-				}
-			}
-		case <-time.After(50 * time.Millisecond):
+		// One receive takes the probe and any other buffered probes.
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		_, err := sub.RecvBatchContext(ctx, nil, 0)
+		cancel()
+		if err == nil {
+			return
 		}
 	}
 	b.Fatal("route never established")
@@ -212,12 +209,13 @@ func BenchmarkRoutingMode(b *testing.B) {
 			}
 			waitRoutable(b, pub, sub)
 			payload := make([]byte, 1200)
+			buf := make([]*event.Event, 0, 1)
 			b.ResetTimer()
 			for b.Loop() {
 				if err := pub.Publish("/mode/bench", event.KindRTP, payload); err != nil {
 					b.Fatal(err)
 				}
-				if _, ok := <-sub.C(); !ok {
+				if _, ok := sub.RecvBatch(buf[:0], 1); !ok {
 					b.Fatal("subscription closed")
 				}
 			}
@@ -268,6 +266,18 @@ func drainConnB(c transport.Conn) {
 	}
 }
 
+// drainSubB discards events from sub until it closes.
+func drainSubB(sub *broker.Subscription) {
+	var buf []*event.Event
+	for {
+		var ok bool
+		if buf, ok = sub.RecvBatch(buf[:0], 0); !ok {
+			return
+		}
+		clear(buf)
+	}
+}
+
 // BenchmarkFanout measures single-broker fan-out cost per delivered
 // event at different subscriber counts.
 func BenchmarkFanout(b *testing.B) {
@@ -285,10 +295,7 @@ func BenchmarkFanout(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				go func() {
-					for range sub.C() {
-					}
-				}()
+				go drainSubB(sub)
 			}
 			pub, err := br.LocalClient("pub", transport.LinkProfile{})
 			if err != nil {
@@ -395,10 +402,7 @@ func BenchmarkRouteCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		go func() {
-			for range sub.C() {
-			}
-		}()
+		go drainSubB(sub)
 	}
 	pub, err := br.LocalClient("pub", transport.LinkProfile{})
 	if err != nil {

@@ -6,6 +6,7 @@
 package accessgrid
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -145,8 +146,7 @@ type Bridge struct {
 	video *mcast.Member
 
 	wg   sync.WaitGroup
-	done chan struct{}
-	once sync.Once
+	stop context.CancelFunc
 }
 
 // NewBridge joins the venue's groups and wires them to the session.
@@ -159,7 +159,6 @@ func NewBridge(bc *broker.Client, vs *VenueServer, venueName string, session *xg
 		bc:    bc,
 		audio: client.Audio,
 		video: client.Video,
-		done:  make(chan struct{}),
 	}
 	var audioTopic, videoTopic string
 	for _, m := range session.Media {
@@ -174,24 +173,26 @@ func NewBridge(bc *broker.Client, vs *VenueServer, venueName string, session *xg
 		member *mcast.Member
 		topic  string
 	}
+	ctx, stop := context.WithCancel(context.Background())
+	b.stop = stop
 	for _, w := range []wiring{{client.Audio, audioTopic}, {client.Video, videoTopic}} {
 		if w.topic == "" {
 			continue
 		}
 		sub, err := bc.Subscribe(w.topic, 512)
 		if err != nil {
-			client.Leave()
+			b.Close()
 			return nil, fmt.Errorf("accessgrid: subscribing %s: %w", w.topic, err)
 		}
 		member, topic := w.member, w.topic
 		b.wg.Add(2)
 		go func() {
 			defer b.wg.Done()
-			b.topicToGroup(sub, member)
+			b.topicToGroup(ctx, sub, member)
 		}()
 		go func() {
 			defer b.wg.Done()
-			b.groupToTopic(member, topic)
+			b.groupToTopic(ctx, member, topic)
 		}()
 	}
 	return b, nil
@@ -199,30 +200,29 @@ func NewBridge(bc *broker.Client, vs *VenueServer, venueName string, session *xg
 
 // Close stops the bridge and leaves the venue.
 func (b *Bridge) Close() {
-	b.once.Do(func() { close(b.done) })
+	b.stop()
 	b.audio.Leave()
 	b.video.Leave()
 	b.wg.Wait()
 }
 
-func (b *Bridge) topicToGroup(sub *broker.Subscription, member *mcast.Member) {
+func (b *Bridge) topicToGroup(ctx context.Context, sub *broker.Subscription, member *mcast.Member) {
+	var buf []*event.Event
 	for {
-		select {
-		case e, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			if e.Kind != event.KindRTP || e.Source == b.bc.ID() {
-				continue
-			}
-			member.Send(e.Payload)
-		case <-b.done:
+		var err error
+		if buf, err = sub.RecvBatchContext(ctx, buf[:0], 0); err != nil {
 			return
 		}
+		for _, e := range buf {
+			if e.Kind == event.KindRTP && e.Source != b.bc.ID() {
+				member.Send(e.Payload)
+			}
+		}
+		clear(buf)
 	}
 }
 
-func (b *Bridge) groupToTopic(member *mcast.Member, topic string) {
+func (b *Bridge) groupToTopic(ctx context.Context, member *mcast.Member, topic string) {
 	for {
 		select {
 		case data, ok := <-member.Recv():
@@ -232,7 +232,7 @@ func (b *Bridge) groupToTopic(member *mcast.Member, topic string) {
 			if err := b.bc.PublishEvent(event.New(topic, event.KindRTP, data)); err != nil {
 				return
 			}
-		case <-b.done:
+		case <-ctx.Done():
 			return
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/media"
 	"github.com/globalmmcs/globalmmcs/internal/rtp"
+	"github.com/globalmmcs/globalmmcs/internal/testutil"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 	"github.com/globalmmcs/globalmmcs/internal/xgsp"
 )
@@ -68,6 +69,33 @@ func TestVenueMediaGroups(t *testing.T) {
 	}
 	alice.Leave()
 	bob.Leave()
+}
+
+// TestBridgeCloseWithClientOpen: Close stops both relay directions
+// while the broker client, which the caller owns, stays open.
+func TestBridgeCloseWithClientOpen(t *testing.T) {
+	b := broker.New(broker.Config{ID: "ag-close"})
+	t.Cleanup(b.Stop)
+	bc, err := b.LocalClient("ag-bridge", transport.LinkProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bc.Close() })
+	vs := NewVenueServer()
+	t.Cleanup(vs.Stop)
+	if _, err := vs.CreateVenue("room"); err != nil {
+		t.Fatal(err)
+	}
+	testutil.CheckGoroutines(t)
+	info := &xgsp.SessionInfo{ID: "s1", Media: []xgsp.MediaDesc{
+		{Type: xgsp.MediaAudio, Topic: xgsp.SessionTopic("s1", "audio")},
+		{Type: xgsp.MediaVideo, Topic: xgsp.SessionTopic("s1", "video")},
+	}}
+	bridge, err := NewBridge(bc, vs, "room", info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridge.Close()
 }
 
 func TestBridgeVenueToSession(t *testing.T) {
@@ -136,17 +164,16 @@ func TestBridgeVenueToSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	agUser.Video.Send(raw)
-	select {
-	case e := <-mmcsSub.C():
-		var p rtp.Packet
-		if err := p.Unmarshal(e.Payload); err != nil {
-			t.Fatal(err)
-		}
-		if p.SSRC != framePkts[0].SSRC {
-			t.Fatalf("ssrc = %x", p.SSRC)
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(mmcsSub, 5*time.Second)
+	if err != nil {
 		t.Fatal("venue → session failed")
+	}
+	var p rtp.Packet
+	if err := p.Unmarshal(e.Payload); err != nil {
+		t.Fatal(err)
+	}
+	if p.SSRC != framePkts[0].SSRC {
+		t.Fatalf("ssrc = %x", p.SSRC)
 	}
 
 	// MMCS topic → AG venue.
@@ -177,4 +204,15 @@ func TestVenueServerStopped(t *testing.T) {
 	if _, err := vs.CreateVenue("late"); err == nil {
 		t.Fatal("create after stop")
 	}
+}
+
+// recvWithin receives one event from sub, waiting at most d.
+func recvWithin(sub *broker.Subscription, d time.Duration) (*event.Event, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	buf, err := sub.RecvBatchContext(ctx, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return buf[0], nil
 }

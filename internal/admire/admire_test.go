@@ -12,6 +12,7 @@ import (
 	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/media"
 	"github.com/globalmmcs/globalmmcs/internal/rtp"
+	"github.com/globalmmcs/globalmmcs/internal/testutil"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 	"github.com/globalmmcs/globalmmcs/internal/wsci"
 	"github.com/globalmmcs/globalmmcs/internal/xgsp"
@@ -244,9 +245,7 @@ func TestBridgeEndToEnd(t *testing.T) {
 
 	// Drain the loopback copy of our own publish (broker pub/sub
 	// delivers to all subscribers, including the publisher's).
-	select {
-	case <-mmcsSub.C():
-	case <-time.After(5 * time.Second):
+	if _, err := recvWithin(mmcsSub, 5*time.Second); err != nil {
 		t.Fatal("loopback copy missing")
 	}
 
@@ -257,18 +256,50 @@ func TestBridgeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	admMember.Send(raw2)
-	select {
-	case e := <-mmcsSub.C():
-		var p rtp.Packet
-		if err := p.Unmarshal(e.Payload); err != nil {
-			t.Fatal(err)
-		}
-		if p.SequenceNumber != pkt2.SequenceNumber {
-			t.Fatalf("seq = %d", p.SequenceNumber)
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(mmcsSub, 5*time.Second)
+	if err != nil {
 		t.Fatal("Admire → MMCS failed")
 	}
+	var p rtp.Packet
+	if err := p.Unmarshal(e.Payload); err != nil {
+		t.Fatal(err)
+	}
+	if p.SequenceNumber != pkt2.SequenceNumber {
+		t.Fatalf("seq = %d", p.SequenceNumber)
+	}
+}
+
+// TestBridgeCloseWithClientOpen: Close stops the relay goroutines while
+// the broker client, which the caller owns, stays open.
+func TestBridgeCloseWithClientOpen(t *testing.T) {
+	b := broker.New(broker.Config{ID: "admire-close"})
+	t.Cleanup(b.Stop)
+	bc, err := b.LocalClient("admire-bridge", transport.LinkProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bc.Close() })
+	adm := NewServer()
+	t.Cleanup(adm.Stop)
+	ts := httptest.NewServer(adm.WebService())
+	t.Cleanup(ts.Close)
+	ws := wsci.NewClient(ts.URL)
+	// The first call opens the keep-alive HTTP connection the bridge's
+	// rendezvous call reuses, so its goroutines are in the baseline.
+	var created CreateConferenceResponse
+	if err := ws.Call(&CreateConferenceRequest{Name: "closing"}, &created); err != nil {
+		t.Fatal(err)
+	}
+	testutil.CheckGoroutines(t)
+	info := &xgsp.SessionInfo{ID: "s1", Media: []xgsp.MediaDesc{
+		{Type: xgsp.MediaAudio, Topic: xgsp.SessionTopic("s1", "audio")},
+		{Type: xgsp.MediaVideo, Topic: xgsp.SessionTopic("s1", "video")},
+	}}
+	bridge, err := NewBridge(bc, info, created.ID, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridge.Close()
 }
 
 func TestBridgeRequiresMedia(t *testing.T) {
@@ -299,4 +330,15 @@ func TestServerStoppedRejectsCreate(t *testing.T) {
 	if _, err := s.CreateConference("late"); err == nil {
 		t.Fatal("create after stop")
 	}
+}
+
+// recvWithin receives one event from sub, waiting at most d.
+func recvWithin(sub *broker.Subscription, d time.Duration) (*event.Event, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	buf, err := sub.RecvBatchContext(ctx, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return buf[0], nil
 }

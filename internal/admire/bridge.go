@@ -1,6 +1,7 @@
 package admire
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -30,8 +31,7 @@ type Bridge struct {
 	probeOnce sync.Once
 
 	wg   sync.WaitGroup
-	done chan struct{}
-	once sync.Once
+	stop context.CancelFunc
 }
 
 // NewBridge wires session (via its SessionInfo) to the Admire conference
@@ -56,7 +56,6 @@ func NewBridge(bc *broker.Client, session *xgsp.SessionInfo, confID string, admi
 		sessionID: session.ID,
 		confID:    confID,
 		probeAck:  make(chan struct{}),
-		done:      make(chan struct{}),
 	}
 	for _, m := range session.Media {
 		switch m.Type {
@@ -70,19 +69,21 @@ func NewBridge(bc *broker.Client, session *xgsp.SessionInfo, confID string, admi
 		pc.Close()
 		return nil, fmt.Errorf("admire: session %s has no media to bridge", session.ID)
 	}
+	ctx, stop := context.WithCancel(context.Background())
+	b.stop = stop
 	for _, topic := range []string{b.audioTop, b.videoTop} {
 		if topic == "" {
 			continue
 		}
 		sub, err := bc.Subscribe(topic, 512)
 		if err != nil {
-			pc.Close()
+			b.Close()
 			return nil, fmt.Errorf("admire: subscribing %s: %w", topic, err)
 		}
 		b.wg.Add(1)
 		go func(sub *broker.Subscription) {
 			defer b.wg.Done()
-			b.toAdmire(sub)
+			b.toAdmire(ctx, sub)
 		}(sub)
 	}
 	b.wg.Add(1)
@@ -120,28 +121,25 @@ func (b *Bridge) SessionID() string { return b.sessionID }
 
 // Close stops the bridge.
 func (b *Bridge) Close() {
-	b.once.Do(func() { close(b.done) })
+	b.stop()
 	b.pc.Close()
 	b.wg.Wait()
 }
 
 // toAdmire forwards session media to the rendezvous as raw RTP.
-func (b *Bridge) toAdmire(sub *broker.Subscription) {
+func (b *Bridge) toAdmire(ctx context.Context, sub *broker.Subscription) {
+	var buf []*event.Event
 	for {
-		select {
-		case e, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			if e.Kind != event.KindRTP || e.Source == b.bc.ID() {
-				continue
-			}
-			if _, err := b.pc.WriteTo(e.Payload, b.rendAddr); err != nil {
-				continue
-			}
-		case <-b.done:
+		var err error
+		if buf, err = sub.RecvBatchContext(ctx, buf[:0], 0); err != nil {
 			return
 		}
+		for _, e := range buf {
+			if e.Kind == event.KindRTP && e.Source != b.bc.ID() {
+				_, _ = b.pc.WriteTo(e.Payload, b.rendAddr) // best-effort media
+			}
+		}
+		clear(buf)
 	}
 }
 

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"context"
 	"time"
 
+	"github.com/globalmmcs/globalmmcs/internal/broker"
 	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 )
@@ -110,17 +112,21 @@ func (tb Testbed) receiverProfile(colocated bool) transport.LinkProfile {
 	return p
 }
 
-// drain discards events from ch until it or done closes.
-func drain(ch <-chan *event.Event, done <-chan struct{}) {
+// drainSub consumes events from sub until it closes or ctx ends,
+// passing each to handle when non-nil.
+func drainSub(ctx context.Context, sub *broker.Subscription, handle func(*event.Event)) {
+	var buf []*event.Event
 	for {
-		select {
-		case _, ok := <-ch:
-			if !ok {
-				return
-			}
-		case <-done:
+		var err error
+		if buf, err = sub.RecvBatchContext(ctx, buf[:0], 0); err != nil {
 			return
 		}
+		if handle != nil {
+			for _, e := range buf {
+				handle(e)
+			}
+		}
+		clear(buf)
 	}
 }
 

@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/broker"
+	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/media"
 	"github.com/globalmmcs/globalmmcs/internal/metrics"
 	"github.com/globalmmcs/globalmmcs/internal/rtp"
@@ -113,39 +115,33 @@ func RunCapacity(cfg CapacityConfig) (*CapacityResult, error) {
 		})
 	}
 
-	done := make(chan struct{})
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
 	var wg sync.WaitGroup
 	for i := range cfg.Clients {
 		isMeasured := i < cfg.Measured
 		c, err := b.LocalClient(fmt.Sprintf("cap-recv-%d", i), cfg.Testbed.receiverProfile(isMeasured))
 		if err != nil {
-			close(done)
 			return nil, err
 		}
 		defer c.Close()
 		sub, err := c.Subscribe(topic, 1024)
 		if err != nil {
-			close(done)
 			return nil, err
 		}
-		wg.Add(1)
+		var handle func(*event.Event)
 		if isMeasured {
-			r := measured[i]
-			go func() {
-				defer wg.Done()
-				r.Drain(sub.C(), done)
-			}()
-		} else {
-			go func() {
-				defer wg.Done()
-				drain(sub.C(), done)
-			}()
+			handle = measured[i].HandleEvent
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drainSub(ctx, sub, handle)
+		}()
 	}
 
 	sender, err := b.LocalClient("cap-sender", transport.LinkProfile{})
 	if err != nil {
-		close(done)
 		return nil, err
 	}
 	defer sender.Close()
@@ -154,19 +150,17 @@ func RunCapacity(cfg CapacityConfig) (*CapacityResult, error) {
 	ms := media.NewSender(sender, topic)
 	switch cfg.Kind {
 	case MediaAudio:
-		if _, err := ms.SendAudio(media.NewAudioSource(media.AudioConfig{}), cfg.Packets, done); err != nil {
-			close(done)
+		if _, err := ms.SendAudio(media.NewAudioSource(media.AudioConfig{}), cfg.Packets, ctx.Done()); err != nil {
 			return nil, err
 		}
 	case MediaVideo:
-		if _, err := ms.SendVideo(media.NewVideoSource(media.VideoConfig{}), cfg.Packets, done); err != nil {
-			close(done)
+		if _, err := ms.SendVideo(media.NewVideoSource(media.VideoConfig{}), cfg.Packets, ctx.Done()); err != nil {
 			return nil, err
 		}
 	}
 	waitForReceivers(measured, cfg.Packets, 15*time.Second)
 	elapsed := time.Since(start)
-	close(done)
+	stop()
 	wg.Wait()
 
 	res := &CapacityResult{

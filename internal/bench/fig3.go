@@ -16,11 +16,13 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/broker"
+	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/media"
 	"github.com/globalmmcs/globalmmcs/internal/metrics"
 	"github.com/globalmmcs/globalmmcs/internal/reflector"
@@ -157,7 +159,8 @@ func runFig3Broker(cfg Fig3Config) (*Fig3Result, error) {
 	defer b.Stop()
 
 	delay, jitter, measured := newFig3Instruments(cfg)
-	done := make(chan struct{})
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
 	var wg sync.WaitGroup
 
 	for i := range cfg.Receivers {
@@ -165,46 +168,38 @@ func runFig3Broker(cfg Fig3Config) (*Fig3Result, error) {
 		profile := cfg.Testbed.receiverProfile(isMeasured)
 		c, err := b.LocalClient(fmt.Sprintf("recv-%d", i), profile)
 		if err != nil {
-			close(done)
 			return nil, err
 		}
 		defer c.Close()
 		sub, err := c.Subscribe(fig3Topic, 2048)
 		if err != nil {
-			close(done)
 			return nil, err
 		}
-		wg.Add(1)
+		var handle func(*event.Event)
 		if isMeasured {
-			r := measured[i]
-			go func() {
-				defer wg.Done()
-				r.Drain(sub.C(), done)
-			}()
-		} else {
-			go func() {
-				defer wg.Done()
-				drain(sub.C(), done)
-			}()
+			handle = measured[i].HandleEvent
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drainSub(ctx, sub, handle)
+		}()
 	}
 
 	sender, err := b.LocalClient("sender", transport.LinkProfile{})
 	if err != nil {
-		close(done)
 		return nil, err
 	}
 	defer sender.Close()
 
 	start := time.Now()
 	src := media.NewVideoSource(cfg.Video)
-	if _, err := media.NewSender(sender, fig3Topic).SendVideo(src, cfg.Packets, done); err != nil {
-		close(done)
+	if _, err := media.NewSender(sender, fig3Topic).SendVideo(src, cfg.Packets, ctx.Done()); err != nil {
 		return nil, err
 	}
 	waitForReceivers(measured, cfg.Packets, fig3Deadline(cfg))
 	elapsed := time.Since(start)
-	close(done)
+	stop()
 	wg.Wait()
 	return assembleFig3Result(cfg, delay, jitter, measured, elapsed), nil
 }

@@ -637,19 +637,28 @@ type relSalvage struct {
 // subscription patterns snapshotted — so a redial within SessionLinger
 // reattaches where the dead conn left off.
 func (b *Broker) detach(s *session) {
+	parkable := !s.isPeer && s.token != "" && b.cfg.SessionLinger > 0
+	var rel reliableState
+	if s.isPeer || parkable {
+		rel = s.salvageReliable()
+	}
+	// A successor link to the same peer replays the unacked events under
+	// its own rseqs. Events the remote did receive (ack lost in the
+	// partition) replay harmlessly: data events hit the mesh-wide
+	// duplicate cache, advertisement applies are seq-idempotent.
 	var salvaged []*event.Event
 	if s.isPeer {
-		salvaged = s.salvageUnacked()
+		for _, pe := range rel.unacked {
+			// Hello replies are per-link handshake state, not payload; the
+			// successor link runs its own handshake.
+			if pe.e.Topic != topicPeer {
+				salvaged = append(salvaged, pe.e)
+			}
+		}
 	}
-	parkable := !s.isPeer && s.token != "" && b.cfg.SessionLinger > 0
 	var park *parkedSession
 	if parkable {
-		park = &parkedSession{id: s.id, token: s.token, when: time.Now()}
-		park.salvaged = s.salvageParked()
-		park.nextRSeq, park.ackFloor = s.relSnapshot()
-		s.recvMu.Lock()
-		park.recvCum = s.recvCum
-		s.recvMu.Unlock()
+		park = &parkedSession{id: s.id, token: s.token, rel: rel, when: time.Now()}
 	}
 	b.mu.Lock()
 	if _, ok := b.sessions[s]; !ok {
@@ -740,14 +749,11 @@ type parkedSession struct {
 	id       string
 	token    string
 	patterns []string
-	// salvaged is the unacked reliable window at original rseqs; resume
-	// requeues it verbatim so the client's cumulative-ack dedup state
-	// stays valid across the reattach.
-	salvaged []parkedEvent
-	nextRSeq uint64
-	ackFloor uint64
-	recvCum  uint64
-	when     time.Time
+	// rel is the reliable window; resume requeues its unacked events
+	// verbatim so the client's cumulative-ack dedup state stays valid
+	// across the reattach.
+	rel  reliableState
+	when time.Time
 }
 
 // mintToken builds a resume token. Uniqueness within this broker's
@@ -872,8 +878,8 @@ func (b *Broker) attachResumed(conn transport.Conn, park *parkedSession) error {
 	// redial with a token the broker no longer honours, silently
 	// downgrading the resume to a fresh attach and losing the window.
 	s.token = park.token
-	s.seedReliable(park.nextRSeq, park.ackFloor, park.recvCum)
 	b.bindWriter(s)
+	s.resumeReliable(park.rel)
 	b.mu.Lock()
 	if b.closed || b.draining {
 		b.mu.Unlock()
@@ -896,9 +902,6 @@ func (b *Broker) attachResumed(conn transport.Conn, park *parkedSession) error {
 	b.ids[park.id] = s
 	b.sessions[s] = struct{}{}
 	b.mu.Unlock()
-	for _, pe := range park.salvaged {
-		s.sendReliableAt(pe.e, pe.rseq)
-	}
 	for _, p := range park.patterns {
 		_ = b.subscribe(s, p)
 	}
@@ -1390,7 +1393,7 @@ func (b *Broker) connectPeerConn(conn transport.Conn) (*session, error) {
 		return nil, err
 	}
 	if reply.RSeq != 0 {
-		cum, _ := s.acceptReliable(reply.RSeq)
+		cum, _ := s.recv.accept(reply.RSeq)
 		s.queue.pushAck(cum)
 	}
 	b.replaySalvaged(s)

@@ -35,26 +35,35 @@ func localClient(t *testing.T, b *Broker, id string) *Client {
 	return c
 }
 
+// recvWithin receives one event from sub, waiting at most d. The error
+// is ErrSubscriptionClosed once sub is closed and drained, or
+// context.DeadlineExceeded.
+func recvWithin(sub *Subscription, d time.Duration) (*event.Event, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	buf, err := sub.RecvBatchContext(ctx, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return buf[0], nil
+}
+
 func recvOne(t *testing.T, sub *Subscription, within time.Duration) *event.Event {
 	t.Helper()
-	select {
-	case e, ok := <-sub.C():
-		if !ok {
-			t.Fatal("subscription channel closed")
-		}
-		return e
-	case <-time.After(within):
-		t.Fatalf("no event within %v on %s", within, sub.Pattern())
-		return nil
+	e, err := recvWithin(sub, within)
+	if errors.Is(err, ErrSubscriptionClosed) {
+		t.Fatal("subscription channel closed")
 	}
+	if err != nil {
+		t.Fatalf("no event within %v on %s", within, sub.Pattern())
+	}
+	return e
 }
 
 func expectNone(t *testing.T, sub *Subscription, within time.Duration) {
 	t.Helper()
-	select {
-	case e := <-sub.C():
+	if e, err := recvWithin(sub, within); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("unexpected event %v", e)
-	case <-time.After(within):
 	}
 }
 
@@ -136,7 +145,7 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	if err := sub.Unsubscribe(s); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := <-s.C(); ok {
+	if _, ok := s.RecvBatch(nil, 1); ok {
 		t.Fatal("channel should be closed after unsubscribe")
 	}
 	if err := pub.Publish("/t/u", event.KindData, nil); err != nil {
@@ -217,14 +226,13 @@ func TestReliableDeliveryOverLossyLink(t *testing.T) {
 		}
 	}
 	got := make(map[byte]bool)
-	deadline := time.After(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for len(got) < n {
-		select {
-		case e := <-s.C():
-			got[e.Payload[0]] = true
-		case <-deadline:
+		e, err := recvWithin(s, time.Until(deadline))
+		if err != nil {
 			t.Fatalf("only %d/%d reliable events delivered over lossy link", len(got), n)
 		}
+		got[e.Payload[0]] = true
 	}
 }
 
@@ -267,12 +275,10 @@ func TestClientCloseClosesSubscriptions(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case _, ok := <-s.C():
-		if ok {
-			t.Fatal("expected closed channel")
-		}
-	case <-time.After(time.Second):
+	switch _, err := recvWithin(s, time.Second); {
+	case err == nil:
+		t.Fatal("expected closed channel")
+	case !errors.Is(err, ErrSubscriptionClosed):
 		t.Fatal("channel not closed after client close")
 	}
 	select {

@@ -216,14 +216,13 @@ func TestReliableRSeqPatchedLossLink(t *testing.T) {
 	}
 
 	seen := make(map[uint64]int)
-	deadline := time.After(20 * time.Second)
+	deadline := time.Now().Add(20 * time.Second)
 	for len(seen) < n {
-		select {
-		case e := <-sub.C():
-			seen[e.ID]++
-		case <-deadline:
+		e, err := recvWithin(sub, time.Until(deadline))
+		if err != nil {
 			t.Fatalf("only %d/%d reliable events arrived over the lossy link", len(seen), n)
 		}
+		seen[e.ID]++
 	}
 	for id, count := range seen {
 		if count != 1 {
@@ -266,14 +265,12 @@ func TestBurstControlOrdering(t *testing.T) {
 		}
 	}
 	got := 0
-	timeout := time.After(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for got < 8 {
-		select {
-		case <-s.C():
-			got++
-		case <-timeout:
+		if _, err := recvWithin(s, time.Until(deadline)); err != nil {
 			t.Fatalf("only %d/8 events delivered", got)
 		}
+		got++
 	}
 }
 
@@ -318,14 +315,12 @@ func TestBurstIngestDisabled(t *testing.T) {
 	got := 0
 	go func() {
 		defer wg.Done()
-		timeout := time.After(5 * time.Second)
+		deadline := time.Now().Add(5 * time.Second)
 		for got < 16 {
-			select {
-			case <-s.C():
-				got++
-			case <-timeout:
+			if _, err := recvWithin(s, time.Until(deadline)); err != nil {
 				return
 			}
+			got++
 		}
 	}()
 	for i := 0; i < 16; i++ {

@@ -76,8 +76,7 @@ const clientRouteCacheBound = 1024
 // appends every event under ONE ring-lock hold and deposits ONE
 // consumer wakeup — a burst of K matched events costs one lock/signal
 // pair, not K channel operations. Consumers drain in bursts too
-// (RecvBatch / TryRecvBatch); the channel view returned by C is a
-// compatibility facade pumped from the ring.
+// (RecvBatch / RecvBatchContext / TryRecvBatch), straight from the ring.
 //
 // Overflow policy mirrors the broker's send queues: best-effort events
 // displace the oldest buffered best-effort event (drops are counted and
@@ -143,10 +142,6 @@ type Subscription struct {
 	parkSignal chan struct{}
 	parkSpace  chan struct{}
 	drainOnce  sync.Once
-
-	// compatCh backs the C() channel view, pumped lazily from the ring.
-	compatOnce sync.Once
-	compatCh   chan *event.Event
 
 	// stageGen/stageIdx are the owning read loop's staging slot for the
 	// current burst: a generation check instead of a map lookup per
@@ -606,8 +601,7 @@ func (s *Subscription) tryRecv(buf []*event.Event, max int) ([]*event.Event, int
 // least one is available or the subscription closes. The second return
 // is false only once the subscription is closed AND fully drained —
 // events buffered at close time are still delivered first. A
-// Subscription supports a single concurrent receiver; RecvBatch must
-// not be mixed with C.
+// Subscription supports a single concurrent receiver.
 func (s *Subscription) RecvBatch(buf []*event.Event, max int) ([]*event.Event, bool) {
 	out, err := s.RecvBatchContext(context.Background(), buf, max)
 	return out, err == nil
@@ -654,63 +648,6 @@ func (s *Subscription) TryRecvBatch(buf []*event.Event, max int) ([]*event.Event
 	}
 	out, _, drained := s.tryRecv(buf, max)
 	return out, !drained
-}
-
-// compatBurst bounds the C() pump's per-wakeup drain.
-const compatBurst = 64
-
-// C returns a channel view of the subscription for select-based
-// consumers, closed when the subscription is cancelled or the client
-// closes. The channel is fed by a lazily started pump that drains the
-// ring in bursts; the per-event channel send this reintroduces is why
-// hot-path consumers should drain the ring directly with RecvBatch.
-// C and RecvBatch must not be mixed on one subscription.
-func (s *Subscription) C() <-chan *event.Event {
-	s.compatOnce.Do(func() {
-		s.compatCh = make(chan *event.Event, len(s.ring))
-		go s.pumpCompat()
-	})
-	return s.compatCh
-}
-
-// pumpCompat forwards the ring onto the compat channel. While the
-// subscription is live it forwards with blocking sends (ring overflow
-// policy then applies upstream, as it did to the old channel buffer);
-// once the subscription closes it forwards without blocking — whatever
-// fits in the channel buffer stays readable, mirroring the old
-// close-with-buffered-events semantics — and closes the channel.
-func (s *Subscription) pumpCompat() {
-	defer close(s.compatCh)
-	blocking := true
-	buf := make([]*event.Event, 0, compatBurst)
-	for {
-		var ok bool
-		buf, ok = s.RecvBatch(buf[:0], compatBurst)
-		for _, e := range buf {
-			if blocking {
-				select {
-				case s.compatCh <- e:
-					continue
-				default:
-				}
-				select {
-				case s.compatCh <- e:
-					continue
-				case <-s.closedSig:
-					blocking = false
-				}
-			}
-			select {
-			case s.compatCh <- e:
-			default:
-				return
-			}
-		}
-		clear(buf)
-		if !ok {
-			return
-		}
-	}
 }
 
 // Err reports why the subscription ended: nil while it is open and
@@ -830,10 +767,8 @@ type Client struct {
 	nextEventID atomic.Uint64
 	nextToken   atomic.Uint64
 
-	// Reliable receive state (rseq from the broker).
-	recvMu  sync.Mutex
-	recvCum uint64
-	ahead   map[uint64]struct{}
+	// recv is the reliable receive window (rseq from the broker).
+	recv recvWindow
 
 	wg   sync.WaitGroup
 	done chan struct{}
@@ -877,7 +812,6 @@ func newClient(id string, conn transport.Conn) *Client {
 		waiters:    make(map[string]chan struct{}),
 		replays:    make(map[uint64]*Subscription),
 		replayWait: make(map[uint64]chan error),
-		ahead:      make(map[uint64]struct{}),
 		done:       make(chan struct{}),
 		stageGen:   1,
 	}
@@ -1343,7 +1277,7 @@ func (c *Client) processBurst(events []*event.Event) {
 	var ackCum uint64
 	for _, e := range events {
 		if e.RSeq != 0 {
-			cum, fresh := c.acceptReliable(e.RSeq)
+			cum, fresh := c.recv.accept(e.RSeq)
 			ackDue, ackCum = true, cum
 			if !fresh {
 				continue
@@ -1609,26 +1543,6 @@ func (c *Client) flushStaged() {
 	clear(c.stageSubs)
 	c.stageSubs = c.stageSubs[:0]
 	c.stageGen++
-}
-
-func (c *Client) acceptReliable(rseq uint64) (cum uint64, fresh bool) {
-	c.recvMu.Lock()
-	defer c.recvMu.Unlock()
-	if rseq <= c.recvCum {
-		return c.recvCum, false
-	}
-	if _, dup := c.ahead[rseq]; dup {
-		return c.recvCum, false
-	}
-	c.ahead[rseq] = struct{}{}
-	for {
-		if _, ok := c.ahead[c.recvCum+1]; !ok {
-			break
-		}
-		delete(c.ahead, c.recvCum+1)
-		c.recvCum++
-	}
-	return c.recvCum, true
 }
 
 // teardown closes every subscription ring after the conn dies.

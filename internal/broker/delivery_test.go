@@ -630,58 +630,6 @@ func TestSubscriptionCloseDuringBurst(t *testing.T) {
 	}
 }
 
-// TestCompatChannelAfterBatchedDelivery: the C() facade still delivers
-// batched traffic per event, in order, and closes on cancel — the
-// compatibility contract legacy consumers (gateways, tools, tests)
-// rely on.
-func TestCompatChannelAfterBatchedDelivery(t *testing.T) {
-	b := New(Config{ID: "compat"})
-	defer b.Stop()
-	sub, err := b.LocalClient("compat-sub", transport.LinkProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	s, err := sub.Subscribe("/compat/t", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub, err := b.LocalClient("compat-pub", transport.LinkProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-
-	const n = 40
-	for i := 1; i <= n; i++ {
-		if err := pub.Publish("/compat/t", event.KindData, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	timeout := time.After(5 * time.Second)
-	for i := 1; i <= n; i++ {
-		select {
-		case e := <-s.C():
-			if int(e.Payload[0]) != i {
-				t.Fatalf("event %d carried %d (order broken)", i, e.Payload[0])
-			}
-		case <-timeout:
-			t.Fatalf("only %d/%d events through the compat channel", i-1, n)
-		}
-	}
-	if err := sub.Unsubscribe(s); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case _, ok := <-s.C():
-		if ok {
-			t.Fatal("compat channel delivered after close")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("compat channel not closed after unsubscribe")
-	}
-}
-
 // TestCoalescedAcksLossLink: reliable delivery over a lossy framed link
 // still converges to exactly-once delivery with coalesced acks — the
 // retransmit machinery is not regressed by sending one cumulative ack

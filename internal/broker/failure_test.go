@@ -55,14 +55,13 @@ func TestReliableSignallingAcrossLossyPeerLink(t *testing.T) {
 		}
 	}
 	got := make(map[byte]bool)
-	deadline := time.After(15 * time.Second)
+	deadline := time.Now().Add(15 * time.Second)
 	for len(got) < n {
-		select {
-		case e := <-s.C():
-			got[e.Payload[0]] = true
-		case <-deadline:
+		e, err := recvWithin(s, time.Until(deadline))
+		if err != nil {
 			t.Fatalf("only %d/%d reliable events crossed the lossy link", len(got), n)
 		}
+		got[e.Payload[0]] = true
 	}
 }
 
@@ -92,15 +91,12 @@ func TestBestEffortAcrossLossyPeerLinkDrops(t *testing.T) {
 	// Collect for a bounded period; roughly half should survive, and
 	// critically the system must not retransmit best-effort media.
 	received := 0
-	timeout := time.After(3 * time.Second)
-collect:
+	deadline := time.Now().Add(3 * time.Second)
 	for {
-		select {
-		case <-s.C():
-			received++
-		case <-timeout:
-			break collect
+		if _, err := recvWithin(s, time.Until(deadline)); err != nil {
+			break
 		}
+		received++
 	}
 	if received < n/4 || received > n*3/4 {
 		t.Fatalf("received %d of %d over 50%% lossy link, want roughly half", received, n)

@@ -36,15 +36,6 @@ func (c MeshConfig) withDefaults() MeshConfig {
 	if c.HeartbeatMiss <= 0 {
 		c.HeartbeatMiss = 3
 	}
-	if c.RedialMin <= 0 {
-		c.RedialMin = 100 * time.Millisecond
-	}
-	if c.RedialMax < c.RedialMin {
-		c.RedialMax = 5 * time.Second
-		if c.RedialMax < c.RedialMin {
-			c.RedialMax = c.RedialMin
-		}
-	}
 	return c
 }
 
@@ -264,8 +255,7 @@ func (l *meshLink) stopped() bool {
 func (l *meshLink) supervise() {
 	defer l.m.wg.Done()
 	b := l.m.b
-	cfg := l.m.cfg
-	backoff := cfg.RedialMin
+	bo := newBackoff(l.m.cfg.RedialMin, l.m.cfg.RedialMax)
 	attempts := 0
 	for {
 		if l.stopped() {
@@ -287,7 +277,7 @@ func (l *meshLink) supervise() {
 					l.setState(LinkStopped)
 					return
 				case <-s.closedCh:
-					backoff = cfg.RedialMin
+					bo.reset()
 					continue
 				}
 			}
@@ -309,17 +299,13 @@ func (l *meshLink) supervise() {
 				continue
 			}
 			l.setState(LinkBackoff)
-			if !l.sleep(jitter(backoff)) {
+			if !sleep(l.done, bo.next()) {
 				l.setState(LinkStopped)
 				return
 			}
-			backoff *= 2
-			if backoff > cfg.RedialMax {
-				backoff = cfg.RedialMax
-			}
 			continue
 		}
-		backoff = cfg.RedialMin
+		bo.reset()
 		l.mu.Lock()
 		l.remoteID = s.id
 		l.sess = s
@@ -387,12 +373,38 @@ func (l *meshLink) noteRedial() {
 	}
 }
 
-// sleep waits d or until the link stops, reporting whether to continue.
-func (l *meshLink) sleep(d time.Duration) bool {
+// backoff is the redial delay ladder mesh links and resilient clients
+// share: it starts at lo (default 100ms), doubles after every failed
+// attempt up to hi (default 5s, never below lo), and each delay is
+// jittered.
+type backoff struct{ lo, hi, cur time.Duration }
+
+func newBackoff(lo, hi time.Duration) backoff {
+	if lo <= 0 {
+		lo = 100 * time.Millisecond
+	}
+	if hi < lo {
+		hi = max(5*time.Second, lo)
+	}
+	return backoff{lo: lo, hi: hi, cur: lo}
+}
+
+// next returns the delay before the next attempt and doubles the ladder.
+func (b *backoff) next() time.Duration {
+	d := jitter(b.cur)
+	b.cur = min(2*b.cur, b.hi)
+	return d
+}
+
+// reset returns the ladder to its floor after a successful attempt.
+func (b *backoff) reset() { b.cur = b.lo }
+
+// sleep waits d or until stop closes, reporting false on stop.
+func sleep(stop <-chan struct{}, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-l.done:
+	case <-stop:
 		return false
 	case <-t.C:
 		return true

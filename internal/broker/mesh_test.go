@@ -23,6 +23,47 @@ func fastMeshConfig(peers ...string) MeshConfig {
 	}
 }
 
+// TestBackoffLadder pins the redial ladder mesh links and resilient
+// clients share: the delay doubles from the floor to the cap, every delay
+// is jittered into [d/2, d), a success resets to the floor, the zero
+// config takes the 100ms / 5s defaults, and sleep returns false promptly
+// once its stop channel is closed.
+func TestBackoffLadder(t *testing.T) {
+	ms := time.Millisecond
+	ladder := []time.Duration{8 * ms, 16 * ms, 32 * ms, 64 * ms, 100 * ms, 100 * ms}
+	for range 200 {
+		bo := newBackoff(8*ms, 100*ms)
+		for i, d := range ladder {
+			if got := bo.next(); got < d/2 || got >= d {
+				t.Fatalf("step %d: delay %v outside [%v, %v)", i, got, d/2, d)
+			}
+		}
+		bo.reset()
+		if got := bo.next(); got < 4*ms || got >= 8*ms {
+			t.Fatalf("after reset: delay %v outside [4ms, 8ms)", got)
+		}
+	}
+	if bo := newBackoff(0, 0); bo.lo != 100*ms || bo.hi != 5*time.Second {
+		t.Fatalf("defaults = %v / %v, want 100ms / 5s", bo.lo, bo.hi)
+	}
+	if bo := newBackoff(10*time.Second, 0); bo.hi != 10*time.Second {
+		t.Fatalf("cap %v below the floor", bo.hi)
+	}
+
+	stop := make(chan struct{})
+	if !sleep(stop, ms) {
+		t.Fatal("sleep reported stop with stop open")
+	}
+	close(stop)
+	start := time.Now()
+	if sleep(stop, time.Hour) {
+		t.Fatal("sleep did not report stop")
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("sleep took %v to notice stop", waited)
+	}
+}
+
 // TestMeshForwardSingleLockPerLink is the inter-broker batching
 // contract: a burst fanned out to N peer links costs one queue lock
 // acquisition (and one staged batch) per link — peer sessions ride the
@@ -209,15 +250,8 @@ func TestMeshLinkDropMidBurstReliable(t *testing.T) {
 
 // tryRecv returns one event from s or nil after the timeout.
 func tryRecv(s *Subscription, within time.Duration) *event.Event {
-	select {
-	case e, ok := <-s.C():
-		if !ok {
-			return nil
-		}
-		return e
-	case <-time.After(within):
-		return nil
-	}
+	e, _ := recvWithin(s, within)
+	return e
 }
 
 // TestMeshPartitionHealResync: a subscription created while the mesh is

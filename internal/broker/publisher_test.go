@@ -47,10 +47,8 @@ func TestPublisherBatchedDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The linger is an hour: nothing should arrive until Flush.
-	select {
-	case e := <-sub.C():
+	if e, err := recvWithin(sub, 50*time.Millisecond); err == nil {
 		t.Fatalf("event %v delivered before flush", e)
-	case <-time.After(50 * time.Millisecond):
 	}
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)

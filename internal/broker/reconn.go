@@ -37,12 +37,6 @@ type ResilientConfig struct {
 }
 
 func (cfg ResilientConfig) withDefaults() ResilientConfig {
-	if cfg.RedialMin <= 0 {
-		cfg.RedialMin = 100 * time.Millisecond
-	}
-	if cfg.RedialMax <= 0 {
-		cfg.RedialMax = 5 * time.Second
-	}
 	if cfg.PublishBuffer == 0 {
 		cfg.PublishBuffer = 256
 	}
@@ -188,7 +182,7 @@ func (c *Client) redial() {
 	if live {
 		return
 	}
-	backoff := c.res.cfg.RedialMin
+	bo := newBackoff(c.res.cfg.RedialMin, c.res.cfg.RedialMax)
 	for {
 		select {
 		case <-c.done:
@@ -204,25 +198,9 @@ func (c *Client) redial() {
 			// Dead endpoint: rotate so the next attempt tries a sibling.
 			c.res.advanceURL()
 		}
-		if !c.sleep(jitter(backoff)) {
+		if !sleep(c.done, bo.next()) {
 			return
 		}
-		backoff *= 2
-		if backoff > c.res.cfg.RedialMax {
-			backoff = c.res.cfg.RedialMax
-		}
-	}
-}
-
-// sleep waits d or until the client closes, reporting false on close.
-func (c *Client) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-c.done:
-		return false
-	case <-t.C:
-		return true
 	}
 }
 
@@ -286,10 +264,7 @@ func (c *Client) resumeOn(conn transport.Conn) bool {
 // the outage publish buffer flushes.
 func (c *Client) afterReconnect(resumed bool) {
 	if !resumed {
-		c.recvMu.Lock()
-		c.recvCum = 0
-		clear(c.ahead)
-		c.recvMu.Unlock()
+		c.recv.reset(0)
 		patterns := make(map[string]struct{})
 		c.mu.Lock()
 		for sub := range c.subSet {

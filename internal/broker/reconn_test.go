@@ -178,18 +178,17 @@ func TestChaosConnKillMidReliableBurst(t *testing.T) {
 	// conn twice while it drains; each kill parks the session mid-burst.
 	seen := make(map[string]int, n)
 	total := 0
-	deadline := time.After(30 * time.Second)
+	deadline := time.Now().Add(30 * time.Second)
 	for len(seen) < n {
-		select {
-		case e := <-sub.C():
-			seen[string(e.Payload)]++
-			total++
-			if total == 100 || total == 200 {
-				seam.killCurrent()
-			}
-		case <-deadline:
+		e, err := recvWithin(sub, time.Until(deadline))
+		if err != nil {
 			t.Fatalf("received %d/%d distinct events (total %d, dials %d, parked %d, sessions %d, state %v)",
 				len(seen), n, total, seam.dialCount(), b.parkedCount(), b.SessionCount(), c.ConnState())
+		}
+		seen[string(e.Payload)]++
+		total++
+		if total == 100 || total == 200 {
+			seam.killCurrent()
 		}
 	}
 	if total != n {
@@ -241,14 +240,13 @@ func TestChaosBrokerCrashRestartCatchUp(t *testing.T) {
 	seen := make(map[string]int, 2*half)
 	collect := func(want int) {
 		t.Helper()
-		deadline := time.After(20 * time.Second)
+		deadline := time.Now().Add(20 * time.Second)
 		for len(seen) < want {
-			select {
-			case e := <-sub.C():
-				seen[string(e.Payload)]++
-			case <-deadline:
+			e, err := recvWithin(sub, time.Until(deadline))
+			if err != nil {
 				t.Fatalf("received %d/%d distinct events", len(seen), want)
 			}
+			seen[string(e.Payload)]++
 		}
 	}
 	collect(half)

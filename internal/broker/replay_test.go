@@ -2,6 +2,7 @@ package broker
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -132,55 +133,29 @@ func TestReplayLateJoinerExactlyOnce(t *testing.T) {
 
 	want := history + concurrent + 1
 	var got []string
-	deadline := time.After(10 * time.Second)
-	live := false
-collect:
+	deadline := time.Now().Add(10 * time.Second)
 	for len(got) < want {
-		select {
-		case e, ok := <-s.C():
-			if !ok {
-				t.Fatal("replay subscription closed early")
-			}
-			got = append(got, string(e.Payload))
-			if len(got) == history+concurrent {
-				// Everything published so far is in; one more event proves
-				// live delivery after the writer finished.
-				<-pubDone
-				if err := pub.Publish("/rec/a", event.KindData, counterPayload(want)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		case <-s.CaughtUp():
-			live = true
-			// Stop selecting on the closed channel.
-			for len(got) < want {
-				select {
-				case e, ok := <-s.C():
-					if !ok {
-						t.Fatal("replay subscription closed early")
-					}
-					got = append(got, string(e.Payload))
-					if len(got) == history+concurrent {
-						<-pubDone
-						if err := pub.Publish("/rec/a", event.KindData, counterPayload(want)); err != nil {
-							t.Fatal(err)
-						}
-					}
-				case <-deadline:
-					t.Fatalf("timed out with %d/%d events", len(got), want)
-				}
-			}
-			break collect
-		case <-deadline:
+		e, err := recvWithin(s, time.Until(deadline))
+		if errors.Is(err, ErrSubscriptionClosed) {
+			t.Fatal("replay subscription closed early")
+		}
+		if err != nil {
 			t.Fatalf("timed out with %d/%d events", len(got), want)
 		}
-	}
-	if !live {
-		select {
-		case <-s.CaughtUp():
-		case <-time.After(5 * time.Second):
-			t.Fatal("CaughtUp never closed")
+		got = append(got, string(e.Payload))
+		if len(got) == history+concurrent {
+			// Everything published so far is in; one more event proves
+			// live delivery after the writer finished.
+			<-pubDone
+			if err := pub.Publish("/rec/a", event.KindData, counterPayload(want)); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	select {
+	case <-s.CaughtUp():
+	case <-time.After(5 * time.Second):
+		t.Fatal("CaughtUp never closed")
 	}
 	for i, p := range got {
 		if p != string(counterPayload(i+1)) {
@@ -346,19 +321,14 @@ func TestRecordingRetentionUnderReplay(t *testing.T) {
 	}
 	var got []int
 	for {
-		done := false
-		select {
-		case e := <-s.C():
-			var v int
-			fmt.Sscanf(string(e.Payload), "%d", &v)
-			got = append(got, v)
-			if v == n {
-				done = true
-			}
-		case <-time.After(5 * time.Second):
+		e, err := recvWithin(s, 5*time.Second)
+		if err != nil {
 			t.Fatalf("stalled after %d replayed events", len(got))
 		}
-		if done {
+		var v int
+		fmt.Sscanf(string(e.Payload), "%d", &v)
+		got = append(got, v)
+		if v == n {
 			break
 		}
 	}

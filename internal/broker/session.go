@@ -138,11 +138,9 @@ type session struct {
 	// scans only the expired prefix instead of sweeping the whole window.
 	relOrder seqRing
 
-	// Reliable receiver state: rseq-tagged events arriving on this
-	// session are deduplicated and cumulatively acknowledged.
-	recvMu  sync.Mutex
-	recvCum uint64              // highest contiguous rseq delivered
-	ahead   map[uint64]struct{} // delivered above the contiguous point
+	// recv deduplicates and cumulatively acknowledges the rseq-tagged
+	// events arriving on this session.
+	recv recvWindow
 
 	// Replay streams this session opened on the durable log plane,
 	// keyed by client-chosen stream id. replayMu also guards each
@@ -210,7 +208,6 @@ func newSession(b *Broker, conn transport.Conn, id string, isPeer bool) *session
 		queue:          newSendQueue(b.cfg.QueueDepth),
 		closedCh:       make(chan struct{}),
 		unacked:        make(map[uint64]*relEntry),
-		ahead:          make(map[uint64]struct{}),
 		remotePatterns: make(map[string]map[string]advEntry),
 		routedPatterns: make(map[string]struct{}),
 		localPatterns:  make(map[string]struct{}),
@@ -302,17 +299,6 @@ func (s *session) sendReliable(e *event.Event) {
 // sendReliableFrom is sendReliable with an optional shared frame source.
 func (s *session) sendReliableFrom(e *event.Event, fs *frameSource) {
 	s.enqueueReliable(e, fs, nil, 0)
-}
-
-// sendReliableAt re-sends a parked reliable event under its ORIGINAL
-// rseq on a resumed session. The successor session's counters were
-// seeded from the park (nextRSeq covers every salvaged rseq), so the
-// entry slots back into the window exactly where it was: the client's
-// cumulative dedup then delivers each salvaged event at most once even
-// when the ack for the first delivery was lost in the disconnect.
-// Callers replay in ascending rseq order before the session starts.
-func (s *session) sendReliableAt(e *event.Event, rseq uint64) {
-	s.enqueueReliable(e, nil, nil, rseq)
 }
 
 // enqueueReliable is the one reliable send: take the next rseq (or
@@ -421,74 +407,36 @@ func (s *session) retransmit(now time.Time, rto time.Duration, maxAttempts int) 
 	}
 }
 
-// salvageUnacked extracts this session's unacknowledged reliable events
-// in send order, stripped of their per-hop sequence tags, so a successor
-// link to the same peer can replay them. Frame-backed entries are decoded
-// once here — link death is rare, and the replay re-tags with the new
-// session's rseqs anyway. Events the remote did receive (ack lost in the
-// partition) replay harmlessly: data events hit the mesh-wide duplicate
-// cache, advertisement applies are seq-idempotent.
-func (s *session) salvageUnacked() []*event.Event {
-	s.relMu.Lock()
-	defer s.relMu.Unlock()
-	if len(s.unacked) == 0 {
-		return nil
-	}
-	rseqs := make([]uint64, 0, len(s.unacked))
-	for r := range s.unacked {
-		rseqs = append(rseqs, r)
-	}
-	sort.Slice(rseqs, func(i, j int) bool { return rseqs[i] < rseqs[j] })
-	out := make([]*event.Event, 0, len(rseqs))
-	for _, r := range rseqs {
-		ent := s.unacked[r]
-		e := ent.e
-		if e == nil && ent.frame != nil {
-			dec, err := ent.frame.Decode()
-			if err != nil {
-				continue
-			}
-			e = dec
-		}
-		if e == nil {
-			continue
-		}
-		if e.Topic == topicPeer {
-			// Hello replies are per-link handshake state, not payload;
-			// the successor link runs its own handshake.
-			continue
-		}
-		out = append(out, stripRSeq(e))
-	}
-	return out
-}
-
-// parkedEvent is one salvaged reliable event awaiting resume replay,
-// keeping its original per-hop sequence so the successor session can
-// re-send it under the same rseq (exactly-once across the reconnect).
+// parkedEvent is one salvaged reliable event, kept with its original
+// per-hop sequence so a resumed session can re-send it under the same
+// rseq (exactly-once across the reconnect).
 type parkedEvent struct {
 	rseq uint64
 	e    *event.Event
 }
 
-// salvageParked extracts the session's unacknowledged reliable window
-// for parking: rseq-ordered, decoded from frames, tags stripped from
-// the stored events (the rseq travels alongside instead). Unlike
-// salvageUnacked this preserves the original sequence numbers — a
-// resumed session replays into the SAME numbering space, which is what
-// lets the client's cumulative dedup absorb redeliveries.
-func (s *session) salvageParked() []parkedEvent {
+// reliableState is a session's reliable window as it outlives the
+// session: the send counters, the receive floor and the unacknowledged
+// events in rseq order.
+type reliableState struct {
+	nextRSeq, ackFloor, recvCum uint64
+	unacked                     []parkedEvent
+}
+
+// salvageReliable snapshots the reliable window of a dying session,
+// under one lock hold so nextRSeq covers every salvaged rseq and
+// ackFloor is below it. Frame-backed entries are decoded once here (link
+// death is rare) and the stored events' tags are stripped; the rseq
+// travels alongside.
+func (s *session) salvageReliable() reliableState {
 	s.relMu.Lock()
 	defer s.relMu.Unlock()
-	if len(s.unacked) == 0 {
-		return nil
-	}
+	st := reliableState{nextRSeq: s.nextRSeq, ackFloor: s.ackFloor, recvCum: s.recv.floor()}
 	rseqs := make([]uint64, 0, len(s.unacked))
 	for r := range s.unacked {
 		rseqs = append(rseqs, r)
 	}
 	sort.Slice(rseqs, func(i, j int) bool { return rseqs[i] < rseqs[j] })
-	out := make([]parkedEvent, 0, len(rseqs))
 	for _, r := range rseqs {
 		ent := s.unacked[r]
 		e := ent.e
@@ -502,47 +450,72 @@ func (s *session) salvageParked() []parkedEvent {
 		if e == nil {
 			continue
 		}
-		out = append(out, parkedEvent{rseq: r, e: stripRSeq(e)})
+		st.unacked = append(st.unacked, parkedEvent{rseq: r, e: stripRSeq(e)})
 	}
-	return out
+	return st
 }
 
-// relSnapshot reads the reliable sender counters for parking.
-func (s *session) relSnapshot() (nextRSeq, ackFloor uint64) {
-	s.relMu.Lock()
-	defer s.relMu.Unlock()
-	return s.nextRSeq, s.ackFloor
+// resumeReliable continues a parked window on its resumed successor:
+// the counters are seeded and every unacked event is requeued under its
+// ORIGINAL rseq, so it slots back into the window exactly where it was
+// and the client's cumulative dedup delivers it at most once even when
+// the ack for the first delivery was lost in the disconnect. Must run
+// before the session is registered (no concurrent senders yet).
+func (s *session) resumeReliable(st reliableState) {
+	s.nextRSeq, s.ackFloor = st.nextRSeq, st.ackFloor
+	s.recv.reset(st.recvCum)
+	for _, pe := range st.unacked {
+		s.enqueueReliable(pe.e, nil, nil, pe.rseq)
+	}
 }
 
-// seedReliable initialises a resumed session's reliable counters from
-// its predecessor's park. Must run before the session starts (no
-// concurrent senders yet).
-func (s *session) seedReliable(nextRSeq, ackFloor, recvCum uint64) {
-	s.nextRSeq = nextRSeq
-	s.ackFloor = ackFloor
-	s.recvCum = recvCum
+// recvWindow is the receive half of hop-by-hop reliability, shared by
+// broker sessions and clients: it deduplicates rseq-tagged events and
+// tracks the cumulative floor to acknowledge. The zero value is ready.
+type recvWindow struct {
+	mu    sync.Mutex
+	cum   uint64              // highest contiguous rseq delivered
+	ahead map[uint64]struct{} // delivered above the contiguous point
 }
 
-// acceptReliable performs receiver-side dedup for an rseq-tagged event.
-// It returns the cumulative ack to send and whether the event is new.
-func (s *session) acceptReliable(rseq uint64) (cum uint64, fresh bool) {
-	s.recvMu.Lock()
-	defer s.recvMu.Unlock()
-	if rseq <= s.recvCum {
-		return s.recvCum, false
+// accept returns the cumulative ack to send for an rseq-tagged event
+// and whether the event is new.
+func (w *recvWindow) accept(rseq uint64) (cum uint64, fresh bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if rseq <= w.cum {
+		return w.cum, false
 	}
-	if _, dup := s.ahead[rseq]; dup {
-		return s.recvCum, false
+	if _, dup := w.ahead[rseq]; dup {
+		return w.cum, false
 	}
-	s.ahead[rseq] = struct{}{}
+	if w.ahead == nil {
+		w.ahead = make(map[uint64]struct{})
+	}
+	w.ahead[rseq] = struct{}{}
 	for {
-		if _, ok := s.ahead[s.recvCum+1]; !ok {
+		if _, ok := w.ahead[w.cum+1]; !ok {
 			break
 		}
-		delete(s.ahead, s.recvCum+1)
-		s.recvCum++
+		delete(w.ahead, w.cum+1)
+		w.cum++
 	}
-	return s.recvCum, true
+	return w.cum, true
+}
+
+// floor returns the highest contiguous rseq delivered.
+func (w *recvWindow) floor() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.cum
+}
+
+// reset restarts the window at floor cum, forgetting everything ahead.
+func (w *recvWindow) reset(cum uint64) {
+	w.mu.Lock()
+	w.cum = cum
+	clear(w.ahead)
+	w.mu.Unlock()
 }
 
 // stripRSeq returns e without its per-hop sequence tag (a shallow
@@ -631,7 +604,7 @@ func (s *session) ingestPrepare(e *event.Event, ack *ackState) (*event.Event, bo
 	// Hop-by-hop reliability: rseq-tagged events (control or data) are
 	// deduplicated and cumulatively acknowledged before processing.
 	if e.RSeq != 0 {
-		cum, fresh := s.acceptReliable(e.RSeq)
+		cum, fresh := s.recv.accept(e.RSeq)
 		ack.due, ack.cum = true, cum
 		if !fresh {
 			return nil, false

@@ -8,6 +8,7 @@ import (
 
 	"github.com/globalmmcs/globalmmcs/internal/accessgrid"
 	"github.com/globalmmcs/globalmmcs/internal/admire"
+	"github.com/globalmmcs/globalmmcs/internal/broker"
 	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/im"
 	"github.com/globalmmcs/globalmmcs/internal/media"
@@ -100,18 +101,17 @@ func TestClientConferenceWithMediaAndChat(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	deadline := time.After(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for got < 10 {
-		select {
-		case e := <-bobAudio.C():
-			var p rtp.Packet
-			if err := p.Unmarshal(e.Payload); err != nil {
-				t.Fatal(err)
-			}
-			got++
-		case <-deadline:
+		e, err := recvWithin(bobAudio, time.Until(deadline))
+		if err != nil {
 			t.Fatalf("bob received %d/10 packets", got)
 		}
+		var p rtp.Packet
+		if err := p.Unmarshal(e.Payload); err != nil {
+			t.Fatal(err)
+		}
+		got++
 	}
 
 	// Chat: bob talks, alice listens, the IM service records history.
@@ -122,14 +122,13 @@ func TestClientConferenceWithMediaAndChat(t *testing.T) {
 	if err := bob.Chat.Send(info.ID, "are we on?"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-aliceRoom.C():
-		m, err := im.ParseChat(e)
-		if err != nil || m.From != "bob" {
-			t.Fatalf("%+v, %v", m, err)
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(aliceRoom, 5*time.Second)
+	if err != nil {
 		t.Fatal("chat not delivered")
+	}
+	m, err := im.ParseChat(e)
+	if err != nil || m.From != "bob" {
+		t.Fatalf("%+v, %v", m, err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
 		return len(s.IM.History(info.ID, 10)) == 1
@@ -214,13 +213,12 @@ func TestAdmireLinkOverWeb(t *testing.T) {
 		t.Fatal(err)
 	}
 	member.Send(raw)
-	select {
-	case e := <-sub.C():
-		if e.Kind != event.KindRTP {
-			t.Fatalf("kind = %v", e.Kind)
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(sub, 5*time.Second)
+	if err != nil {
 		t.Fatal("admire media never crossed the bridge")
+	}
+	if e.Kind != event.KindRTP {
+		t.Fatalf("kind = %v", e.Kind)
 	}
 }
 
@@ -257,9 +255,7 @@ func TestAccessGridLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	agUser.Video.Send(raw)
-	select {
-	case <-sub.C():
-	case <-time.After(5 * time.Second):
+	if _, err := recvWithin(sub, 5*time.Second); err != nil {
 		t.Fatal("AG media never crossed the bridge")
 	}
 }
@@ -326,4 +322,15 @@ func waitFor(t *testing.T, within time.Duration, cond func() bool) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("condition not reached")
+}
+
+// recvWithin receives one event from sub, waiting at most d.
+func recvWithin(sub *broker.Subscription, d time.Duration) (*event.Event, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	buf, err := sub.RecvBatchContext(ctx, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return buf[0], nil
 }

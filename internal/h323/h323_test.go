@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/broker"
+	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/media"
 	"github.com/globalmmcs/globalmmcs/internal/rtp"
 	"github.com/globalmmcs/globalmmcs/internal/rtpproxy"
@@ -302,17 +303,16 @@ func TestFullCallFlow(t *testing.T) {
 	if _, err := audioSock.WriteTo(raw, ua); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-obsSub.C():
-		var p rtp.Packet
-		if err := p.Unmarshal(e.Payload); err != nil {
-			t.Fatal(err)
-		}
-		if p.SequenceNumber != pkt.SequenceNumber {
-			t.Fatalf("seq = %d", p.SequenceNumber)
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(obsSub, 5*time.Second)
+	if err != nil {
 		t.Fatal("endpoint RTP never reached topic")
+	}
+	var p rtp.Packet
+	if err := p.Unmarshal(e.Payload); err != nil {
+		t.Fatal(err)
+	}
+	if p.SequenceNumber != pkt.SequenceNumber {
+		t.Fatalf("seq = %d", p.SequenceNumber)
 	}
 
 	// Topic → endpoint direction.
@@ -435,4 +435,15 @@ func waitFor(t *testing.T, within time.Duration, cond func() bool) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("condition not reached")
+}
+
+// recvWithin receives one event from sub, waiting at most d.
+func recvWithin(sub *broker.Subscription, d time.Duration) (*event.Event, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	buf, err := sub.RecvBatchContext(ctx, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return buf[0], nil
 }

@@ -122,9 +122,7 @@ type Service struct {
 	rooms    map[string][]ChatMessage
 	presence map[string]Presence // community/user → latest
 
-	wg   sync.WaitGroup
-	done chan struct{}
-	once sync.Once
+	wg sync.WaitGroup
 }
 
 // NewService subscribes the service to all chat rooms and the configured
@@ -135,7 +133,6 @@ func NewService(ctx context.Context, bc *broker.Client, cfg ServiceConfig) (*Ser
 		bc:       bc,
 		rooms:    make(map[string][]ChatMessage),
 		presence: make(map[string]Presence),
-		done:     make(chan struct{}),
 	}
 	chatSub, err := bc.SubscribeContext(ctx, "/xgsp/session/*/chat", 1024)
 	if err != nil {
@@ -160,48 +157,43 @@ func NewService(ctx context.Context, bc *broker.Client, cfg ServiceConfig) (*Ser
 	return s, nil
 }
 
-// Stop halts the service's consumers. The broker client is the caller's.
+// Stop closes the broker client, which ends the service's consumers.
 func (s *Service) Stop() {
-	s.once.Do(func() { close(s.done) })
 	s.bc.Close()
 	s.wg.Wait()
 }
 
 func (s *Service) consumeChat(sub *broker.Subscription) {
+	var buf []*event.Event
 	for {
-		select {
-		case e, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			m, err := ParseChat(e)
-			if err != nil {
-				continue
-			}
-			s.record(*m)
-		case <-s.done:
+		var ok bool
+		if buf, ok = sub.RecvBatch(buf[:0], 0); !ok {
 			return
 		}
+		for _, e := range buf {
+			if m, err := ParseChat(e); err == nil {
+				s.record(*m)
+			}
+		}
+		clear(buf)
 	}
 }
 
 func (s *Service) consumePresence(sub *broker.Subscription) {
+	var buf []*event.Event
 	for {
-		select {
-		case e, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			p, err := ParsePresence(e)
-			if err != nil {
-				continue
-			}
-			s.mu.Lock()
-			s.presence[p.Community+"/"+p.User] = *p
-			s.mu.Unlock()
-		case <-s.done:
+		var ok bool
+		if buf, ok = sub.RecvBatch(buf[:0], 0); !ok {
 			return
 		}
+		for _, e := range buf {
+			if p, err := ParsePresence(e); err == nil {
+				s.mu.Lock()
+				s.presence[p.Community+"/"+p.User] = *p
+				s.mu.Unlock()
+			}
+		}
+		clear(buf)
 	}
 }
 

@@ -57,20 +57,19 @@ func TestChatRoomDelivery(t *testing.T) {
 	if err := alice.Send("s1", "hello room"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-room.C():
-		m, err := ParseChat(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.From != "alice" || m.Body != "hello room" || m.Session != "s1" {
-			t.Fatalf("message = %+v", m)
-		}
-		if m.At == 0 {
-			t.Fatal("timestamp missing")
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(room, 5*time.Second)
+	if err != nil {
 		t.Fatal("message never delivered")
+	}
+	m, err := ParseChat(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.From != "alice" || m.Body != "hello room" || m.Session != "s1" {
+		t.Fatalf("message = %+v", m)
+	}
+	if m.At == 0 {
+		t.Fatal("timestamp missing")
 	}
 }
 
@@ -85,10 +84,8 @@ func TestRoomsAreIsolated(t *testing.T) {
 	if err := alice.Send("s1", "for room one"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-room2.C():
+	if e, err := recvWithin(room2, 200*time.Millisecond); err == nil {
 		t.Fatalf("cross-room delivery: %v", e)
-	case <-time.After(200 * time.Millisecond):
 	}
 }
 
@@ -134,14 +131,13 @@ func TestPublishChatFromService(t *testing.T) {
 	if err := rig.svc.PublishChat("s3", "sip-user", "hi from sip"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-room.C():
-		m, err := ParseChat(e)
-		if err != nil || m.From != "sip-user" {
-			t.Fatalf("%+v, %v", m, err)
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(room, 5*time.Second)
+	if err != nil {
 		t.Fatal("no delivery")
+	}
+	m, err := ParseChat(e)
+	if err != nil || m.From != "sip-user" {
+		t.Fatalf("%+v, %v", m, err)
 	}
 	if err := rig.svc.PublishChat("", "x", "y"); err == nil {
 		t.Fatal("empty session accepted")
@@ -185,14 +181,13 @@ func TestWatchCommunity(t *testing.T) {
 	if err := alice.SetPresence("global", StatusBusy, "call"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-watch.C():
-		p, err := ParsePresence(e)
-		if err != nil || p.User != "alice" || p.Status != StatusBusy {
-			t.Fatalf("%+v, %v", p, err)
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(watch, 5*time.Second)
+	if err != nil {
 		t.Fatal("presence never observed")
+	}
+	p, err := ParsePresence(e)
+	if err != nil || p.User != "alice" || p.Status != StatusBusy {
+		t.Fatalf("%+v, %v", p, err)
 	}
 }
 
@@ -229,20 +224,19 @@ func TestChatMessageXMLEscaping(t *testing.T) {
 	if err := alice.Send("s5", tricky); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-room.C():
-		m, err := ParseChat(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Body != tricky {
-			t.Fatalf("body = %q, want %q", m.Body, tricky)
-		}
-		if !strings.Contains(string(e.Payload), "&lt;b&gt;") {
-			t.Fatal("markup not escaped on the wire")
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(room, 5*time.Second)
+	if err != nil {
 		t.Fatal("no delivery")
+	}
+	m, err := ParseChat(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Body != tricky {
+		t.Fatalf("body = %q, want %q", m.Body, tricky)
+	}
+	if !strings.Contains(string(e.Payload), "&lt;b&gt;") {
+		t.Fatal("markup not escaped on the wire")
 	}
 }
 
@@ -256,4 +250,15 @@ func waitPresence(t *testing.T, svc *Service, community, user string, want Prese
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("presence never became %s", want)
+}
+
+// recvWithin receives one event from sub, waiting at most d.
+func recvWithin(sub *broker.Subscription, d time.Duration) (*event.Event, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	buf, err := sub.RecvBatchContext(ctx, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return buf[0], nil
 }

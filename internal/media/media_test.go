@@ -174,7 +174,9 @@ func TestSenderReceiverEndToEnd(t *testing.T) {
 		JitterSeries:   jitters,
 		VerifyPayloads: true,
 	})
-	r.Drain(pub.ch, nil)
+	for e := range pub.ch {
+		r.HandleEvent(e)
+	}
 
 	snap := r.Snapshot()
 	if snap.Received != packets {

@@ -168,21 +168,6 @@ func (r *Receiver) processLocked(p *rtp.Packet, sentAt int64, arrived time.Time)
 	}
 }
 
-// Drain consumes events from ch until it closes or done closes.
-func (r *Receiver) Drain(ch <-chan *event.Event, done <-chan struct{}) {
-	for {
-		select {
-		case e, ok := <-ch:
-			if !ok {
-				return
-			}
-			r.HandleEvent(e)
-		case <-done:
-			return
-		}
-	}
-}
-
 // Snapshot is a point-in-time summary of a receiver.
 type Snapshot struct {
 	Received    uint64

@@ -67,7 +67,6 @@ func (p *Proxy) Bind(topic, host string) (*Binding, error) {
 		topic: topic,
 		pc:    pc,
 		sub:   sub,
-		done:  make(chan struct{}),
 	}
 	p.mu.Lock()
 	if p.closed {
@@ -117,7 +116,6 @@ type Binding struct {
 	out atomic.Uint64
 
 	wg   sync.WaitGroup
-	done chan struct{}
 	once sync.Once
 }
 
@@ -144,7 +142,6 @@ func (b *Binding) Stats() (in, out uint64) { return b.in.Load(), b.out.Load() }
 // Close releases the socket and subscription.
 func (b *Binding) Close() {
 	b.once.Do(func() {
-		close(b.done)
 		b.pc.Close()
 		_ = b.sub.Cancel()
 		b.proxy.remove(b)
@@ -182,32 +179,29 @@ func (b *Binding) inboundLoop() {
 	}
 }
 
-// outboundLoop forwards topic traffic to the endpoint as raw RTP.
+// outboundLoop forwards topic traffic to the endpoint as raw RTP until
+// Close cancels the subscription.
 func (b *Binding) outboundLoop() {
 	defer b.wg.Done()
+	var buf []*event.Event
 	for {
-		select {
-		case e, ok := <-b.sub.C():
-			if !ok {
-				return
-			}
-			if e.Kind != event.KindRTP {
-				continue
-			}
+		var ok bool
+		if buf, ok = b.sub.RecvBatch(buf[:0], 0); !ok {
+			return
+		}
+		for _, e := range buf {
 			// Our own publishes loop back through the broker; skip them.
-			if e.Source == b.proxy.client.ID() {
+			if e.Kind != event.KindRTP || e.Source == b.proxy.client.ID() {
 				continue
 			}
 			remote := b.remote.Load()
 			if remote == nil {
 				continue // endpoint address not yet known
 			}
-			if _, err := b.pc.WriteTo(e.Payload, remote); err != nil {
-				continue
+			if _, err := b.pc.WriteTo(e.Payload, remote); err == nil {
+				b.out.Add(1)
 			}
-			b.out.Add(1)
-		case <-b.done:
-			return
 		}
+		clear(buf)
 	}
 }

@@ -1,13 +1,16 @@
 package rtpproxy
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/broker"
+	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/media"
 	"github.com/globalmmcs/globalmmcs/internal/rtp"
+	"github.com/globalmmcs/globalmmcs/internal/testutil"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 )
 
@@ -61,17 +64,16 @@ func TestEndpointToTopic(t *testing.T) {
 	if _, err := ep.Write(rawRTP(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-s.C():
-		var pkt rtp.Packet
-		if err := pkt.Unmarshal(e.Payload); err != nil {
-			t.Fatal(err)
-		}
-		if pkt.SequenceNumber != 1 {
-			t.Fatalf("seq = %d", pkt.SequenceNumber)
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(s, 5*time.Second)
+	if err != nil {
 		t.Fatal("raw RTP never reached the topic")
+	}
+	var pkt rtp.Packet
+	if err := pkt.Unmarshal(e.Payload); err != nil {
+		t.Fatal(err)
+	}
+	if pkt.SequenceNumber != 1 {
+		t.Fatalf("seq = %d", pkt.SequenceNumber)
 	}
 	in, _ := binding.Stats()
 	if in != 1 {
@@ -235,17 +237,16 @@ func TestBindingDropsGarbage(t *testing.T) {
 	if _, err := ep.Write(rawRTP(t, 5)); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-s.C():
-		var pkt rtp.Packet
-		if err := pkt.Unmarshal(e.Payload); err != nil {
-			t.Fatal("garbage forwarded")
-		}
-		if pkt.SequenceNumber != 5 {
-			t.Fatalf("seq = %d", pkt.SequenceNumber)
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(s, 5*time.Second)
+	if err != nil {
 		t.Fatal("valid packet lost")
+	}
+	var pkt rtp.Packet
+	if err := pkt.Unmarshal(e.Payload); err != nil {
+		t.Fatal("garbage forwarded")
+	}
+	if pkt.SequenceNumber != 5 {
+		t.Fatalf("seq = %d", pkt.SequenceNumber)
 	}
 }
 
@@ -290,6 +291,18 @@ func TestProxyCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestBindingCloseWithClientOpen: closing a binding stops both of its
+// loops while the broker client, which the caller owns, stays open.
+func TestBindingCloseWithClientOpen(t *testing.T) {
+	_, p := newProxyRig(t)
+	testutil.CheckGoroutines(t)
+	binding, err := p.Bind("/xgsp/session/s9/audio", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binding.Close()
+}
+
 func mustAddr(t *testing.T, s string) net.Addr {
 	t.Helper()
 	a, err := net.ResolveUDPAddr("udp", s)
@@ -332,13 +345,22 @@ func TestMediaStreamThroughProxy(t *testing.T) {
 		}
 	}
 	got := 0
-	deadline := time.After(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for got < n {
-		select {
-		case <-s.C():
-			got++
-		case <-deadline:
+		if _, err := recvWithin(s, time.Until(deadline)); err != nil {
 			t.Fatalf("received %d/%d", got, n)
 		}
+		got++
 	}
+}
+
+// recvWithin receives one event from sub, waiting at most d.
+func recvWithin(sub *broker.Subscription, d time.Duration) (*event.Event, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	buf, err := sub.RecvBatchContext(ctx, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return buf[0], nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"github.com/globalmmcs/globalmmcs/internal/broker"
 	"github.com/globalmmcs/globalmmcs/internal/clock"
+	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/media"
 	"github.com/globalmmcs/globalmmcs/internal/rtp"
 	"github.com/globalmmcs/globalmmcs/internal/rtpproxy"
@@ -226,17 +227,16 @@ func TestGatewayCallFlow(t *testing.T) {
 	if _, err := audioSock.WriteTo(raw, gwAddr); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-obsSub.C():
-		var p rtp.Packet
-		if err := p.Unmarshal(e.Payload); err != nil {
-			t.Fatal(err)
-		}
-		if p.SequenceNumber != pkt.SequenceNumber {
-			t.Fatalf("seq = %d", p.SequenceNumber)
-		}
-	case <-time.After(5 * time.Second):
+	e, err := recvWithin(obsSub, 5*time.Second)
+	if err != nil {
 		t.Fatal("endpoint RTP never reached the session topic")
+	}
+	var p rtp.Packet
+	if err := p.Unmarshal(e.Payload); err != nil {
+		t.Fatal(err)
+	}
+	if p.SequenceNumber != pkt.SequenceNumber {
+		t.Fatalf("seq = %d", p.SequenceNumber)
 	}
 
 	// Topic → endpoint direction: another member publishes; alice's
@@ -374,4 +374,15 @@ func recvRequest(t *testing.T, e *Endpoint, method string) *Message {
 			t.Fatalf("no %s within 5s", method)
 		}
 	}
+}
+
+// recvWithin receives one event from sub, waiting at most d.
+func recvWithin(sub *broker.Subscription, d time.Duration) (*event.Event, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	buf, err := sub.RecvBatchContext(ctx, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return buf[0], nil
 }

@@ -44,24 +44,24 @@ func WriteFrame(w io.Writer, seq uint64, e *event.Event) error {
 	return nil
 }
 
-// Record consumes events from sub until it closes or done closes,
-// writing sequence-stamped records to w. It returns the number of
-// events recorded.
-func (Archiver) Record(w io.Writer, sub *broker.Subscription, done <-chan struct{}) (int, error) {
+// Record consumes events from sub until it closes or ctx ends, writing
+// sequence-stamped records to w. It returns the number of events
+// recorded.
+func (Archiver) Record(ctx context.Context, w io.Writer, sub *broker.Subscription) (int, error) {
 	count := 0
+	var buf []*event.Event
 	for {
-		select {
-		case e, ok := <-sub.C():
-			if !ok {
-				return count, nil
-			}
+		var err error
+		if buf, err = sub.RecvBatchContext(ctx, buf[:0], 0); err != nil {
+			return count, nil
+		}
+		for _, e := range buf {
 			if err := WriteFrame(w, uint64(count+1), e); err != nil {
 				return count, err
 			}
 			count++
-		case <-done:
-			return count, nil
 		}
+		clear(buf)
 	}
 }
 

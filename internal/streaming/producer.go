@@ -7,6 +7,7 @@
 package streaming
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -48,8 +49,7 @@ type Producer struct {
 
 	metrics *metrics.Registry
 	wg      sync.WaitGroup
-	done    chan struct{}
-	once    sync.Once
+	stop    context.CancelFunc
 }
 
 // Output is one delivery target: RTP datagrams written to a UDP address.
@@ -101,8 +101,9 @@ func NewProducer(bc *broker.Client, info *xgsp.SessionInfo, reg *metrics.Registr
 		sessionID: info.ID,
 		outputs:   make(map[int]map[*Output]struct{}),
 		metrics:   reg,
-		done:      make(chan struct{}),
 	}
+	ctx, stop := context.WithCancel(context.Background())
+	p.stop = stop
 	trackID := 0
 	for _, m := range info.Media {
 		kind := string(m.Type)
@@ -113,13 +114,14 @@ func NewProducer(bc *broker.Client, info *xgsp.SessionInfo, reg *metrics.Registr
 		p.tracks = append(p.tracks, track)
 		sub, err := bc.Subscribe(m.Topic, 1024)
 		if err != nil {
+			p.Stop()
 			return nil, fmt.Errorf("streaming: subscribing %s: %w", m.Topic, err)
 		}
 		p.outputs[trackID] = make(map[*Output]struct{})
 		p.wg.Add(1)
 		go func(tr Track, sub *broker.Subscription) {
 			defer p.wg.Done()
-			p.consume(tr, sub)
+			p.consume(ctx, tr, sub)
 		}(track, sub)
 		trackID++
 	}
@@ -184,20 +186,21 @@ func (p *Producer) OutputCount() int {
 
 // Stop halts consumption.
 func (p *Producer) Stop() {
-	p.once.Do(func() { close(p.done) })
+	p.stop()
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
 	p.wg.Wait()
 }
 
-func (p *Producer) consume(tr Track, sub *broker.Subscription) {
+func (p *Producer) consume(ctx context.Context, tr Track, sub *broker.Subscription) {
+	var buf []*event.Event
 	for {
-		select {
-		case e, ok := <-sub.C():
-			if !ok {
-				return
-			}
+		var err error
+		if buf, err = sub.RecvBatchContext(ctx, buf[:0], 0); err != nil {
+			return
+		}
+		for _, e := range buf {
 			if e.Kind != event.KindRTP {
 				continue
 			}
@@ -216,9 +219,8 @@ func (p *Producer) consume(tr Track, sub *broker.Subscription) {
 			for _, o := range outs {
 				o.deliver(b)
 			}
-		case <-p.done:
-			return
 		}
+		clear(buf)
 	}
 }
 

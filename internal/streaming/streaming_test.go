@@ -11,6 +11,7 @@ import (
 	"github.com/globalmmcs/globalmmcs/internal/broker"
 	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/media"
+	"github.com/globalmmcs/globalmmcs/internal/testutil"
 	"github.com/globalmmcs/globalmmcs/internal/topiclog"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 	"github.com/globalmmcs/globalmmcs/internal/xgsp"
@@ -215,6 +216,28 @@ func TestRTSPPauseStopsDelivery(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return track.Received() > after })
 }
 
+// TestProducerStopWithClientOpen: Stop ends the per-track consumers
+// while the broker client, which the caller owns, stays open.
+func TestProducerStopWithClientOpen(t *testing.T) {
+	b := broker.New(broker.Config{ID: "producer-stop"})
+	t.Cleanup(b.Stop)
+	bc, err := b.LocalClient("producer", transport.LinkProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bc.Close() })
+	testutil.CheckGoroutines(t)
+	info := &xgsp.SessionInfo{ID: "s1", Media: []xgsp.MediaDesc{
+		{Type: xgsp.MediaAudio, Topic: xgsp.SessionTopic("s1", "audio")},
+		{Type: xgsp.MediaVideo, Topic: xgsp.SessionTopic("s1", "video")},
+	}}
+	p, err := NewProducer(bc, info, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Stop()
+}
+
 func TestDescribeUnknownSession(t *testing.T) {
 	rig := newStreamRig(t)
 	player, err := DialPlayer("rtsp://" + rig.srv.Addr() + "/s404")
@@ -289,11 +312,11 @@ func TestArchiveRecordReplay(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	recDone := make(chan struct{})
+	recCtx, stopRec := context.WithCancel(context.Background())
 	recCount := make(chan int, 1)
 	var arch Archiver
 	go func() {
-		n, err := arch.Record(&buf, sub, recDone)
+		n, err := arch.Record(recCtx, &buf, sub)
 		if err != nil {
 			t.Errorf("record: %v", err)
 		}
@@ -301,7 +324,7 @@ func TestArchiveRecordReplay(t *testing.T) {
 	}()
 	rig.publishAudio(t, info, 30)
 	time.Sleep(200 * time.Millisecond)
-	close(recDone)
+	stopRec()
 	n := <-recCount
 	if n != 30 {
 		t.Fatalf("recorded %d, want 30", n)
@@ -328,15 +351,24 @@ func TestArchiveRecordReplay(t *testing.T) {
 		t.Fatalf("replayed %d, want 30", replayed)
 	}
 	got := 0
-	deadline := time.After(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for got < 30 {
-		select {
-		case <-obs.C():
-			got++
-		case <-deadline:
+		if _, err := recvWithin(obs, time.Until(deadline)); err != nil {
 			t.Fatalf("observed %d/30 replayed packets", got)
 		}
+		got++
 	}
+}
+
+// recvWithin receives one event from sub, waiting at most d.
+func recvWithin(sub *broker.Subscription, d time.Duration) (*event.Event, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	buf, err := sub.RecvBatchContext(ctx, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return buf[0], nil
 }
 
 // countingSink collects replayed events without a broker.

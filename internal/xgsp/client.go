@@ -51,9 +51,11 @@ type Client struct {
 	waiters map[uint64]chan *Message
 	invites chan *Notify
 
-	wg   sync.WaitGroup
-	done chan struct{}
-	once sync.Once
+	// ctx ends with Close; it stops the inbox listener and fails
+	// in-flight requests with ErrClosed.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // NewClient creates an XGSP client for userID over a dedicated broker
@@ -68,12 +70,12 @@ func NewClient(ctx context.Context, bc *broker.Client, userID string) (*Client, 
 		bc:      bc,
 		waiters: make(map[uint64]chan *Message),
 		invites: make(chan *Notify, 64),
-		done:    make(chan struct{}),
 	}
 	sub, err := bc.SubscribeContext(ctx, InboxTopic(userID), 256)
 	if err != nil {
 		return nil, fmt.Errorf("xgsp: subscribing inbox: %w", err)
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -91,21 +93,21 @@ func (c *Client) Invites() <-chan *Notify { return c.invites }
 // Close stops the inbox listener. The underlying broker client is owned
 // by the caller and is not closed.
 func (c *Client) Close() {
-	c.once.Do(func() { close(c.done) })
+	c.cancel()
 	c.wg.Wait()
 }
 
 func (c *Client) serveInbox(sub *broker.Subscription) {
+	var buf []*event.Event
 	for {
-		select {
-		case e, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			c.handleInbox(e)
-		case <-c.done:
+		var err error
+		if buf, err = sub.RecvBatchContext(c.ctx, buf[:0], 0); err != nil {
 			return
 		}
+		for _, e := range buf {
+			c.handleInbox(e)
+		}
+		clear(buf)
 	}
 }
 
@@ -169,7 +171,7 @@ func (c *Client) Request(ctx context.Context, msg *Message) (*Response, error) {
 		return resp.Response, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-c.done:
+	case <-c.ctx.Done():
 		return nil, ErrClosed
 	case <-timeout:
 		return nil, ErrTimeout

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/broker"
+	"github.com/globalmmcs/globalmmcs/internal/testutil"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 )
 
@@ -72,4 +73,24 @@ func TestRequestAfterClose(t *testing.T) {
 	if _, err := c.List(context.Background(), false); !errors.Is(err, broker.ErrClientClosed) {
 		t.Fatalf("list after close = %v", err)
 	}
+}
+
+// TestCloseWithBrokerClientOpen: Close stops the inbox listener while
+// the broker client, which the caller owns, stays open.
+func TestCloseWithBrokerClientOpen(t *testing.T) {
+	rig := newRig(t, nil)
+	bc, err := rig.b.LocalClient("bc-alice", transport.LinkProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bc.Close() })
+	testutil.CheckGoroutines(t)
+	c, err := NewClient(context.Background(), bc, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Create(context.Background(), CreateSession{Name: "closing"}); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
 }

@@ -88,17 +88,19 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 }
 
+// serveRequests handles requests until Stop closes the client, which
+// closes sub.
 func (s *Server) serveRequests(sub *broker.Subscription) {
+	var buf []*event.Event
 	for {
-		select {
-		case e, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			s.handleRequest(e)
-		case <-s.done:
+		var ok bool
+		if buf, ok = sub.RecvBatch(buf[:0], 0); !ok {
 			return
 		}
+		for _, e := range buf {
+			s.handleRequest(e)
+		}
+		clear(buf)
 	}
 }
 

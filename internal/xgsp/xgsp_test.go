@@ -2,12 +2,14 @@ package xgsp
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/broker"
 	"github.com/globalmmcs/globalmmcs/internal/clock"
+	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 )
 
@@ -196,19 +198,18 @@ func TestCreateJoinLeaveLifecycle(t *testing.T) {
 func recvNotify(t *testing.T, sub *broker.Subscription) *Notify {
 	t.Helper()
 	for {
-		select {
-		case e, ok := <-sub.C():
-			if !ok {
-				t.Fatal("control channel closed")
-			}
-			n, err := ParseNotify(e)
-			if err != nil {
-				continue
-			}
-			return n
-		case <-time.After(5 * time.Second):
+		e, err := recvWithin(sub, 5*time.Second)
+		if errors.Is(err, broker.ErrSubscriptionClosed) {
+			t.Fatal("control channel closed")
+		}
+		if err != nil {
 			t.Fatal("no notification within 5s")
 		}
+		n, err := ParseNotify(e)
+		if err != nil {
+			continue
+		}
+		return n
 	}
 }
 
@@ -474,4 +475,15 @@ func TestParseTimeErrors(t *testing.T) {
 	if err != nil || !got.Equal(now) {
 		t.Errorf("roundtrip: %v, %v", got, err)
 	}
+}
+
+// recvWithin receives one event from sub, waiting at most d.
+func recvWithin(sub *broker.Subscription, d time.Duration) (*event.Event, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	buf, err := sub.RecvBatchContext(ctx, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return buf[0], nil
 }
