@@ -7,7 +7,7 @@
 //   - BenchmarkVideoCapacity/* — §3.2 ">400 video clients" claim
 //   - BenchmarkBrokerChainDepth/* — ablation: distributed-routing cost
 //   - BenchmarkRoutingMode/* — ablation: client-server vs peer-to-peer
-//   - BenchmarkReflectorReprocess/* — ablation: JMF re-packetization cost
+//   - BenchmarkReflectorReprocess — JMF reflector fan-out with re-packetization
 //   - BenchmarkFanout* / BenchmarkTransport* — microbenchmarks
 package globalmmcs_test
 
@@ -223,38 +223,34 @@ func BenchmarkRoutingMode(b *testing.B) {
 	}
 }
 
-// BenchmarkReflectorReprocess isolates the cost of JMF's per-receiver
-// re-packetization (ablation on the baseline's design).
+// BenchmarkReflectorReprocess measures the JMF reflector's per-packet
+// fan-out, including its per-receiver re-packetization.
 func BenchmarkReflectorReprocess(b *testing.B) {
-	for _, reprocess := range []bool{true, false} {
-		b.Run(fmt.Sprintf("reprocess=%t", reprocess), func(b *testing.B) {
-			r := reflector.NewWithConfig(reflector.Config{ReprocessRTP: reprocess})
-			defer r.Stop()
-			const receivers = 64
-			for i := range receivers {
-				near, far := transport.Pipe(fmt.Sprintf("r%d", i), "reflector")
-				if err := r.AddReceiver(near); err != nil {
-					b.Fatal(err)
-				}
-				go drainConnB(far)
-			}
-			srcNear, srcFar := transport.Pipe("reflector", "src")
-			r.ServeSourceAsync(srcNear)
-			pub := reflector.NewConnPublisher(srcFar, "src")
-			v := media.NewVideoSource(media.VideoConfig{})
-			frame := v.NextFrame()
-			raw, err := frame[0].Marshal()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for b.Loop() {
-				e := event.New("/m/v", event.KindRTP, raw)
-				if err := pub.PublishEvent(e); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	r := reflector.New(reflector.Config{})
+	defer r.Stop()
+	const receivers = 64
+	for i := range receivers {
+		near, far := transport.Pipe(fmt.Sprintf("r%d", i), "reflector")
+		if err := r.AddReceiver(near); err != nil {
+			b.Fatal(err)
+		}
+		go drainConnB(far)
+	}
+	srcNear, srcFar := transport.Pipe("reflector", "src")
+	r.ServeSourceAsync(srcNear)
+	pub := reflector.NewConnPublisher(srcFar, "src")
+	v := media.NewVideoSource(media.VideoConfig{})
+	frame := v.NextFrame()
+	raw, err := frame[0].Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for b.Loop() {
+		e := event.New("/m/v", event.KindRTP, raw)
+		if err := pub.PublishEvent(e); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -36,7 +36,8 @@ import (
 	"strings"
 	"time"
 
-	"github.com/globalmmcs/globalmmcs"
+	"github.com/globalmmcs/globalmmcs/internal/bench"
+	"github.com/globalmmcs/globalmmcs/internal/metrics"
 )
 
 func main() {
@@ -97,9 +98,9 @@ func run() error {
 	case "fig3":
 		return runFig3(*scale, *outDir)
 	case "audiocap":
-		return runCapacity(globalmmcs.Audio, *scale)
+		return runCapacity(bench.MediaAudio, *scale)
 	case "videocap":
-		return runCapacity(globalmmcs.Video, *scale)
+		return runCapacity(bench.MediaVideo, *scale)
 	case "mesh":
 		return runMesh(*topo, *subs, *pubs, *window)
 	case "churn":
@@ -108,10 +109,10 @@ func run() error {
 		if err := runFig3(*scale, *outDir); err != nil {
 			return err
 		}
-		if err := runCapacity(globalmmcs.Audio, *scale); err != nil {
+		if err := runCapacity(bench.MediaAudio, *scale); err != nil {
 			return err
 		}
-		if err := runCapacity(globalmmcs.Video, *scale); err != nil {
+		if err := runCapacity(bench.MediaVideo, *scale); err != nil {
 			return err
 		}
 		if err := runMesh(*topo, *subs, *pubs, *window); err != nil {
@@ -136,9 +137,9 @@ func runMesh(topology string, subs, pubs int, window time.Duration) error {
 		{"4-broker routed", 4},
 		{"single control", 1},
 	}
-	var reports []*globalmmcs.MeshReport
+	var reports []bench.MeshResult
 	for _, cell := range cells {
-		res, err := globalmmcs.RunMesh(globalmmcs.MeshOptions{
+		res, err := bench.RunMesh(bench.MeshConfig{
 			Brokers:     cell.brokers,
 			Topology:    topology,
 			Subscribers: subs,
@@ -175,7 +176,7 @@ func runMesh(topology string, subs, pubs int, window time.Duration) error {
 func runChurn(cycles, rate int) error {
 	fmt.Fprintf(os.Stderr, "=== Connection churn: %d kill/reconnect cycles against a %d ev/s reliable stream ===\n",
 		cycles, rate)
-	res, err := globalmmcs.RunChurn(globalmmcs.ChurnOptions{
+	res, err := bench.RunChurn(bench.ChurnConfig{
 		Cycles:      cycles,
 		PublishRate: rate,
 	})
@@ -202,8 +203,9 @@ func runFig3(scale float64, outDir string) error {
 	fmt.Println("paper: NaradaBrokering avg delay 80.76 ms, jitter 13.38 ms")
 	fmt.Println("paper: JMF reflector   avg delay 229.23 ms, jitter 15.55 ms")
 
-	for _, system := range []globalmmcs.BenchSystem{globalmmcs.BenchBroker, globalmmcs.BenchReflector} {
-		res, err := globalmmcs.RunFig3(system, globalmmcs.Fig3Options{
+	for _, system := range []bench.System{bench.SystemBroker, bench.SystemReflector} {
+		res, err := bench.RunFig3(bench.Fig3Config{
+			System:    system,
 			Receivers: receivers,
 			Measured:  measured,
 			Packets:   packets,
@@ -225,10 +227,10 @@ func runFig3(scale float64, outDir string) error {
 	return nil
 }
 
-func runCapacity(kind globalmmcs.MediaKind, scale float64) error {
+func runCapacity(kind bench.MediaKind, scale float64) error {
 	var sweep []int
 	var packets int
-	if kind == globalmmcs.Audio {
+	if kind == bench.MediaAudio {
 		sweep = []int{250, 500, 750, 1000, 1250}
 		packets = 400 // 8s of audio
 		fmt.Println("=== Capacity: audio clients on one broker (paper claim: >1000 with good quality) ===")
@@ -238,11 +240,11 @@ func runCapacity(kind globalmmcs.MediaKind, scale float64) error {
 		fmt.Println("=== Capacity: video clients on one broker (paper claim: >400 with good quality) ===")
 	}
 	fmt.Printf("quality gate: delay < %.0f ms, jitter < %.0f ms, loss < %.0f%%\n",
-		globalmmcs.QualityMaxDelayMs, globalmmcs.QualityMaxJitterMs, globalmmcs.QualityMaxLoss*100)
+		bench.QualityMaxDelayMs, bench.QualityMaxJitterMs, bench.QualityMaxLoss*100)
 	fmt.Printf("%8s %14s %14s %14s %10s %8s\n", "clients", "mean delay", "p99 delay", "mean jitter", "loss", "quality")
 	for _, n := range sweep {
 		clients := scaled(n, scale)
-		res, err := globalmmcs.RunCapacity(globalmmcs.CapacityOptions{
+		res, err := bench.RunCapacity(bench.CapacityConfig{
 			Kind:    kind,
 			Clients: clients,
 			Packets: scaled(packets, scale),
@@ -260,7 +262,7 @@ func runCapacity(kind globalmmcs.MediaKind, scale float64) error {
 	return nil
 }
 
-func dumpSeries(path string, s *globalmmcs.BenchSeries) error {
+func dumpSeries(path string, s *metrics.Series) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -13,8 +13,8 @@ import (
 // constants (DESIGN.md §7). The same testbed shapes both systems, so the
 // comparison isolates the architectural difference: the reflector pays
 // every per-send cost in one dispatch thread, the broker spreads it over
-// per-client writer goroutines, and both share the sending host's egress
-// link.
+// one private writer pool per shaped (SendBlocker) session, and both share
+// the sending host's egress link.
 type Testbed struct {
 	// PerSendCost is the host CPU time consumed per packet send
 	// (JVM-era serialization + syscall on 2003 hardware). It blocks

@@ -209,10 +209,7 @@ func fig3Deadline(cfg Fig3Config) time.Duration {
 }
 
 func runFig3Reflector(cfg Fig3Config) (*Fig3Result, error) {
-	r := reflector.NewWithConfig(reflector.Config{
-		ReprocessRTP:   true,
-		ProcessingCost: cfg.Testbed.JMFExtraCost,
-	})
+	r := reflector.New(reflector.Config{ProcessingCost: cfg.Testbed.JMFExtraCost})
 	defer r.Stop()
 
 	delay, jitter, measured := newFig3Instruments(cfg)

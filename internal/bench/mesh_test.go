@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -74,5 +75,49 @@ func TestMeshJSONDump(t *testing.T) {
 		}
 		b, _ := json.Marshal(res)
 		fmt.Printf("MESHJSON %s\n", b)
+	}
+}
+
+// TestReportJSONKeys pins the JSON keys gmmcs-bench prints for -exp mesh
+// and -exp churn, the format BENCH_broker.json's mesh and churn sections
+// are assembled from. A renamed or dropped tag fails here, not in a
+// recorded baseline.
+func TestReportJSONKeys(t *testing.T) {
+	mesh := MeshResult{Hops: []HopLatency{{Hop: 1}}}
+	checkJSONKeys(t, "mesh", mesh, []string{
+		"mode", "topology", "forwarding", "brokers", "subscribers", "publishers",
+		"payload_bytes", "window_sec", "delivered_per_sec", "cross_mesh_per_sec",
+		"forwarded_per_sec", "forwarded_frames_per_delivered_event",
+		"queue_overflow_drops", "credit_stalls", "dup_dropped", "dup_deliveries",
+		"redials", "hops",
+	})
+	checkJSONKeys(t, "mesh hop", mesh.Hops[0], []string{"hop", "count", "mean_ms", "p50_ms", "p99_ms"})
+	checkJSONKeys(t, "churn", ChurnResult{}, []string{
+		"cycles", "publish_rate", "payload_bytes", "published", "delivered",
+		"duplicates", "gaps", "resumes_per_sec", "catchup_p50_ms", "catchup_p95_ms",
+		"catchup_max_ms", "elapsed_sec",
+	})
+}
+
+// checkJSONKeys marshals v and compares its top-level object keys with
+// want, ignoring order.
+func checkJSONKeys(t *testing.T, name string, v any, want []string) {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(b, &obj); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 0, len(obj))
+	for k := range obj {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	want = slices.Sorted(slices.Values(want))
+	if !slices.Equal(got, want) {
+		t.Errorf("%s JSON keys = %v, want %v", name, got, want)
 	}
 }

@@ -45,7 +45,8 @@ func (m Mode) String() string {
 }
 
 // Config parameterises a Broker. The zero value is usable: New fills
-// defaults.
+// defaults. The unexported fields are fixed in production and exist only
+// so this package's tests can shrink them.
 type Config struct {
 	// ID uniquely names the broker in the network. Default "broker-1".
 	ID string
@@ -63,28 +64,8 @@ type Config struct {
 	// Reliable traffic bypasses the window (it has its own blocking
 	// semantics). Default QueueDepth/2 (min 64); negative disables.
 	PeerCreditWindow int
-	// PeerStaleAfter is how long a peer link may be silent before a
-	// competing duplicate link is allowed to supersede it during
-	// duplicate-link resolution (mesh supervisors keep healthy links
-	// chattier than this via heartbeats). Default 5s.
-	PeerStaleAfter time.Duration
 	// QueueDepth bounds each session's best-effort lane. Default 512.
 	QueueDepth int
-	// DedupCapacity bounds how many distinct event sources the
-	// duplicate-suppression cache tracks (each with a fixed per-source
-	// sequence window). Default 65536.
-	DedupCapacity int
-	// ReliableWindow bounds unacked reliable events per session before the
-	// broker disconnects the laggard. Default 4096.
-	ReliableWindow int
-	// RetransmitInterval is the reliable-delivery RTO. Default 200ms.
-	RetransmitInterval time.Duration
-	// MaxRetransmits bounds delivery attempts per reliable event.
-	// Default 10.
-	MaxRetransmits int
-	// AdvRefreshInterval is the soft-state refresh period for
-	// subscription advertisements between brokers. Default 2s.
-	AdvRefreshInterval time.Duration
 	// MaxBatchBytes bounds the encoded bytes a session writer aggregates
 	// before forcing a vectored flush. Default 256 KiB.
 	MaxBatchBytes int
@@ -106,8 +87,6 @@ type Config struct {
 	// RecordSegmentBytes rolls a log segment once it reaches this size.
 	// Default 4 MiB.
 	RecordSegmentBytes int64
-	// RecordSegmentAge rolls a log segment by age (0 = size-only).
-	RecordSegmentAge time.Duration
 	// RecordMaxSegments / RecordMaxBytes cap retained history per log;
 	// housekeeping reaps whole segments beyond either cap, never one an
 	// active replay cursor still reads. 0 = unbounded.
@@ -119,13 +98,33 @@ type Config struct {
 	// 0 (the default) disables parking: a dead conn tears the session
 	// down immediately, the pre-resilience behaviour.
 	SessionLinger time.Duration
-	// MaxParkedSessions bounds the parked-session table; past it the
-	// oldest park is evicted to admit a new one. Default 1024 (only
-	// meaningful when SessionLinger > 0).
-	MaxParkedSessions int
 	// Metrics receives broker counters; nil allocates a private registry.
 	Metrics *metrics.Registry
+
+	// reliableWindow bounds unacked reliable events per session before the
+	// broker disconnects the laggard. Default 4096.
+	reliableWindow int
+	// retransmitInterval is the reliable-delivery RTO. Default 200ms.
+	retransmitInterval time.Duration
+	// maxRetransmits bounds delivery attempts per reliable event. Default 10.
+	maxRetransmits int
+	// advRefreshInterval is the soft-state refresh period for subscription
+	// advertisements between brokers and the housekeeping tick. Default 2s.
+	advRefreshInterval time.Duration
+	// maxParkedSessions bounds the parked-session table; past it the
+	// oldest park is evicted to admit a new one. Default 1024.
+	maxParkedSessions int
 }
+
+const (
+	// peerStaleAfter is how long a peer link may be silent before a
+	// competing duplicate link may supersede it (mesh heartbeats keep
+	// healthy links chattier than this).
+	peerStaleAfter = 5 * time.Second
+	// dedupCapacity bounds how many distinct event sources the
+	// duplicate-suppression cache tracks.
+	dedupCapacity = 65536
+)
 
 func (c Config) withDefaults() Config {
 	if c.ID == "" {
@@ -143,23 +142,17 @@ func (c Config) withDefaults() Config {
 			c.PeerCreditWindow = 64
 		}
 	}
-	if c.DedupCapacity <= 0 {
-		c.DedupCapacity = 65536
+	if c.reliableWindow <= 0 {
+		c.reliableWindow = 4096
 	}
-	if c.ReliableWindow <= 0 {
-		c.ReliableWindow = 4096
+	if c.retransmitInterval <= 0 {
+		c.retransmitInterval = 200 * time.Millisecond
 	}
-	if c.RetransmitInterval <= 0 {
-		c.RetransmitInterval = 200 * time.Millisecond
+	if c.maxRetransmits <= 0 {
+		c.maxRetransmits = 10
 	}
-	if c.MaxRetransmits <= 0 {
-		c.MaxRetransmits = 10
-	}
-	if c.AdvRefreshInterval <= 0 {
-		c.AdvRefreshInterval = 2 * time.Second
-	}
-	if c.PeerStaleAfter <= 0 {
-		c.PeerStaleAfter = 5 * time.Second
+	if c.advRefreshInterval <= 0 {
+		c.advRefreshInterval = 2 * time.Second
 	}
 	if c.MaxBatchBytes <= 0 {
 		c.MaxBatchBytes = transport.DefaultMaxBatchBytes
@@ -170,8 +163,8 @@ func (c Config) withDefaults() Config {
 	if c.SessionLinger < 0 {
 		c.SessionLinger = 0
 	}
-	if c.MaxParkedSessions <= 0 {
-		c.MaxParkedSessions = 1024
+	if c.maxParkedSessions <= 0 {
+		c.maxParkedSessions = 1024
 	}
 	if c.Metrics == nil {
 		c.Metrics = &metrics.Registry{}
@@ -331,7 +324,7 @@ func New(cfg Config) *Broker {
 		parked:      make(map[string]*parkedSession),
 		parkedByID:  make(map[string]string),
 		meshRoutes:  make(map[string]*patternRoute),
-		dedup:       newDedupCache(cfg.DedupCapacity),
+		dedup:       newDedupCache(dedupCapacity),
 		ctr:         resolveCounters(cfg.Metrics),
 		done:        make(chan struct{}),
 
@@ -361,8 +354,6 @@ func (b *Broker) Mode() Mode { return b.cfg.Mode }
 
 // Metrics returns the broker's metrics registry.
 func (b *Broker) Metrics() *metrics.Registry { return b.cfg.Metrics }
-
-func (b *Broker) metrics() *metrics.Registry { return b.cfg.Metrics }
 
 // Serve accepts connections from l until the listener or broker closes.
 // The listener is closed by Stop.
@@ -554,7 +545,7 @@ func (b *Broker) attach(conn transport.Conn, id string, isPeer, dialed bool) (*s
 	if isPeer {
 		b.peers[s] = struct{}{}
 		b.refreshPeerSnapLocked()
-		reg := b.metrics()
+		reg := b.Metrics()
 		s.fwdCtr = reg.Counter("broker.peer." + id + ".forwarded")
 		s.dupCtr = reg.Counter("broker.peer." + id + ".dup_dropped")
 		s.creditStallCtr = reg.Counter("broker.peer." + id + ".credit_stalls")
@@ -563,7 +554,7 @@ func (b *Broker) attach(conn transport.Conn, id string, isPeer, dialed bool) (*s
 	}
 	b.mu.Unlock()
 	s.start()
-	b.metrics().Counter("broker.sessions_attached").Inc()
+	b.Metrics().Counter("broker.sessions_attached").Inc()
 	return s, nil
 }
 
@@ -599,7 +590,7 @@ func (b *Broker) replaySalvaged(s *session) {
 // broker id; the new session is rejected only when the old one is
 // canonical, still fresh, and the new one is the opposite direction — a
 // same-direction arrival is a genuine reconnect and always supersedes, as
-// does any arrival beating a stale (silent past PeerStaleAfter) link.
+// does any arrival beating a stale (silent past peerStaleAfter) link.
 // Callers hold b.mu.
 func (b *Broker) keepOldPeerLinkLocked(old, s *session, remoteID string) bool {
 	if old.dialed == s.dialed {
@@ -609,7 +600,7 @@ func (b *Broker) keepOldPeerLinkLocked(old, s *session, remoteID string) bool {
 	if s.dialed == wantDialed {
 		return false // the new link is canonical; supersede
 	}
-	return time.Since(old.lastRecvTime()) < b.cfg.PeerStaleAfter
+	return time.Since(old.lastRecvTime()) < peerStaleAfter
 }
 
 // peerSessionByID returns the live peer session for a remote broker id,
@@ -682,8 +673,8 @@ func (b *Broker) detach(s *session) {
 		if prev, ok := b.relStash[s.id]; ok {
 			salvaged = append(prev.events, salvaged...)
 		}
-		if len(salvaged) > b.cfg.ReliableWindow {
-			salvaged = salvaged[len(salvaged)-b.cfg.ReliableWindow:]
+		if len(salvaged) > b.cfg.reliableWindow {
+			salvaged = salvaged[len(salvaged)-b.cfg.reliableWindow:]
 		}
 		if len(salvaged) > 0 {
 			b.relStash[s.id] = &relSalvage{events: salvaged, when: time.Now()}
@@ -731,15 +722,15 @@ func (b *Broker) detach(s *session) {
 	_, idLive := b.ids[s.id]
 	b.mu.RUnlock()
 	if !idLive {
-		b.metrics().DropGauge("broker.session." + s.id + ".queue_drops")
-		b.metrics().DropGauge("broker.session." + s.id + ".reliable_window")
+		b.Metrics().DropGauge("broker.session." + s.id + ".queue_drops")
+		b.Metrics().DropGauge("broker.session." + s.id + ".reliable_window")
 		if wasPeer {
-			b.metrics().Gauge("broker.peer." + s.id + ".links").Set(0)
+			b.Metrics().Gauge("broker.peer." + s.id + ".links").Set(0)
 		}
 	} else if wasPeer {
-		b.metrics().Gauge("broker.peer." + s.id + ".links").Set(1)
+		b.Metrics().Gauge("broker.peer." + s.id + ".links").Set(1)
 	}
-	b.metrics().Counter("broker.sessions_detached").Inc()
+	b.Metrics().Counter("broker.sessions_detached").Inc()
 }
 
 // parkedSession is the retained state of one client session whose conn
@@ -766,7 +757,7 @@ func (b *Broker) mintToken() string {
 // parkLocked inserts a park, evicting the oldest one past the capacity
 // bound. Callers hold b.mu.
 func (b *Broker) parkLocked(p *parkedSession) {
-	if len(b.parked) >= b.cfg.MaxParkedSessions {
+	if len(b.parked) >= b.cfg.maxParkedSessions {
 		var oldestTok string
 		var oldest *parkedSession
 		for tok, cand := range b.parked {
@@ -907,8 +898,8 @@ func (b *Broker) attachResumed(conn transport.Conn, park *parkedSession) error {
 	}
 	s.start()
 	s.queue.pushBestEffort(welcomeEvent(opResumed, s.token), nil)
-	b.metrics().Counter("broker.sessions_attached").Inc()
-	b.metrics().Counter("broker.sessions_resumed").Inc()
+	b.Metrics().Counter("broker.sessions_attached").Inc()
+	b.Metrics().Counter("broker.sessions_resumed").Inc()
 	return nil
 }
 
@@ -1405,9 +1396,9 @@ func (b *Broker) connectPeerConn(conn transport.Conn) (*session, error) {
 // per-session gauge refresh.
 func (b *Broker) housekeeping() {
 	defer b.wg.Done()
-	retrans := time.NewTicker(b.cfg.RetransmitInterval)
+	retrans := time.NewTicker(b.cfg.retransmitInterval)
 	defer retrans.Stop()
-	refresh := time.NewTicker(b.cfg.AdvRefreshInterval)
+	refresh := time.NewTicker(b.cfg.advRefreshInterval)
 	defer refresh.Stop()
 	for {
 		select {
@@ -1422,7 +1413,7 @@ func (b *Broker) housekeeping() {
 			b.mu.RUnlock()
 			for _, s := range sessions {
 				b.publishSessionGauges(s)
-				if s.retransmit(now, b.cfg.RetransmitInterval, b.cfg.MaxRetransmits) {
+				if s.retransmit(now, b.cfg.retransmitInterval, b.cfg.maxRetransmits) {
 					s.close()
 				}
 			}
@@ -1456,7 +1447,7 @@ func (b *Broker) housekeeping() {
 // publishSessionGauges refreshes the per-session observability gauges:
 // best-effort queue drops and reliable-window occupancy.
 func (b *Broker) publishSessionGauges(s *session) {
-	reg := b.metrics()
+	reg := b.Metrics()
 	reg.Gauge("broker.session." + s.id + ".queue_drops").Set(int64(s.queue.dropCount()))
 	reg.Gauge("broker.session." + s.id + ".reliable_window").Set(int64(s.unackedLen()))
 }
@@ -1464,7 +1455,7 @@ func (b *Broker) publishSessionGauges(s *session) {
 // pruneStaleAdvertisements drops remote patterns that have not been
 // refreshed within three refresh intervals (soft-state expiry).
 func (b *Broker) pruneStaleAdvertisements() {
-	cutoff := time.Now().Add(-3 * b.cfg.AdvRefreshInterval)
+	cutoff := time.Now().Add(-3 * b.cfg.advRefreshInterval)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var changed map[string]struct{}
@@ -1497,7 +1488,7 @@ func (b *Broker) pruneStaleAdvertisements() {
 // back within the soft-state horizon; by then its advertisements expired
 // too, so replaying would route into a topology that no longer exists.
 func (b *Broker) pruneRelStash() {
-	cutoff := time.Now().Add(-3 * b.cfg.AdvRefreshInterval)
+	cutoff := time.Now().Add(-3 * b.cfg.advRefreshInterval)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for id, stash := range b.relStash {

@@ -202,7 +202,7 @@ func TestFanout400(t *testing.T) {
 }
 
 func TestReliableDeliveryOverLossyLink(t *testing.T) {
-	b := New(Config{ID: "b1", RetransmitInterval: 30 * time.Millisecond})
+	b := New(Config{ID: "b1", retransmitInterval: 30 * time.Millisecond})
 	defer b.Stop()
 	pub, err := b.LocalClient("pub", transport.LinkProfile{})
 	if err != nil {

@@ -184,8 +184,8 @@ func (l *lossyListener) Accept() (transport.Conn, error) {
 func TestReliableRSeqPatchedLossLink(t *testing.T) {
 	b := New(Config{
 		ID:                 "loss-broker",
-		RetransmitInterval: 20 * time.Millisecond,
-		MaxRetransmits:     100,
+		retransmitInterval: 20 * time.Millisecond,
+		maxRetransmits:     100,
 	})
 	defer b.Stop()
 	inner, err := transport.Listen("tcp://127.0.0.1:0")

@@ -264,15 +264,6 @@ type DeliveryStats struct {
 	MaxParked    int
 }
 
-// ResetMaxOccupancy clears the ring's high-water occupancy marker (to
-// the current occupancy) so a measurement window can record its own
-// peak rather than inheriting warmup spikes.
-func (s *Subscription) ResetMaxOccupancy() {
-	s.mu.Lock()
-	s.maxOcc = s.n
-	s.mu.Unlock()
-}
-
 // DeliveryStats returns a snapshot of the delivery-plane counters.
 func (s *Subscription) DeliveryStats() DeliveryStats {
 	s.mu.Lock()
@@ -1442,7 +1433,7 @@ func (c *Client) handleReplayData(e *event.Event) {
 	events := c.replayEvents[:0]
 	var bad error
 	for len(payload) > 0 {
-		seq, rec, n, perr := topiclog.ParseRecord(payload, 0)
+		seq, rec, n, perr := topiclog.ParseRecord(payload)
 		if perr != nil {
 			bad = perr
 			break

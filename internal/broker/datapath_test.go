@@ -378,7 +378,7 @@ func TestHandleAckFloor(t *testing.T) {
 // TestPerSessionGaugesPublished: the housekeeping loop surfaces per-session
 // queue-drop and reliable-window gauges in the metrics registry.
 func TestPerSessionGaugesPublished(t *testing.T) {
-	b := New(Config{ID: "gauges", RetransmitInterval: 20 * time.Millisecond})
+	b := New(Config{ID: "gauges", retransmitInterval: 20 * time.Millisecond})
 	defer b.Stop()
 	c, err := b.LocalClient("gaugy", transport.LinkProfile{})
 	if err != nil {

@@ -1,3 +1,13 @@
+// Race-tested plane: batched delivery. Under go test -race these tests
+// check one lock and one wakeup per burst per subscription, coalesced
+// acks, reliable events never dropped from a ring, the overflow modes and
+// the cancellable ring wait, drop-total conservation, and close during an
+// in-flight burst (datapath_test.go holds the client-side burst dispatch
+// checks). The read loop fills rings that consumers drain on
+// other goroutines, so every handoff here is a cross-goroutine one. The
+// SDK's pull-through stream tests (stream_*_test.go in the root package)
+// cover the same rings from the Stream[T] side.
+
 package broker
 
 import (
@@ -637,8 +647,8 @@ func TestSubscriptionCloseDuringBurst(t *testing.T) {
 func TestCoalescedAcksLossLink(t *testing.T) {
 	b := New(Config{
 		ID:                 "ack-loss",
-		RetransmitInterval: 20 * time.Millisecond,
-		MaxRetransmits:     100,
+		retransmitInterval: 20 * time.Millisecond,
+		maxRetransmits:     100,
 	})
 	defer b.Stop()
 	inner, err := transport.Listen("tcp://127.0.0.1:0")

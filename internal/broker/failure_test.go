@@ -31,7 +31,7 @@ func TestReliableSignallingAcrossLossyPeerLink(t *testing.T) {
 	// 30% loss on the inter-broker link: advertisements and reliable
 	// events must still arrive via hop-by-hop retransmission.
 	mk := func(id string) *Broker {
-		b := New(Config{ID: id, RetransmitInterval: 30 * time.Millisecond})
+		b := New(Config{ID: id, retransmitInterval: 30 * time.Millisecond})
 		t.Cleanup(b.Stop)
 		return b
 	}
@@ -106,7 +106,7 @@ func TestBestEffortAcrossLossyPeerLinkDrops(t *testing.T) {
 func TestSlowReliableConsumerIsDisconnected(t *testing.T) {
 	// A client that never acks reliable events must be evicted once the
 	// reliable window fills, instead of the broker buffering forever.
-	b := New(Config{ID: "evict", ReliableWindow: 16, RetransmitInterval: 20 * time.Millisecond, MaxRetransmits: 3})
+	b := New(Config{ID: "evict", reliableWindow: 16, retransmitInterval: 20 * time.Millisecond, maxRetransmits: 3})
 	defer b.Stop()
 
 	// A raw conn that performs the handshake and subscribes, then goes
@@ -149,7 +149,7 @@ func TestSlowReliableConsumerIsDisconnected(t *testing.T) {
 
 func TestPartitionHealsAfterReconnect(t *testing.T) {
 	mk := func(id string) *Broker {
-		b := New(Config{ID: id, AdvRefreshInterval: 100 * time.Millisecond})
+		b := New(Config{ID: id, advRefreshInterval: 100 * time.Millisecond})
 		t.Cleanup(b.Stop)
 		return b
 	}
@@ -196,7 +196,7 @@ func TestPartitionHealsAfterReconnect(t *testing.T) {
 func TestStaleAdvertisementsPruned(t *testing.T) {
 	// When a peer vanishes without clean teardown (e.g. its host dies),
 	// the soft-state refresh must eventually prune its patterns.
-	b1 := New(Config{ID: "prune-1", AdvRefreshInterval: 50 * time.Millisecond})
+	b1 := New(Config{ID: "prune-1", advRefreshInterval: 50 * time.Millisecond})
 	t.Cleanup(b1.Stop)
 
 	// Hand-craft a peer that advertises then goes silent (no refresh).

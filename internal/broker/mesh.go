@@ -10,31 +10,28 @@ import (
 )
 
 // MeshConfig parameterises a broker's federation mesh: the declarative
-// peer set plus the link-supervision knobs. The zero value is usable;
-// NewMesh fills defaults.
+// peer set. The zero value is usable; NewMesh fills defaults. The
+// unexported supervision timings are fixed in production and exist only
+// so this package's tests can shrink them.
 type MeshConfig struct {
 	// Peers is the initial set of peer broker URLs to maintain links to.
 	Peers []string
-	// HeartbeatInterval is how often an idle supervised link is probed
+	// heartbeatInterval is how often an idle supervised link is probed
 	// with a peer-hello heartbeat. Default 1s.
-	HeartbeatInterval time.Duration
-	// HeartbeatMiss is how many silent intervals mark a link partitioned
-	// (any inbound traffic counts as liveness, not just heartbeat
-	// replies). Default 3.
-	HeartbeatMiss int
-	// RedialMin is the initial redial backoff after a link drops.
-	// Default 100ms.
-	RedialMin time.Duration
-	// RedialMax caps the exponential redial backoff. Default 5s.
-	RedialMax time.Duration
+	heartbeatInterval time.Duration
+	// redialMin / redialMax bound the exponential redial backoff after a
+	// link drops. Default 100ms / 5s (see newBackoff).
+	redialMin, redialMax time.Duration
 }
 
+// heartbeatMiss is how many silent heartbeat intervals mark a link
+// partitioned (any inbound traffic counts as liveness, not just heartbeat
+// replies).
+const heartbeatMiss = 3
+
 func (c MeshConfig) withDefaults() MeshConfig {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = time.Second
-	}
-	if c.HeartbeatMiss <= 0 {
-		c.HeartbeatMiss = 3
+	if c.heartbeatInterval <= 0 {
+		c.heartbeatInterval = time.Second
 	}
 	return c
 }
@@ -126,37 +123,6 @@ func (m *Mesh) SetPeers(urls []string) {
 	}
 	m.mu.Unlock()
 	for _, l := range stop {
-		l.stop()
-	}
-}
-
-// AddPeer starts supervising one more peer URL.
-func (m *Mesh) AddPeer(url string) {
-	m.mu.Lock()
-	if m.closed || url == "" {
-		m.mu.Unlock()
-		return
-	}
-	if _, ok := m.links[url]; ok {
-		m.mu.Unlock()
-		return
-	}
-	l := newMeshLink(m, url)
-	m.links[url] = l
-	m.wg.Add(1)
-	go l.supervise()
-	m.mu.Unlock()
-}
-
-// RemovePeer stops supervising a peer URL and tears down its link.
-func (m *Mesh) RemovePeer(url string) {
-	m.mu.Lock()
-	l, ok := m.links[url]
-	if ok {
-		delete(m.links, url)
-	}
-	m.mu.Unlock()
-	if ok {
 		l.stop()
 	}
 }
@@ -255,7 +221,7 @@ func (l *meshLink) stopped() bool {
 func (l *meshLink) supervise() {
 	defer l.m.wg.Done()
 	b := l.m.b
-	bo := newBackoff(l.m.cfg.RedialMin, l.m.cfg.RedialMax)
+	bo := newBackoff(l.m.cfg.redialMin, l.m.cfg.redialMax)
 	attempts := 0
 	for {
 		if l.stopped() {
@@ -334,13 +300,13 @@ func (l *meshLink) dial() (*session, error) {
 // session's last-receive clock (any inbound traffic is liveness — a
 // saturated media link never needs a heartbeat) and probes idle links
 // with a best-effort ping the acceptor answers with a pong. A link
-// silent for HeartbeatMiss intervals is declared partitioned and closed,
+// silent for heartbeatMiss intervals is declared partitioned and closed,
 // which feeds the redial leg. Returns false when the mesh is stopping.
 func (l *meshLink) monitor(s *session) bool {
 	cfg := l.m.cfg
-	ticker := time.NewTicker(cfg.HeartbeatInterval)
+	ticker := time.NewTicker(cfg.heartbeatInterval)
 	defer ticker.Stop()
-	deadline := time.Duration(cfg.HeartbeatMiss) * cfg.HeartbeatInterval
+	deadline := heartbeatMiss * cfg.heartbeatInterval
 	for {
 		select {
 		case <-l.done:
@@ -366,7 +332,7 @@ func (l *meshLink) noteRedial() {
 	l.redials++
 	remoteID := l.remoteID
 	l.mu.Unlock()
-	reg := l.m.b.metrics()
+	reg := l.m.b.Metrics()
 	reg.Counter("broker.mesh.redials").Inc()
 	if remoteID != "" {
 		reg.Counter("broker.peer." + remoteID + ".redials").Inc()

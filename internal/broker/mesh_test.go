@@ -1,3 +1,15 @@
+// Race-tested plane: the broker federation. Under go test -race these
+// tests check the one-lock/one-wakeup peer-link forwarding invariant,
+// link drop mid-burst with reliable salvage across the rejoined link,
+// partition -> heal -> advertisement re-sync, the TTL/dedup loop guard on
+// a 3-broker cycle and close-during-forward churn. Beside them,
+// meshroute_test.go holds the routed-forwarding invariants (no frame to a
+// subscriber-less link, staged once per burst, reroute around a dropped
+// ring link, withdrawal pruning), credit_test.go the per-link credit
+// flow control and dedup_test.go the sharded dedup cache. Mesh links are
+// goroutine-per-link supervisors over shared routing state, so a missed
+// lock shows up here first.
+
 package broker
 
 import (
@@ -16,10 +28,9 @@ import (
 func fastMeshConfig(peers ...string) MeshConfig {
 	return MeshConfig{
 		Peers:             peers,
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatMiss:     3,
-		RedialMin:         5 * time.Millisecond,
-		RedialMax:         50 * time.Millisecond,
+		heartbeatInterval: 25 * time.Millisecond,
+		redialMin:         5 * time.Millisecond,
+		redialMax:         50 * time.Millisecond,
 	}
 }
 

@@ -1,3 +1,14 @@
+// Race-tested plane: resilience. Under go test -race these tests drive
+// supervised reconnect with scripted conn kills mid reliable burst, a
+// broker crash-restart under a replay subscriber (exactly-once both
+// ways), graceful drain handover and the goroutine-leak fences on every
+// churn path. resume_test.go covers the resume handshake's edges (window
+// salvage at original rseqs, linger expiry, stale tokens, the
+// double-resume takeover, parked-session bounds), and
+// internal/transport's fault_test.go the deterministic fault-schedule
+// conns they are built on. Redial supervisors, read loops and parked
+// sessions all race for the same session state during a cut.
+
 package broker
 
 import (
@@ -153,7 +164,7 @@ func TestChaosConnKillMidReliableBurst(t *testing.T) {
 	b := newTestBrokerCfg(t, Config{
 		ID:                 "chaos",
 		SessionLinger:      10 * time.Second,
-		RetransmitInterval: 50 * time.Millisecond,
+		retransmitInterval: 50 * time.Millisecond,
 	})
 	seam := newSeam()
 	// Pace broker→client delivery so the 300-event burst takes ~300ms
@@ -323,7 +334,7 @@ func TestDrainHandsClientsOver(t *testing.T) {
 // TestDrainTimeout: a client that never acks keeps its window dirty, so
 // a bounded Drain gives up with the context's error instead of hanging.
 func TestDrainTimeout(t *testing.T) {
-	b := newTestBrokerCfg(t, Config{ID: "dt", RetransmitInterval: time.Minute})
+	b := newTestBrokerCfg(t, Config{ID: "dt", retransmitInterval: time.Minute})
 	// Raw conn that subscribes and goes silent: reliable events pile up
 	// unacked.
 	rc := rawAttach(t, b, helloEvent("dt-silent"))

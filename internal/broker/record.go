@@ -95,7 +95,6 @@ func newRecordPlane(cfg Config, reg *metrics.Registry) *recordPlane {
 		dir := cfg.RecordDir + "/" + patternDirName(pattern)
 		log, err := topiclog.Open(dir, topiclog.Config{
 			SegmentMaxBytes: cfg.RecordSegmentBytes,
-			SegmentMaxAge:   cfg.RecordSegmentAge,
 			MaxSegments:     cfg.RecordMaxSegments,
 			MaxBytes:        cfg.RecordMaxBytes,
 		})
@@ -260,7 +259,7 @@ func (s *session) startReplay(e *event.Event) {
 		r = s.b.rec.recorderFor(pattern)
 	}
 	if r == nil {
-		s.b.metrics().Counter("broker.bad_replays").Inc()
+		s.b.Metrics().Counter("broker.bad_replays").Inc()
 		s.sendReliable(replayReplyEvent(repErr, id, "pattern not recorded: "+pattern))
 		return
 	}
@@ -364,7 +363,7 @@ func (s *session) replayPump(sr *sessionReplay) {
 		// Self-pace: history must not blow the reliable window that live
 		// traffic and the post-handoff tail share, and envelopes in
 		// flight stay few enough that acks return inside the RTO.
-		if s.unackedLen() > min(replayMaxInflight, s.b.cfg.ReliableWindow/2) {
+		if s.unackedLen() > min(replayMaxInflight, s.b.cfg.reliableWindow/2) {
 			backoff.Reset(replayBackoff)
 			select {
 			case <-sr.stop:

@@ -288,7 +288,7 @@ func TestRecordingRetentionUnderReplay(t *testing.T) {
 	b := recordedBroker(t, "/rec/#", Config{
 		RecordSegmentBytes: 2048,
 		RecordMaxSegments:  3,
-		AdvRefreshInterval: 50 * time.Millisecond, // housekeeping reaps fast
+		advRefreshInterval: 50 * time.Millisecond, // housekeeping reaps fast
 	})
 	pub := localClient(t, b, "pub")
 	sub := localClient(t, b, "sub")

@@ -21,7 +21,7 @@ func replayRig(tb testing.TB, records, size int) (*session, *sessionReplay) {
 		ID:             "replay-rig",
 		RecordPatterns: []string{"/rec/#"},
 		RecordDir:      tb.TempDir(),
-		ReliableWindow: 1 << 20,
+		reliableWindow: 1 << 20,
 	})
 	tb.Cleanup(b.Stop)
 	log := b.TopicLog("/rec/#")
@@ -63,7 +63,7 @@ func envelopeIDs(tb testing.TB, s *session) (ids []uint64) {
 		tb.Fatalf("envelope decoded to %+v", env)
 	}
 	for payload := env.Payload; len(payload) > 0; {
-		_, rec, n, err := topiclog.ParseRecord(payload, 0)
+		_, rec, n, err := topiclog.ParseRecord(payload)
 		if err != nil {
 			tb.Fatalf("envelope record: %v", err)
 		}

@@ -87,7 +87,7 @@ func newResumeBroker(t *testing.T, id string, linger time.Duration) *Broker {
 		SessionLinger: linger,
 		// Long enough that retransmission never fires mid-test: every
 		// redelivery observed is the resume salvage, not the timer.
-		RetransmitInterval: time.Minute,
+		retransmitInterval: time.Minute,
 	})
 }
 
@@ -273,7 +273,7 @@ func TestParkedSessionBound(t *testing.T) {
 	b := newTestBrokerCfg(t, Config{
 		ID:                "bound",
 		SessionLinger:     time.Minute,
-		MaxParkedSessions: 2,
+		maxParkedSessions: 2,
 	})
 	const clients = 5
 	for i := range clients {
@@ -300,7 +300,7 @@ func TestParkedSessionPruned(t *testing.T) {
 	b := newTestBrokerCfg(t, Config{
 		ID:                 "prunep",
 		SessionLinger:      300 * time.Millisecond,
-		AdvRefreshInterval: 50 * time.Millisecond, // housekeeping cadence
+		advRefreshInterval: 50 * time.Millisecond, // housekeeping cadence
 	})
 	c, err := b.LocalClient("prunep-c", transport.LinkProfile{})
 	if err != nil {

@@ -315,11 +315,11 @@ func (s *session) enqueueReliable(e *event.Event, fs *frameSource, owned *event.
 	s.relMu.Lock()
 	rseq := at
 	if at == 0 {
-		if len(s.unacked) >= s.b.cfg.ReliableWindow {
+		if len(s.unacked) >= s.b.cfg.reliableWindow {
 			// The remote stopped acking; disconnecting is the only safe move
 			// that doesn't grow memory without bound.
 			s.relMu.Unlock()
-			s.b.metrics().Counter("broker.reliable_overflow").Inc()
+			s.b.Metrics().Counter("broker.reliable_overflow").Inc()
 			s.close()
 			return
 		}
@@ -627,7 +627,7 @@ func (s *session) handleControl(e *event.Event) {
 	case topicSub:
 		pattern := e.Headers[hdrPattern]
 		if err := s.b.subscribe(s, pattern); err != nil {
-			s.b.metrics().Counter("broker.bad_subscribes").Inc()
+			s.b.Metrics().Counter("broker.bad_subscribes").Inc()
 		}
 	case topicUnsub:
 		s.b.unsubscribe(s, e.Headers[hdrPattern])
@@ -671,7 +671,7 @@ func (s *session) handleControl(e *event.Event) {
 			}
 		}
 	default:
-		s.b.metrics().Counter("broker.unknown_control").Inc()
+		s.b.Metrics().Counter("broker.unknown_control").Inc()
 	}
 }
 

@@ -1,3 +1,12 @@
+// Race-tested plane: multi-core egress. Under go test -race these tests
+// check shared-pool and private-pool single-lock/single-wakeup service,
+// reliable flush on close through the pool's shutdown drain,
+// clogged-consumer parking with sibling isolation, and session churn
+// against the scheduled-flag handoff. delivery_test.go adds four
+// concurrent publisher sweeps with delivery conservation, and
+// parking_test.go the client-side subscription parking. One pool goroutine per GOMAXPROCS
+// serves many sessions, so the handoff flags are the shared state.
+
 package broker
 
 import (

@@ -93,16 +93,18 @@ func ParsePresence(e *event.Event) (*Presence, error) {
 
 // ServiceConfig parameterises the IM service.
 type ServiceConfig struct {
-	// HistoryLimit bounds per-room history. Default 500.
-	HistoryLimit int
 	// Communities lists the communities whose presence the service
 	// aggregates. Default ["global"].
 	Communities []string
+
+	// historyLimit bounds per-room history. Default 500; a field only so
+	// this package's tests can shrink it.
+	historyLimit int
 }
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
-	if c.HistoryLimit <= 0 {
-		c.HistoryLimit = 500
+	if c.historyLimit <= 0 {
+		c.historyLimit = 500
 	}
 	if len(c.Communities) == 0 {
 		c.Communities = []string{"global"}
@@ -201,8 +203,8 @@ func (s *Service) record(m ChatMessage) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	msgs := append(s.rooms[m.Session], m)
-	if len(msgs) > s.cfg.HistoryLimit {
-		msgs = msgs[len(msgs)-s.cfg.HistoryLimit:]
+	if len(msgs) > s.cfg.historyLimit {
+		msgs = msgs[len(msgs)-s.cfg.historyLimit:]
 	}
 	s.rooms[m.Session] = msgs
 }

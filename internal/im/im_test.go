@@ -24,7 +24,7 @@ func newIMRig(t *testing.T) *imRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewService(context.Background(), bc, ServiceConfig{HistoryLimit: 5, Communities: []string{"global", "admire"}})
+	svc, err := NewService(context.Background(), bc, ServiceConfig{historyLimit: 5, Communities: []string{"global", "admire"}})
 	if err != nil {
 		t.Fatal(err)
 	}

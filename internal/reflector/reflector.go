@@ -28,12 +28,9 @@ func spinFor(d time.Duration) {
 	}
 }
 
-// Config parameterises the baseline.
+// Config parameterises the baseline. The zero value is the plain
+// JMF-faithful reflector.
 type Config struct {
-	// ReprocessRTP enables the per-receiver RTP parse + re-marshal that
-	// JMF performed. Disabling it is an ablation knob. Default true via
-	// New.
-	ReprocessRTP bool
 	// ProcessingCost adds emulated per-receiver-send CPU time on top of
 	// the work Go actually performs, standing in for the JVM-era
 	// RTPManager overhead (synchronized buffers, object churn, GC
@@ -57,13 +54,9 @@ type Reflector struct {
 	wg sync.WaitGroup
 }
 
-// New creates a reflector with JMF-faithful defaults.
-func New() *Reflector {
-	return NewWithConfig(Config{ReprocessRTP: true})
-}
-
-// NewWithConfig creates a reflector with explicit knobs.
-func NewWithConfig(cfg Config) *Reflector {
+// New creates a reflector. Every RTP packet is re-parsed and
+// re-marshalled per receiver, as JMF did.
+func New(cfg Config) *Reflector {
 	return &Reflector{cfg: cfg}
 }
 
@@ -124,7 +117,7 @@ func (r *Reflector) reflect(e *event.Event) {
 	r.mu.Unlock()
 	for _, c := range receivers {
 		dup := e.Clone() // JMF cloned the packet per receiver
-		if r.cfg.ReprocessRTP && dup.Kind == event.KindRTP {
+		if dup.Kind == event.KindRTP {
 			var p rtp.Packet
 			if err := p.Unmarshal(dup.Payload); err == nil {
 				if b, err := p.Marshal(); err == nil {

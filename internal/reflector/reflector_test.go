@@ -12,7 +12,7 @@ import (
 )
 
 func TestReflectorFanout(t *testing.T) {
-	r := New()
+	r := New(Config{})
 	defer r.Stop()
 	const n = 10
 	farEnds := make([]transport.Conn, n)
@@ -67,7 +67,7 @@ func TestReflectorFanout(t *testing.T) {
 }
 
 func TestReflectorPreservesEventTimestamp(t *testing.T) {
-	r := New()
+	r := New(Config{})
 	defer r.Stop()
 	near, far := transport.Pipe("recv", "reflector")
 	if err := r.AddReceiver(near); err != nil {
@@ -92,7 +92,7 @@ func TestReflectorPreservesEventTimestamp(t *testing.T) {
 }
 
 func TestReflectorDeadReceiverDoesNotBlockOthers(t *testing.T) {
-	r := New()
+	r := New(Config{})
 	defer r.Stop()
 	deadNear, deadFar := transport.Pipe("dead", "reflector")
 	deadFar.Close()
@@ -117,7 +117,7 @@ func TestReflectorDeadReceiverDoesNotBlockOthers(t *testing.T) {
 }
 
 func TestReflectorAddAfterStop(t *testing.T) {
-	r := New()
+	r := New(Config{})
 	r.Stop()
 	near, _ := transport.Pipe("a", "b")
 	if err := r.AddReceiver(near); err == nil {
@@ -128,7 +128,7 @@ func TestReflectorAddAfterStop(t *testing.T) {
 func TestReflectorSerializesSendCost(t *testing.T) {
 	// With per-send cost C and N receivers, one packet must take ~N*C in
 	// the dispatch thread — that is the baseline's defining bottleneck.
-	r := New()
+	r := New(Config{})
 	defer r.Stop()
 	const n = 8
 	const cost = 2 * time.Millisecond

@@ -3,7 +3,6 @@ package streaming
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -23,18 +22,17 @@ import (
 // record, so an archive file is interchangeable with a topic log
 // segment and a torn tail from a crashed recorder is detectable.
 // Archives written by earlier releases (4-byte length framing, no
-// checksum) are rejected with an error naming ConvertLegacy.
+// checksum) are rejected with ErrLegacyArchive.
 type Archiver struct{}
 
 // ErrLegacyArchive reports an archive in the pre-topiclog format:
-// length-framed events with no sequence numbers or checksums. Convert
-// it once with ConvertLegacy.
-var ErrLegacyArchive = errors.New("streaming: legacy archive format (4-byte length framing); convert with ConvertLegacy")
+// length-framed events with no sequence numbers or checksums.
+var ErrLegacyArchive = errors.New("streaming: legacy archive format (4-byte length framing)")
 
 // WriteFrame writes one archived event as a topiclog record: the
 // encoded event is the record payload, stamped with seq and a CRC-32C.
 // Sequence numbers in one archive must be contiguous and ascending
-// from 1 — Record and ConvertLegacy maintain this; callers framing
+// from 1 — Record maintains this; callers framing
 // events themselves must too.
 func WriteFrame(w io.Writer, seq uint64, e *event.Event) error {
 	rec := topiclog.AppendRecord(nil, seq, event.Marshal(e))
@@ -93,7 +91,7 @@ func (Archiver) Replay(ctx context.Context, r io.Reader, pub Publisher, pace boo
 		if err := ctx.Err(); err != nil {
 			return count, err
 		}
-		_, payload, err := topiclog.ReadRecord(br, 0)
+		_, payload, err := topiclog.ReadRecord(br)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return count, nil
@@ -121,45 +119,6 @@ func (Archiver) Replay(ctx context.Context, r io.Reader, pub Publisher, pace boo
 		out.Timestamp = time.Now().UnixNano()
 		if err := pub.PublishEvent(out); err != nil {
 			return count, fmt.Errorf("streaming: republishing archived event: %w", err)
-		}
-		count++
-	}
-}
-
-// ConvertLegacy rewrites a legacy length-framed archive from r as
-// topiclog records on w, assigning sequence numbers from 1. It returns
-// the number of events converted. A truncated final frame is dropped,
-// like the topic log's torn-tail recovery.
-func ConvertLegacy(r io.Reader, w io.Writer) (int, error) {
-	count := 0
-	var hdr [4]byte
-	var rec []byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return count, nil
-			}
-			return count, fmt.Errorf("streaming: reading legacy frame: %w", err)
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > event.MaxWireLen {
-			return count, fmt.Errorf("streaming: legacy frame length %d out of range", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return count, nil
-			}
-			return count, fmt.Errorf("streaming: reading legacy frame: %w", err)
-		}
-		// Round-trip through the codec so a corrupt legacy frame is
-		// rejected here rather than surfacing on replay.
-		if _, err := event.Unmarshal(buf); err != nil {
-			return count, fmt.Errorf("streaming: decoding legacy frame: %w", err)
-		}
-		rec = topiclog.AppendRecord(rec[:0], uint64(count+1), buf)
-		if _, err := w.Write(rec); err != nil {
-			return count, fmt.Errorf("streaming: writing converted record: %w", err)
 		}
 		count++
 	}

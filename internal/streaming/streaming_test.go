@@ -12,7 +12,6 @@ import (
 	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/media"
 	"github.com/globalmmcs/globalmmcs/internal/testutil"
-	"github.com/globalmmcs/globalmmcs/internal/topiclog"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 	"github.com/globalmmcs/globalmmcs/internal/xgsp"
 )
@@ -412,45 +411,6 @@ func TestArchiveRejectsLegacyFormat(t *testing.T) {
 	}
 	if len(sink.events) != 0 {
 		t.Fatalf("replayed %d events from rejected archive", len(sink.events))
-	}
-}
-
-func TestConvertLegacyArchive(t *testing.T) {
-	var converted bytes.Buffer
-	n, err := ConvertLegacy(legacyArchive(12), &converted)
-	if err != nil {
-		t.Fatalf("ConvertLegacy: %v", err)
-	}
-	if n != 12 {
-		t.Fatalf("converted %d events, want 12", n)
-	}
-
-	// Converted records carry contiguous sequence numbers from 1 and
-	// replay through the normal path.
-	raw := converted.Bytes()
-	for want := uint64(1); len(raw) > 0; want++ {
-		seq, _, consumed, err := topiclog.ParseRecord(raw, 0)
-		if err != nil {
-			t.Fatalf("record %d: %v", want, err)
-		}
-		if seq != want {
-			t.Fatalf("record seq = %d, want %d", seq, want)
-		}
-		raw = raw[consumed:]
-	}
-	var arch Archiver
-	var sink countingSink
-	got, err := arch.Replay(context.Background(), &converted, &sink, false, nil)
-	if err != nil {
-		t.Fatalf("replaying converted archive: %v", err)
-	}
-	if got != 12 {
-		t.Fatalf("replayed %d, want 12", got)
-	}
-	for i, e := range sink.events {
-		if want := archiveEvent(i); !bytes.Equal(e.Payload, want.Payload) {
-			t.Fatalf("event %d payload = %v, want %v", i, e.Payload, want.Payload)
-		}
 	}
 }
 

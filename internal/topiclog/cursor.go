@@ -244,7 +244,7 @@ func (c *Cursor) fill(f *os.File, dst []byte, max int) (start, end int, err erro
 	}
 	c.need = 0
 	for count := 0; count < max && end < n; {
-		seq, _, rn, perr := ParseRecord(dst[end:n], c.l.cfg.MaxRecordBytes)
+		seq, _, rn, perr := ParseRecord(dst[end:n])
 		if errors.Is(perr, ErrShort) {
 			c.need = HeaderLen
 			if n-end >= HeaderLen {

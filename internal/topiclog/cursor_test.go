@@ -96,7 +96,7 @@ func TestAttachTailExactlyOnce(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		for i := 0; len(run) > 0; i++ {
-			seq, _, n, err := ParseRecord(run, 0)
+			seq, _, n, err := ParseRecord(run)
 			if err != nil || seq != first+uint64(i) {
 				t.Errorf("tail run record %d: seq %d (first %d), err %v", i, seq, first, err)
 				return
@@ -278,7 +278,7 @@ func drainFramed(t *testing.T, l *Log, from uint64, size int) []Record {
 		}
 		seq := first
 		for run := dst[:n]; len(run) > 0; seq++ {
-			got, payload, rn, err := ParseRecord(run, 0)
+			got, payload, rn, err := ParseRecord(run)
 			if err != nil || got != seq {
 				t.Fatalf("framed run %d..%d: record seq %d (want %d), err %v", first, last, got, seq, err)
 			}

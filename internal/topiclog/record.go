@@ -32,9 +32,8 @@ import (
 // crc(4).
 const HeaderLen = 16
 
-// DefaultMaxRecordBytes bounds a single record's payload when a
-// caller does not set Config.MaxRecordBytes. It comfortably exceeds
-// the broker's wire limit for one encoded event.
+// DefaultMaxRecordBytes bounds a single record's payload in a Log. It
+// comfortably exceeds the broker's wire limit for one encoded event.
 const DefaultMaxRecordBytes = 2 << 20
 
 var (
@@ -69,20 +68,16 @@ func FramedLen(b []byte) int {
 
 // ParseRecord decodes the record at the head of b. The returned
 // payload aliases b. n is the total encoded length consumed. A buffer
-// that ends mid-record returns ErrShort; an implausible length or CRC
-// mismatch returns ErrCorrupt. maxPayload bounds the accepted payload
-// length (<=0 means DefaultMaxRecordBytes).
-func ParseRecord(b []byte, maxPayload int) (seq uint64, payload []byte, n int, err error) {
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxRecordBytes
-	}
+// that ends mid-record returns ErrShort; a length over
+// DefaultMaxRecordBytes or a CRC mismatch returns ErrCorrupt.
+func ParseRecord(b []byte) (seq uint64, payload []byte, n int, err error) {
 	if len(b) < HeaderLen {
 		return 0, nil, 0, ErrShort
 	}
 	seq = binary.BigEndian.Uint64(b[0:8])
 	length := binary.BigEndian.Uint32(b[8:12])
-	if length > uint32(maxPayload) {
-		return 0, nil, 0, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrCorrupt, length, maxPayload)
+	if length > DefaultMaxRecordBytes {
+		return 0, nil, 0, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrCorrupt, length, DefaultMaxRecordBytes)
 	}
 	total := HeaderLen + int(length)
 	if len(b) < total {
@@ -99,10 +94,7 @@ func ParseRecord(b []byte, maxPayload int) (seq uint64, payload []byte, n int, e
 // ParseRecord, used by the archiver). io.EOF is returned only at a
 // clean record boundary; a record cut off mid-way returns
 // io.ErrUnexpectedEOF.
-func ReadRecord(r io.Reader, maxPayload int) (seq uint64, payload []byte, err error) {
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxRecordBytes
-	}
+func ReadRecord(r io.Reader) (seq uint64, payload []byte, err error) {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
@@ -112,8 +104,8 @@ func ReadRecord(r io.Reader, maxPayload int) (seq uint64, payload []byte, err er
 	}
 	seq = binary.BigEndian.Uint64(hdr[0:8])
 	length := binary.BigEndian.Uint32(hdr[8:12])
-	if length > uint32(maxPayload) {
-		return 0, nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrCorrupt, length, maxPayload)
+	if length > DefaultMaxRecordBytes {
+		return 0, nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrCorrupt, length, DefaultMaxRecordBytes)
 	}
 	payload = make([]byte, length)
 	if _, err := io.ReadFull(r, payload); err != nil {

@@ -59,7 +59,7 @@ func lastRecordStart(t *testing.T, path string) (start, size int) {
 	}
 	off := 0
 	for off < len(data) {
-		_, _, n, err := ParseRecord(data[off:], 0)
+		_, _, n, err := ParseRecord(data[off:])
 		if err != nil {
 			t.Fatalf("pristine segment failed to parse at %d: %v", off, err)
 		}

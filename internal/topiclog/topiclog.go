@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // ErrClosed reports an operation on a closed log or cursor.
@@ -21,25 +20,16 @@ type Config struct {
 	// SegmentMaxBytes rolls the active segment once it reaches this
 	// size (default 4 MiB).
 	SegmentMaxBytes int64
-	// SegmentMaxAge rolls the active segment once its first record is
-	// this old (0 disables time-based rolling).
-	SegmentMaxAge time.Duration
 	// MaxSegments caps retained segments; Reap removes the oldest
 	// beyond the cap (0 = unlimited). The active segment never reaps.
 	MaxSegments int
 	// MaxBytes caps the log's total on-disk size (0 = unlimited).
 	MaxBytes int64
-	// MaxRecordBytes bounds one record's payload (default
-	// DefaultMaxRecordBytes).
-	MaxRecordBytes int
 }
 
 func (c Config) withDefaults() Config {
 	if c.SegmentMaxBytes <= 0 {
 		c.SegmentMaxBytes = 4 << 20
-	}
-	if c.MaxRecordBytes <= 0 {
-		c.MaxRecordBytes = DefaultMaxRecordBytes
 	}
 	return c
 }
@@ -75,13 +65,12 @@ type indexEnt struct {
 // segment is one on-disk log file: records base..last, contiguous.
 // All fields are guarded by the owning Log's mutex.
 type segment struct {
-	path    string
-	base    uint64 // first sequence in the segment
-	last    uint64 // last sequence in the segment (>= base once non-empty)
-	size    int64  // committed bytes (whole records only)
-	created time.Time
-	index   []indexEnt // sparse; always covers {base, 0} implicitly
-	pins    int        // cursors currently reading this segment
+	path  string
+	base  uint64     // first sequence in the segment
+	last  uint64     // last sequence in the segment (>= base once non-empty)
+	size  int64      // committed bytes (whole records only)
+	index []indexEnt // sparse; always covers {base, 0} implicitly
+	pins  int        // cursors currently reading this segment
 }
 
 // locate returns the greatest indexed offset at or before seq.
@@ -198,16 +187,11 @@ func (l *Log) recoverSegment(seg *segment) error {
 	if err != nil {
 		return fmt.Errorf("topiclog: %w", err)
 	}
-	if info, err := os.Stat(seg.path); err == nil {
-		seg.created = info.ModTime()
-	} else {
-		seg.created = time.Now()
-	}
 	off := 0
 	expect := seg.base
 	lastIdx := int64(0)
 	for off < len(data) {
-		seq, _, n, perr := ParseRecord(data[off:], l.cfg.MaxRecordBytes)
+		seq, _, n, perr := ParseRecord(data[off:])
 		if perr != nil || seq != expect {
 			break // torn or corrupt tail: truncate here
 		}
@@ -247,11 +231,7 @@ func (l *Log) rollLocked() error {
 		return err
 	}
 	l.active = f
-	l.segs = append(l.segs, &segment{
-		path:    path,
-		base:    l.nextSeq,
-		created: time.Now(),
-	})
+	l.segs = append(l.segs, &segment{path: path, base: l.nextSeq})
 	return nil
 }
 
@@ -263,17 +243,7 @@ func (l *Log) needRollLocked() bool {
 	if n == 0 {
 		return true
 	}
-	seg := l.segs[n-1]
-	if seg.size == 0 {
-		return false
-	}
-	if seg.size >= l.cfg.SegmentMaxBytes {
-		return true
-	}
-	if l.cfg.SegmentMaxAge > 0 && time.Since(seg.created) >= l.cfg.SegmentMaxAge {
-		return true
-	}
-	return false
+	return l.segs[n-1].size >= l.cfg.SegmentMaxBytes
 }
 
 // TailFunc receives one appended batch on an attached cursor: run is
@@ -300,8 +270,8 @@ func (l *Log) Append(payloads [][]byte) (first uint64, err error) {
 		return 0, l.writeErr
 	}
 	for _, p := range payloads {
-		if len(p) > l.cfg.MaxRecordBytes {
-			return 0, fmt.Errorf("topiclog: record payload %d exceeds limit %d", len(p), l.cfg.MaxRecordBytes)
+		if len(p) > DefaultMaxRecordBytes {
+			return 0, fmt.Errorf("topiclog: record payload %d exceeds limit %d", len(p), DefaultMaxRecordBytes)
 		}
 	}
 	if l.needRollLocked() {

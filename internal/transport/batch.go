@@ -66,9 +66,7 @@ func SendEvents(c Conn, events []*event.Event) error {
 // EventBatchConn is a Conn that can accept many decoded events per send
 // call. In-process pipes implement it (events move by pointer, so a
 // "batch" is one bookkeeping call rather than one per event); shaped
-// conns forward it so link emulation can charge per-call syscall cost
-// once per batch — which is how mem:// experiments reproduce the
-// batching win instead of bypassing it.
+// conns forward it, forwarding survivors in one call.
 type EventBatchConn interface {
 	Conn
 	// SendEvents transmits the events in order. The slice is read-only

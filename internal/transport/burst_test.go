@@ -166,61 +166,6 @@ func TestMemSendEvents(t *testing.T) {
 	}
 }
 
-// TestShaperSyscallCostBatch: with a per-call syscall cost, a batched
-// sender pays it once per batch while an unbatched sender pays it per
-// event — the mem:// emulation of the batching win.
-func TestShaperSyscallCostBatch(t *testing.T) {
-	const (
-		cost = 2 * time.Millisecond
-		n    = 20
-	)
-	mk := func() (Conn, Conn) {
-		a, b := Pipe("a", "b")
-		return Shape(a, LinkProfile{SyscallCost: cost}), b
-	}
-	events := make([]*event.Event, n)
-	for i := range events {
-		events[i] = burstEvent(uint64(i + 1))
-	}
-
-	shapedA, rawB := mk()
-	defer shapedA.Close()
-	defer rawB.Close()
-	start := time.Now()
-	for _, e := range events {
-		if err := shapedA.Send(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	perEvent := time.Since(start)
-
-	shapedC, rawD := mk()
-	defer shapedC.Close()
-	defer rawD.Close()
-	start = time.Now()
-	if err := shapedC.(EventBatchConn).SendEvents(events); err != nil {
-		t.Fatal(err)
-	}
-	batched := time.Since(start)
-
-	if perEvent < time.Duration(n)*cost {
-		t.Fatalf("per-event path took %v, want >= %v", perEvent, time.Duration(n)*cost)
-	}
-	if batched > perEvent/2 {
-		t.Fatalf("batched path took %v, not meaningfully cheaper than per-event %v", batched, perEvent)
-	}
-	// Both paths delivered everything.
-	for _, c := range []Conn{rawB, rawD} {
-		burst, err := c.(BurstConn).RecvBurst(nil, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(burst) != n {
-			t.Fatalf("delivered %d events, want %d", len(burst), n)
-		}
-	}
-}
-
 // TestShapedFrameConnLoss: shaping a framed conn preserves the frame
 // path and applies loss per frame — the substrate of the broker's
 // reliable-retransmit tests over lossy framed links.

@@ -22,21 +22,11 @@ type LinkProfile struct {
 	Jitter time.Duration
 	// Loss is the probability in [0,1] that an event is silently dropped.
 	Loss float64
-	// Bandwidth, in bytes per second, serializes deliveries through a
-	// token bucket. Zero means unlimited.
-	Bandwidth int64
 	// SendCost blocks the *sender* for the given duration per event,
 	// emulating per-send host service time (marshalling, syscall, copy on
 	// period hardware). This is the knob that reproduces the JMF
 	// reflector's saturation behaviour.
 	SendCost time.Duration
-	// SyscallCost blocks the sender once per send *call* — one Send, or
-	// one SendEvents/SendFrames batch — emulating the fixed kernel-entry
-	// overhead a real socket pays per system call. It is what lets
-	// emulated mem:// experiments reproduce the win of batching many
-	// events per call instead of bypassing it: an unbatched writer pays
-	// SyscallCost per event, a batched writer pays it once per batch.
-	SyscallCost time.Duration
 	// Egress, if non-nil, serializes deliveries through a limiter shared
 	// with other conns, emulating a host NIC that all fan-out traffic
 	// leaves through.
@@ -100,21 +90,18 @@ type SendBlocker interface {
 }
 
 // SendBlocks reports whether this profile charges sender-blocking cost
-// (SendCost or SyscallCost spin the sending goroutine; delay, loss and
-// bandwidth shaping ride the delay line without blocking the sender).
-func (s *shapedConn) SendBlocks() bool {
-	return s.profile.SendCost > 0 || s.profile.SyscallCost > 0
-}
+// (SendCost spins the sending goroutine; delay, loss and egress shaping
+// ride the delay line without blocking the sender).
+func (s *shapedConn) SendBlocks() bool { return s.profile.SendCost > 0 }
 
 // zero reports whether the profile requires any shaping at all.
 func (p LinkProfile) zero() bool {
-	return p.PropDelay == 0 && p.Jitter == 0 && p.Loss == 0 && p.Bandwidth == 0 &&
-		p.SendCost == 0 && p.SyscallCost == 0 && p.Egress == nil
+	return p.PropDelay == 0 && p.Jitter == 0 && p.Loss == 0 && p.SendCost == 0 && p.Egress == nil
 }
 
 // needsDelayLine reports whether deliveries must be scheduled in time.
 func (p LinkProfile) needsDelayLine() bool {
-	return p.PropDelay > 0 || p.Jitter > 0 || p.Bandwidth > 0 || p.Egress != nil
+	return p.PropDelay > 0 || p.Jitter > 0 || p.Egress != nil
 }
 
 // Shape wraps c so that events sent through it experience the profile.
@@ -147,19 +134,13 @@ type shapedConn struct {
 	profile LinkProfile
 	line    *delayLine
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	nextFree time.Time // token-bucket head for bandwidth serialization
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
 var _ Conn = (*shapedConn)(nil)
 
-func (s *shapedConn) Send(e *event.Event) error {
-	if s.profile.SyscallCost > 0 {
-		spinWait(s.profile.SyscallCost)
-	}
-	return s.sendOne(e, nil)
-}
+func (s *shapedConn) Send(e *event.Event) error { return s.sendOne(e, nil) }
 
 // sendOne applies the per-event shaping — loss, per-event host cost,
 // delay scheduling — shared by Send and SendEvents. When collect is
@@ -187,20 +168,8 @@ func (s *shapedConn) sendOne(e *event.Event, collect *[]*event.Event) error {
 	}
 	now := time.Now()
 	due := now
-	size := len(e.Payload) + 64
-	if p.Bandwidth > 0 {
-		tx := time.Duration(float64(size) / float64(p.Bandwidth) * float64(time.Second))
-		s.mu.Lock()
-		start := s.nextFree
-		if start.Before(now) {
-			start = now
-		}
-		s.nextFree = start.Add(tx)
-		due = s.nextFree
-		s.mu.Unlock()
-	}
 	if p.Egress != nil {
-		if t := p.Egress.reserve(now, size); t.After(due) {
+		if t := p.Egress.reserve(now, len(e.Payload)+64); t.After(due) {
 			due = t
 		}
 	}
@@ -216,15 +185,10 @@ func (s *shapedConn) sendOne(e *event.Event, collect *[]*event.Event) error {
 
 var _ EventBatchConn = (*shapedConn)(nil)
 
-// SendEvents transmits a batch through the emulated link: the fixed
-// SyscallCost is charged once for the whole call (the point of batching)
-// while loss, per-event host cost and delay scheduling still apply per
-// event. Survivors are forwarded in one call when the inner conn batches.
+// SendEvents transmits a batch through the emulated link: loss, per-event
+// host cost and delay scheduling apply per event. Survivors are forwarded
+// in one call when the inner conn batches.
 func (s *shapedConn) SendEvents(events []*event.Event) error {
-	p := s.profile
-	if p.SyscallCost > 0 {
-		spinWait(p.SyscallCost)
-	}
 	if s.line != nil {
 		for _, e := range events {
 			if err := s.sendOne(e, nil); err != nil {
@@ -257,9 +221,9 @@ func (s *shapedConn) RecvBurst(dst []*event.Event, max int) ([]*event.Event, err
 
 // shapedFrameConn preserves the inner conn's FrameConn capability so
 // shaped wire links still ride the encode-once batch path. The frame
-// path models loss and host costs (per-frame SendCost, per-call
-// SyscallCost); the delay line and bandwidth bucket apply only to the
-// decoded-event path, which is the one the emulated experiments shape.
+// path models loss and per-frame SendCost; the delay line and egress
+// limiter apply only to the decoded-event path, which is the one the
+// emulated experiments shape.
 type shapedFrameConn struct {
 	*shapedConn
 	fc FrameConn
@@ -269,9 +233,6 @@ var _ FrameConn = (*shapedFrameConn)(nil)
 
 func (s *shapedFrameConn) SendFrames(frames [][]byte) error {
 	p := s.profile
-	if p.SyscallCost > 0 {
-		spinWait(p.SyscallCost)
-	}
 	if p.Loss == 0 && p.SendCost == 0 {
 		return s.fc.SendFrames(frames)
 	}

@@ -377,30 +377,6 @@ func TestShapeLossStatistical(t *testing.T) {
 	}
 }
 
-func TestShapeBandwidthSerializes(t *testing.T) {
-	a, b := Pipe("x", "y")
-	// 10 KB/s; three 1000-byte payloads ≈ 300ms+ to deliver all.
-	sa := Shape(a, LinkProfile{Bandwidth: 10_000})
-	defer sa.Close()
-	start := time.Now()
-	for i := range 3 {
-		e := testEvent(uint64(i))
-		e.Payload = make([]byte, 1000)
-		if err := sa.Send(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for range 3 {
-		if _, err := b.Recv(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-	if elapsed < 250*time.Millisecond {
-		t.Fatalf("3 KB over 10KB/s delivered in %v, want >= ~300ms", elapsed)
-	}
-}
-
 func TestShapeOrderPreservedWithoutJitter(t *testing.T) {
 	a, b := Pipe("x", "y")
 	sa := Shape(a, LinkProfile{PropDelay: 5 * time.Millisecond})

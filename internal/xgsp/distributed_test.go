@@ -78,7 +78,7 @@ func TestXGSPAcrossBrokerNetwork(t *testing.T) {
 // TestXGSPOverLossyLink drives the whole request/response/notify cycle
 // over a 25%-lossy client link; the reliable profile must mask the loss.
 func TestXGSPOverLossyLink(t *testing.T) {
-	b := broker.New(broker.Config{ID: "xl", RetransmitInterval: 25 * time.Millisecond})
+	b := broker.New(broker.Config{ID: "xl"})
 	t.Cleanup(b.Stop)
 	sc, err := b.LocalClient("xgsp-server", transport.LinkProfile{})
 	if err != nil {

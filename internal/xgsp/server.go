@@ -16,19 +16,21 @@ type ServerConfig struct {
 	// Clock drives scheduled-session activation; nil uses the system
 	// clock.
 	Clock clock.Clock
-	// SchedulerTick is how often scheduled sessions are checked for
-	// activation/expiry. Default 500ms.
-	SchedulerTick time.Duration
 	// Metrics receives server counters; nil allocates a private registry.
 	Metrics *metrics.Registry
+
+	// schedulerTick is how often scheduled sessions are checked for
+	// activation/expiry. Default 500ms; a field only so this package's
+	// tests can shrink it.
+	schedulerTick time.Duration
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Clock == nil {
 		c.Clock = clock.System{}
 	}
-	if c.SchedulerTick <= 0 {
-		c.SchedulerTick = 500 * time.Millisecond
+	if c.schedulerTick <= 0 {
+		c.schedulerTick = 500 * time.Millisecond
 	}
 	if c.Metrics == nil {
 		c.Metrics = &metrics.Registry{}
@@ -320,7 +322,7 @@ func (s *Server) runScheduler() {
 		select {
 		case <-s.done:
 			return
-		case <-s.cfg.Clock.After(s.cfg.SchedulerTick):
+		case <-s.cfg.Clock.After(s.cfg.schedulerTick):
 			s.tick()
 		}
 	}

@@ -120,7 +120,7 @@ func newRig(t *testing.T, fake *clock.Fake) *testRig {
 	cfg := ServerConfig{}
 	if fake != nil {
 		cfg.Clock = fake
-		cfg.SchedulerTick = 10 * time.Millisecond
+		cfg.schedulerTick = 10 * time.Millisecond
 	}
 	srv := NewServer(sc, cfg)
 	if err := srv.Start(); err != nil {
