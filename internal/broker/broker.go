@@ -806,6 +806,10 @@ func (b *Broker) parkedCount() int {
 	return len(b.parked)
 }
 
+// takeoverWait bounds how long a resume waits for the token's still
+// attached session to finish closing and park before it looks again.
+const takeoverWait = 5 * time.Second
+
 // resumeHandshake serves a hello that presented a resume token. A live
 // park under that token reattaches the conn to the retained session
 // state; anything else — unknown token, expired linger, id mismatch —
@@ -824,10 +828,12 @@ func (b *Broker) resumeHandshake(conn transport.Conn, id, token string) error {
 		if live := b.ids[id]; live != nil && !live.isPeer && live.token == token {
 			b.mu.Unlock()
 			live.close()
+			wait := time.NewTimer(takeoverWait)
 			select {
 			case <-live.closedCh:
-			case <-time.After(5 * time.Second):
+			case <-wait.C:
 			}
+			wait.Stop()
 			b.mu.Lock()
 			park = b.parked[token]
 		}

@@ -69,7 +69,7 @@ const subscribeTimeout = 10 * time.Second
 const clientRouteCacheBound = 1024
 
 // Subscription is a client-side subscription delivering matched events
-// through a bounded ring buffer.
+// through a bounded ring buffer, its only buffer.
 //
 // The delivery contract is burst-oriented: the client's read loop hands
 // each subscription a whole burst at a time (deliverBatch), which
@@ -80,12 +80,13 @@ const clientRouteCacheBound = 1024
 //
 // Overflow policy mirrors the broker's send queues: best-effort events
 // displace the oldest buffered best-effort event (drops are counted and
-// never touch reliable entries); reliable events overflow into a
-// bounded park drained back into the ring as the consumer frees space,
-// and only a full park blocks the producer — so one backpressured
-// subscription cannot stall delivery to its siblings on the same read
-// loop. SetOverflow swaps that default (OverflowLanes) for one of the
-// SDK stream policies, which treat both lanes alike.
+// never touch reliable entries); reliable events past the depth grow
+// the ring, once, to twice it, and only a reliable event meeting 2 ×
+// depth buffered events blocks the producer — so one backpressured
+// subscription does not stall its siblings on the same read loop until
+// it holds that much. SetOverflow swaps that default (OverflowLanes)
+// for one of the SDK stream policies, which treat both lanes alike and
+// never grow the ring.
 type Subscription struct {
 	client  *Client
 	pattern string
@@ -96,7 +97,10 @@ type Subscription struct {
 	mu     sync.Mutex
 	closed bool
 	err    error // why the subscription ended, when not by Cancel/Close
+	// ring holds n events from head. It has depth slots until reliable
+	// overflow grows it to 2 × depth (growLocked); it never shrinks.
 	ring   []*event.Event
+	depth  int // immutable
 	head   int
 	n      int
 	relN   int // reliable events buffered (never evicted under OverflowLanes)
@@ -118,30 +122,11 @@ type Subscription struct {
 	// notify carries at most one "events buffered" token; every delivered
 	// burst and the close deposit one, the single consumer drains the ring
 	// before waiting. space carries at most one "ring space freed" token
-	// for reliable producers blocked on a full ring.
+	// for a reliable producer blocked on a ring at 2 × depth.
 	notify chan struct{}
 	space  chan struct{}
 	// closedSig is closed exactly once when the subscription closes.
 	closedSig chan struct{}
-
-	// parked buffers the overflow of a reliable-backpressure burst so one
-	// slow subscription cannot stall the client's readLoop — and with it
-	// every sibling subscription on the connection. While parked is
-	// non-empty all new traffic for this subscription is parked behind it
-	// (arrival order is never reordered around the ring); a lazily
-	// started drainer goroutine moves parked events into the ring as the
-	// consumer frees space. The park is bounded at ring depth: past it,
-	// best-effort newcomers are shed (counted as drops) and a reliable
-	// newcomer re-engages readLoop backpressure — the last resort, now
-	// behind ring+park worth of buffering instead of ring alone.
-	parked     []*event.Event
-	parkedPeak int
-	parkedEv   atomic.Uint64
-	// parkSignal wakes the drainer when events are parked; parkSpace wakes
-	// a readLoop blocked on a full park. Both carry at most one token.
-	parkSignal chan struct{}
-	parkSpace  chan struct{}
-	drainOnce  sync.Once
 
 	// stageGen/stageIdx are the owning read loop's staging slot for the
 	// current burst: a generation check instead of a map lookup per
@@ -183,14 +168,13 @@ func (s *Subscription) CaughtUp() <-chan struct{} {
 
 func newSubscription(c *Client, pattern string, depth int) *Subscription {
 	return &Subscription{
-		client:     c,
-		pattern:    pattern,
-		ring:       make([]*event.Event, depth),
-		notify:     make(chan struct{}, 1),
-		space:      make(chan struct{}, 1),
-		closedSig:  make(chan struct{}),
-		parkSignal: make(chan struct{}, 1),
-		parkSpace:  make(chan struct{}, 1),
+		client:    c,
+		pattern:   pattern,
+		ring:      make([]*event.Event, depth),
+		depth:     depth,
+		notify:    make(chan struct{}, 1),
+		space:     make(chan struct{}, 1),
+		closedSig: make(chan struct{}),
 	}
 }
 
@@ -203,9 +187,9 @@ type OverflowMode uint8
 
 const (
 	// OverflowLanes is the default: a best-effort event displaces the
-	// oldest buffered best-effort event, a reliable one is parked and,
-	// past the park, blocks the read loop. Reliable events are never
-	// dropped.
+	// oldest buffered best-effort event, a reliable one is appended past
+	// the depth (the ring grows to twice it) and, at 2 × depth, blocks
+	// the read loop. Reliable events are never dropped.
 	OverflowLanes OverflowMode = iota
 	// OverflowDropOldest displaces the oldest buffered event for every
 	// newcomer, reliable or not.
@@ -219,8 +203,8 @@ const (
 // for none), which receives the size of every batch of events the ring
 // sheds from now on. onDrop runs on the goroutine that delivered the
 // overflowing burst — the client's read loop — after the ring lock is
-// released, so it must not block. Call it before traffic matters:
-// events already parked under OverflowLanes keep their place in line.
+// released, so it must not block. Call it before traffic matters: a
+// ring already grown under OverflowLanes keeps its size.
 func (s *Subscription) SetOverflow(mode OverflowMode, onDrop func(dropped uint64)) {
 	s.mu.Lock()
 	s.overflow = mode
@@ -240,8 +224,8 @@ func (s *Subscription) noteDrops(n uint64, hook func(uint64)) {
 	}
 }
 
-// Drops returns how many events the ring and its park shed because the
-// consumer was slow: best-effort ones only, under OverflowLanes.
+// Drops returns how many events the ring shed because the consumer was
+// slow: best-effort ones only, under OverflowLanes.
 func (s *Subscription) Drops() uint64 { return s.drops.Load() }
 
 // Cancel unsubscribes. Equivalent to Client.Unsubscribe.
@@ -251,23 +235,20 @@ func (s *Subscription) Cancel() error { return s.client.Unsubscribe(s) }
 // how many delivery bursts (ring lock acquisitions) and consumer
 // wakeups the traffic cost, how many events were admitted, and the
 // high-water ring occupancy. Bursts ≪ Events is the amortization the
-// batch plane exists for.
+// batch plane exists for. Capacity is the ring's size: its depth, or
+// twice it once reliable overflow grew it.
 type DeliveryStats struct {
 	Bursts       uint64
 	Wakeups      uint64
 	Events       uint64
 	MaxOccupancy int
 	Capacity     int
-	// ParkedEvents counts events that took the overflow park instead of
-	// blocking the read loop; MaxParked is the park's high-water mark.
-	ParkedEvents uint64
-	MaxParked    int
 }
 
 // DeliveryStats returns a snapshot of the delivery-plane counters.
 func (s *Subscription) DeliveryStats() DeliveryStats {
 	s.mu.Lock()
-	occ, capacity, parkedPeak := s.maxOcc, len(s.ring), s.parkedPeak
+	occ, capacity := s.maxOcc, len(s.ring)
 	s.mu.Unlock()
 	return DeliveryStats{
 		Bursts:       s.deliverLocks.Load(),
@@ -275,8 +256,6 @@ func (s *Subscription) DeliveryStats() DeliveryStats {
 		Events:       s.delivered.Load(),
 		MaxOccupancy: occ,
 		Capacity:     capacity,
-		ParkedEvents: s.parkedEv.Load(),
-		MaxParked:    parkedPeak,
 	}
 }
 
@@ -320,11 +299,11 @@ func (s *Subscription) Wake() <-chan struct{} { return s.notify }
 // and issues one consumer wakeup. Best-effort overflow evicts the
 // oldest buffered best-effort events in bulk (counted as drops,
 // skipping reliable entries); a reliable event arriving at a full ring
-// is parked rather than blocking the caller, so one backpressured
-// subscription never stalls delivery to its siblings on the same read
-// loop. Only a full park with more reliable traffic inbound blocks —
-// until the drainer frees park space, the subscription closes, or done
-// closes.
+// is appended anyway — the ring grows to twice its depth — rather than
+// blocking the caller, so one backpressured subscription does not stall
+// delivery to its siblings on the same read loop. Only a reliable event
+// meeting 2 × depth buffered events blocks — until the consumer frees
+// space, the subscription closes, or done closes.
 func (s *Subscription) deliverBatch(events []*event.Event, done <-chan struct{}) {
 	for len(events) > 0 {
 		s.deliverLocks.Add(1)
@@ -333,153 +312,73 @@ func (s *Subscription) deliverBatch(events []*event.Event, done <-chan struct{})
 			s.mu.Unlock()
 			return
 		}
-		admitted := 0
-		var dropped uint64
-		if len(s.parked) == 0 {
-			var rest []*event.Event
-			rest, dropped = s.appendLocked(events)
-			admitted = len(events) - len(rest)
-			events = rest
-		}
-		parkedNow := 0
-		if len(events) > 0 {
-			// Ring full behind a reliable head (or earlier traffic already
-			// parked): everything further must queue behind the park so
-			// arrival order survives.
-			rest, shed := s.parkLocked(events)
-			parkedNow = len(events) - len(rest)
-			dropped += shed
-			events = rest
-		}
+		rest, dropped := s.appendLocked(events)
 		hook := s.onDrop
 		s.mu.Unlock()
 		s.noteDrops(dropped, hook)
-		if admitted > 0 {
+		if admitted := len(events) - len(rest); admitted > 0 {
 			s.delivered.Add(uint64(admitted))
 			s.signalData()
 		}
-		if parkedNow > 0 {
-			s.parkedEv.Add(uint64(parkedNow))
-			s.drainOnce.Do(func() { go s.drainParked() })
-			select {
-			case s.parkSignal <- struct{}{}:
-			default:
-			}
-		}
+		events = rest
 		if len(events) == 0 {
 			return
 		}
-		// The park is full and the head of the remainder is reliable:
-		// last-resort backpressure, behind ring+park worth of buffering.
+		// The ring holds 2 × depth and the head of the remainder is
+		// reliable: last-resort backpressure on the read loop.
 		select {
 		case <-done:
 			return
 		case <-s.closedSig:
 			return
-		case <-s.parkSpace:
-		}
-	}
-}
-
-// parkLocked appends events to the bounded park (capacity = ring
-// depth), preserving arrival order. Best-effort newcomers past the
-// bound are shed (returned as dropped, for noteDrops); the un-parked
-// suffix is returned non-empty only when its head is reliable and the
-// park is full. Callers hold s.mu.
-func (s *Subscription) parkLocked(events []*event.Event) (rest []*event.Event, dropped uint64) {
-	bound := len(s.ring)
-	for i, e := range events {
-		if len(s.parked) >= bound {
-			if e.Reliable {
-				rest = events[i:]
-				break
-			}
-			dropped++
-			continue
-		}
-		s.parked = append(s.parked, e)
-	}
-	if len(s.parked) > s.parkedPeak {
-		s.parkedPeak = len(s.parked)
-	}
-	return rest, dropped
-}
-
-// drainParked is the subscription's park drainer, started lazily on
-// first overflow. It moves parked events into the ring whenever the
-// consumer frees space, waking any readLoop blocked on a full park.
-func (s *Subscription) drainParked() {
-	for {
-		select {
-		case <-s.closedSig:
-			return
-		case <-s.parkSignal:
 		case <-s.space:
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		admitted := 0
-		var dropped uint64
-		if len(s.parked) > 0 {
-			var rest []*event.Event
-			rest, dropped = s.appendLocked(s.parked)
-			admitted = len(s.parked) - len(rest)
-			if admitted > 0 {
-				n := copy(s.parked, rest)
-				for i := n; i < len(s.parked); i++ {
-					s.parked[i] = nil
-				}
-				s.parked = s.parked[:n]
-			}
-		}
-		hook := s.onDrop
-		s.mu.Unlock()
-		s.noteDrops(dropped, hook)
-		if admitted > 0 {
-			s.delivered.Add(uint64(admitted))
-			s.signalData()
-			select {
-			case s.parkSpace <- struct{}{}:
-			default:
-			}
-		}
 	}
 }
 
-// appendLocked copies events into the ring in arrival order. What a
-// full ring does with the next event is the overflow mode's call:
-// under OverflowLanes a best-effort event evicts the oldest best-effort
-// entry and a reliable one stops the append — the un-admitted suffix is
-// returned, and the caller must park it or block for space; the two
-// drop modes shed the oldest entry or the newcomer whatever its lane, so
-// they admit everything. dropped is how many events were shed, once per
-// call, for noteDrops after the lock is released. Callers hold s.mu.
+// appendLocked copies events into the ring in arrival order. What an
+// event meeting depth buffered events does is the overflow mode's call.
+// Under OverflowLanes a best-effort event evicts the oldest best-effort
+// entry (or, when every entry is reliable, is appended — and shed only
+// at 2 × depth), and a reliable one is appended up to 2 × depth, where
+// it stops the append: the un-admitted suffix is returned, and the
+// caller must block for space. The two drop modes shed the oldest entry
+// or the newcomer whatever its lane, so they admit everything and never
+// grow the ring. dropped is how many events were shed, once per call,
+// for noteDrops after the lock is released. Callers hold s.mu.
 func (s *Subscription) appendLocked(events []*event.Event) (rest []*event.Event, dropped uint64) {
 	for i, e := range events {
-		if s.n == len(s.ring) {
+		if s.n >= s.depth {
+			// Replacing in place needs n == len(s.ring), not n >= depth.
 			switch {
 			case s.overflow == OverflowDropNewest:
 				dropped++
 				continue
 			case s.overflow == OverflowDropOldest:
 				dropped++
-				s.replaceHeadLocked(e)
-				continue
+				if s.n == len(s.ring) {
+					s.replaceHeadLocked(e)
+					continue
+				}
+				s.popHeadLocked() // a ring grown before SetOverflow
 			case e.Reliable:
-				return events[i:], dropped
-			}
-			dropped++
-			if s.relN == 0 {
+				if s.n == 2*s.depth {
+					return events[i:], dropped
+				}
+			case s.relN == 0 && s.n == len(s.ring):
 				// Steady-state overload fast path.
+				dropped++
 				s.replaceHeadLocked(e)
 				continue
-			}
-			if !s.evictOldestLocked() {
+			case s.evictOldestLocked():
+				dropped++
+			case s.n == 2*s.depth:
 				// Every buffered event is reliable; shed the newcomer.
+				dropped++
 				continue
+			}
+			if s.n == len(s.ring) {
+				s.growLocked()
 			}
 		}
 		tail := s.head + s.n
@@ -513,6 +412,32 @@ func (s *Subscription) replaceHeadLocked(e *event.Event) {
 	if s.head == len(s.ring) {
 		s.head = 0
 	}
+}
+
+// growLocked doubles a full depth-slot ring to 2 × depth, once, copying
+// it in FIFO order so the oldest event lands at index 0. Callers hold
+// s.mu.
+func (s *Subscription) growLocked() {
+	grown := make([]*event.Event, 2*s.depth)
+	n := copy(grown, s.ring[s.head:])
+	copy(grown[n:], s.ring[:s.head])
+	s.ring, s.head = grown, 0
+}
+
+// popHeadLocked removes and returns the oldest buffered event. Callers
+// hold s.mu and have checked s.n > 0.
+func (s *Subscription) popHeadLocked() *event.Event {
+	e := s.ring[s.head]
+	s.ring[s.head] = nil
+	s.head++
+	if s.head == len(s.ring) {
+		s.head = 0
+	}
+	s.n--
+	if e.Reliable {
+		s.relN--
+	}
+	return e
 }
 
 // evictOldestLocked removes the oldest best-effort entry to make room,
@@ -553,17 +478,7 @@ func (s *Subscription) tryRecv(buf []*event.Event, max int) ([]*event.Event, int
 		take = max
 	}
 	for i := 0; i < take; i++ {
-		e := s.ring[s.head]
-		s.ring[s.head] = nil
-		s.head++
-		if s.head == len(s.ring) {
-			s.head = 0
-		}
-		s.n--
-		if e.Reliable {
-			s.relN--
-		}
-		buf = append(buf, e)
+		buf = append(buf, s.popHeadLocked())
 	}
 	remaining := s.n
 	closed := s.closed
@@ -606,7 +521,7 @@ func (s *Subscription) RecvBatch(buf []*event.Event, max int) ([]*event.Event, b
 // stay in the ring for the next call.
 func (s *Subscription) RecvBatchContext(ctx context.Context, buf []*event.Event, max int) ([]*event.Event, error) {
 	if max <= 0 {
-		max = len(s.ring)
+		max = s.depth
 	}
 	done := ctx.Done()
 	for {
@@ -635,7 +550,7 @@ func (s *Subscription) RecvBatchContext(ctx context.Context, buf []*event.Event,
 // false once the subscription is closed and fully drained.
 func (s *Subscription) TryRecvBatch(buf []*event.Event, max int) ([]*event.Event, bool) {
 	if max <= 0 {
-		max = len(s.ring)
+		max = s.depth
 	}
 	out, _, drained := s.tryRecv(buf, max)
 	return out, !drained
@@ -746,14 +661,13 @@ type Client struct {
 	replayIntern  event.Interner
 	replayCorrupt atomic.Uint64
 
-	// waiters maps ping tokens to response channels for control fencing.
-	waiters map[string]chan struct{}
-
-	// replays maps replay stream ids to their subscriptions (replay
-	// events route by id, not by the dispatch trie); replayWait holds
-	// the start-handshake completion channels. Both guarded by mu.
-	replays    map[uint64]*Subscription
-	replayWait map[uint64]chan error
+	// waiters maps a pending control request's token (from nextToken) to
+	// the channel its reply completes: a fence's ping echo (nil) or a
+	// replay start's ok or refusal. replays maps replay stream ids to
+	// their subscriptions (replay events route by id, not by the dispatch
+	// trie). Both guarded by mu.
+	waiters map[uint64]chan error
+	replays map[uint64]*Subscription
 
 	nextEventID atomic.Uint64
 	nextToken   atomic.Uint64
@@ -800,9 +714,8 @@ func newClient(id string, conn transport.Conn) *Client {
 		subs:       topic.NewTrie[*Subscription](),
 		subSet:     make(map[*Subscription]struct{}),
 		routeCache: make(map[string][]*Subscription),
-		waiters:    make(map[string]chan struct{}),
+		waiters:    make(map[uint64]chan error),
 		replays:    make(map[uint64]*Subscription),
-		replayWait: make(map[uint64]chan error),
 		done:       make(chan struct{}),
 		stageGen:   1,
 	}
@@ -995,46 +908,35 @@ func (c *Client) SubscribeReplay(ctx context.Context, pattern string, from uint6
 	// arrive as id-tagged envelopes, not trie-matched topics.
 	c.subSet[sub] = struct{}{}
 	c.replays[id] = sub
-	c.replayWait[id] = wait
+	c.waiters[id] = wait
 	c.mu.Unlock()
 	cleanup := func() {
 		c.mu.Lock()
 		delete(c.subSet, sub)
 		delete(c.replays, id)
-		delete(c.replayWait, id)
 		c.mu.Unlock()
 		sub.closeRing()
 	}
+	defer c.dropWaiter(id)
 	_, lost := c.currentConn()
 	if err := c.send(replayStartEvent(pattern, from, id)); err != nil {
 		cleanup()
 		return nil, fmt.Errorf("broker: sending replay start: %w", err)
 	}
-	select {
-	case err := <-wait:
-		c.mu.Lock()
-		delete(c.replayWait, id)
-		c.mu.Unlock()
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-	case <-ctx.Done():
-		cleanup()
-		_ = c.send(replayStopEvent(id))
-		return nil, ctx.Err()
-	case <-lost:
-		cleanup()
-		return nil, ErrConnLost
-	case <-c.done:
-		cleanup()
-		return nil, ErrClientClosed
-	case <-time.After(subscribeTimeout):
-		cleanup()
-		_ = c.send(replayStopEvent(id))
-		return nil, ErrFenceTimeout
+	refused, err := awaitReply(ctx, c, lost, wait)
+	if err == nil && refused == nil {
+		return sub, nil
 	}
-	return sub, nil
+	cleanup()
+	if err == nil {
+		return nil, refused
+	}
+	if errors.Is(err, ErrFenceTimeout) || ctx.Err() != nil {
+		// Abandoned rather than refused: the broker may still start the
+		// stream, so stop it (best effort).
+		_ = c.send(replayStopEvent(id))
+	}
+	return nil, err
 }
 
 // revokePattern sends an unsubscribe for pattern unless another live
@@ -1115,8 +1017,8 @@ func (c *Client) dropSub(sub *Subscription) {
 // control requests on this connection have been applied by the broker.
 // It returns early when ctx is cancelled.
 func (c *Client) fence(ctx context.Context) error {
-	token := strconv.FormatUint(c.nextToken.Add(1), 10)
-	ch := make(chan struct{}, 1)
+	token := c.nextToken.Add(1)
+	ch := make(chan error, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -1124,29 +1026,56 @@ func (c *Client) fence(ctx context.Context) error {
 	}
 	c.waiters[token] = ch
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, token)
-		c.mu.Unlock()
-	}()
+	defer c.dropWaiter(token)
 	ping := event.New(topicPing, event.KindControl, nil)
-	ping.Headers = map[string]string{hdrSeq: token}
+	ping.Headers = map[string]string{hdrSeq: strconv.FormatUint(token, 10)}
 	_, lost := c.currentConn()
 	if err := c.send(ping); err != nil {
 		return fmt.Errorf("broker: sending ping: %w", err)
 	}
+	_, err := awaitReply(ctx, c, lost, ch)
+	return err
+}
+
+// awaitReply waits for the reply to a control request sent on the conn
+// whose loss channel is lost. It returns the reply, or ctx.Err(),
+// ErrConnLost (that conn died, so the reply will never arrive),
+// ErrClientClosed, or ErrFenceTimeout after subscribeTimeout.
+func awaitReply[T any](ctx context.Context, c *Client, lost <-chan struct{}, reply <-chan T) (v T, err error) {
+	timer := time.NewTimer(subscribeTimeout)
+	defer timer.Stop()
 	select {
-	case <-ch:
-		return nil
+	case v = <-reply:
 	case <-ctx.Done():
-		return ctx.Err()
+		err = ctx.Err()
 	case <-lost:
-		// The conn carrying the ping died; its echo will never arrive.
-		return ErrConnLost
+		err = ErrConnLost
 	case <-c.done:
-		return ErrClientClosed
-	case <-time.After(subscribeTimeout):
-		return ErrFenceTimeout
+		err = ErrClientClosed
+	case <-timer.C:
+		err = ErrFenceTimeout
+	}
+	return v, err
+}
+
+// dropWaiter unregisters a control request's reply channel.
+func (c *Client) dropWaiter(token uint64) {
+	c.mu.Lock()
+	delete(c.waiters, token)
+	c.mu.Unlock()
+}
+
+// completeWaiter hands a control reply to the request registered under
+// token, if one still waits.
+func (c *Client) completeWaiter(token uint64, err error) {
+	c.mu.Lock()
+	ch := c.waiters[token]
+	c.mu.Unlock()
+	if ch != nil {
+		select {
+		case ch <- err:
+		default:
+		}
 	}
 }
 
@@ -1298,14 +1227,8 @@ func (c *Client) processBurst(events []*event.Event) {
 func (c *Client) handleControl(e *event.Event) {
 	switch e.Topic {
 	case topicPing:
-		c.mu.Lock()
-		ch := c.waiters[e.Headers[hdrSeq]]
-		c.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- struct{}{}:
-			default:
-			}
+		if token, err := headerUint(e, hdrSeq); err == nil {
+			c.completeWaiter(token, nil)
 		}
 	case topicHello:
 		c.handleWelcome(e)
@@ -1363,34 +1286,20 @@ func (c *Client) handleReplayReply(e *event.Event) {
 	}
 	switch e.Headers[hdrOp] {
 	case repOK:
-		c.mu.Lock()
-		ch := c.replayWaiter(id)
-		c.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- nil:
-			default:
-			}
-		}
+		c.completeWaiter(id, nil)
 	case repErr:
 		detail := e.Headers[hdrError]
 		if detail == "" {
 			detail = "replay failed"
 		}
 		c.mu.Lock()
-		ch := c.replayWaiter(id)
 		sub := c.replays[id]
 		delete(c.replays, id)
 		if sub != nil {
 			delete(c.subSet, sub)
 		}
 		c.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- errors.New("broker: " + detail):
-			default:
-			}
-		}
+		c.completeWaiter(id, errors.New("broker: "+detail))
 		if sub != nil {
 			// The broker-side stream died (e.g. the log closed): end the
 			// subscription so consumers observe termination, not silence.
@@ -1406,10 +1315,6 @@ func (c *Client) handleReplayReply(e *event.Event) {
 		}
 	}
 }
-
-// replayWaiter returns the pending start-handshake channel for a
-// replay id. Caller holds c.mu.
-func (c *Client) replayWaiter(id uint64) chan error { return c.replayWait[id] }
 
 // handleReplayData unpacks one replay envelope — a run of
 // topiclog-framed records — and delivers the decoded events to the
@@ -1549,7 +1454,7 @@ func (c *Client) teardown() {
 	}
 	clear(c.subSet)
 	clear(c.replays)
-	clear(c.replayWait)
+	clear(c.waiters)
 	c.subs = topic.NewTrie[*Subscription]()
 	c.routeEpoch.Add(1)
 	c.mu.Unlock()

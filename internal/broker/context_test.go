@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 )
 
@@ -61,5 +62,63 @@ func TestPublishAfterClose(t *testing.T) {
 	}
 	if err := c.Publish("/t", 0, nil); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("publish after close = %v", err)
+	}
+}
+
+// TestControlWaitersCleanedUp: a control-reply wait unregisters its
+// waiter however it ends. A SubscribeReplay cancelled mid-handshake
+// (which also stops the broker-side stream) and a fence that times out
+// each leave the client's waiter map empty.
+func TestControlWaitersCleanedUp(t *testing.T) {
+	waiters := func(c *Client) int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.waiters)
+	}
+	next := func(r *fakeBrokerRig) *event.Event {
+		t.Helper()
+		select {
+		case e := <-r.recvCh:
+			return e
+		case <-time.After(2 * time.Second):
+			t.Fatal("no control request reached the broker end")
+			return nil
+		}
+	}
+
+	rig := newFakeBrokerRig(t, "waiter-replay")
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := rig.c.SubscribeReplay(ctx, "/rec/t", 0, 8)
+		done <- err
+	}()
+	if e := next(rig); e.Topic != topicReplay || e.Headers[hdrOp] != repStart {
+		t.Fatalf("first request = %s %v, want a replay start", e.Topic, e.Headers)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled replay subscribe = %v, want context.Canceled", err)
+	}
+	if e := next(rig); e.Topic != topicReplay || e.Headers[hdrOp] != repStop {
+		t.Fatalf("after cancel the client sent %s %v, want a replay stop", e.Topic, e.Headers)
+	}
+	if n := waiters(rig.c); n != 0 {
+		t.Fatalf("cancelled replay subscribe left %d waiters", n)
+	}
+	rig.c.mu.Lock()
+	replays, subs := len(rig.c.replays), len(rig.c.subSet)
+	rig.c.mu.Unlock()
+	if replays != 0 || subs != 0 {
+		t.Fatalf("cancelled replay subscribe left %d replays, %d subscriptions", replays, subs)
+	}
+
+	// Nothing echoes the ping, so the fence runs out its whole window.
+	fenced := newFakeBrokerRig(t, "waiter-fence")
+	if err := fenced.c.fence(context.Background()); !errors.Is(err, ErrFenceTimeout) {
+		t.Fatalf("unanswered fence = %v, want ErrFenceTimeout", err)
+	}
+	if n := waiters(fenced.c); n != 0 {
+		t.Fatalf("timed-out fence left %d waiters", n)
 	}
 }

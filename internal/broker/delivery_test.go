@@ -433,9 +433,10 @@ func TestPerEventDispatchAblation(t *testing.T) {
 
 // TestReliableNeverDroppedFromRing: best-effort overflow evicts only
 // best-effort entries; reliable events survive any flood. A reliable
-// event arriving at a full ring parks (the producer keeps going), and
-// only once ring AND park are full does the producer block until the
-// consumer frees space — nothing reliable is ever dropped.
+// event arriving at a full ring is appended anyway (the ring grows to
+// twice its depth and the producer keeps going), and only at 2 × depth
+// does the producer block until the consumer frees space — nothing
+// reliable is ever dropped.
 func TestReliableNeverDroppedFromRing(t *testing.T) {
 	sub := newSubscription(nil, "/rel/t", 4)
 	done := make(chan struct{})
@@ -473,31 +474,32 @@ func TestReliableNeverDroppedFromRing(t *testing.T) {
 		t.Fatalf("conservation broken: %d received + %d dropped != 10", len(buf), sub.Drops())
 	}
 
-	// Fill the ring with reliable events: the next reliable burst parks
-	// (the caller — the client readLoop — must not block while park
-	// space remains), and only a reliable event past ring+park capacity
-	// blocks the producer. Nothing drops in either regime.
+	// Fill the ring with reliable events: the next reliable burst is
+	// buffered past the depth (the caller — the client readLoop — must
+	// not block below 2 × depth), and only a reliable event meeting
+	// 2 × depth buffered events blocks the producer. Nothing drops in
+	// either regime.
 	fill := make([]*event.Event, 4)
 	for i := range fill {
 		fill[i] = deliveryEvent(uint64(100+i), "/rel/t", true)
 	}
 	sub.deliverBatch(fill, done)
-	parkFill := make([]*event.Event, 4) // park bound = ring depth = 4
-	for i := range parkFill {
-		parkFill[i] = deliveryEvent(uint64(200+i), "/rel/t", true)
+	overFill := make([]*event.Event, 4) // up to 2 × depth = 8 buffered
+	for i := range overFill {
+		overFill[i] = deliveryEvent(uint64(200+i), "/rel/t", true)
 	}
 	overflowDone := make(chan struct{})
 	go func() {
-		sub.deliverBatch(parkFill, done)
+		sub.deliverBatch(overFill, done)
 		close(overflowDone)
 	}()
 	select {
 	case <-overflowDone:
 	case <-time.After(2 * time.Second):
-		t.Fatal("reliable overflow blocked the producer while park space remained")
+		t.Fatal("reliable overflow blocked the producer below 2 × depth")
 	}
-	if st := sub.DeliveryStats(); st.ParkedEvents != 4 {
-		t.Fatalf("parked %d events, want 4 (stats %+v)", st.ParkedEvents, st)
+	if st := sub.DeliveryStats(); st.MaxOccupancy != 8 {
+		t.Fatalf("buffered %d events at depth 4, want 8 (stats %+v)", st.MaxOccupancy, st)
 	}
 	blocked := make(chan struct{})
 	go func() {
@@ -506,7 +508,7 @@ func TestReliableNeverDroppedFromRing(t *testing.T) {
 	}()
 	select {
 	case <-blocked:
-		t.Fatal("reliable delivery did not block on a full ring+park")
+		t.Fatal("reliable delivery did not block at 2 × depth")
 	case <-time.After(50 * time.Millisecond):
 	}
 	drained, _ := sub.TryRecvBatch(nil, 2)
@@ -518,20 +520,10 @@ func TestReliableNeverDroppedFromRing(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("reliable delivery still blocked after space was freed")
 	}
-	total := drained
-	deadline := time.Now().Add(5 * time.Second)
-	for len(total) < 9 {
-		if time.Now().After(deadline) {
-			t.Fatalf("drained %d/9 backpressured events before timeout", len(total))
-		}
-		rest, ok := sub.TryRecvBatch(nil, 16)
-		if !ok {
-			t.Fatal("subscription closed while draining backpressured traffic")
-		}
-		total = append(total, rest...)
-		if len(rest) == 0 {
-			time.Sleep(time.Millisecond) // park drainer still moving events
-		}
+	// The unblocked producer has returned: everything is in the ring.
+	total, ok := sub.TryRecvBatch(drained, 16)
+	if !ok {
+		t.Fatal("subscription closed while draining backpressured traffic")
 	}
 	if len(total) != 9 {
 		t.Fatalf("reliable backpressure delivered %d/9 events", len(total))
@@ -552,6 +544,63 @@ func TestReliableNeverDroppedFromRing(t *testing.T) {
 	}
 	if sub.Drops() != 6 { // only the best-effort evictions from the first flood
 		t.Fatalf("drops = %d, want 6", sub.Drops())
+	}
+}
+
+// TestRingGrowthKeepsOrder: a ring that grows while its head sits
+// mid-ring (wrapped) copies its events in FIFO order, keeps its reliable
+// count, and a later OverflowDropOldest delivery displaces the oldest
+// events of the grown ring without growing it further.
+func TestRingGrowthKeepsOrder(t *testing.T) {
+	sub := newSubscription(nil, "/grow/t", 4)
+	rel := func(ids ...uint64) []*event.Event {
+		out := make([]*event.Event, len(ids))
+		for i, id := range ids {
+			out[i] = deliveryEvent(id, "/grow/t", true)
+		}
+		return out
+	}
+	sub.deliverBatch(rel(1, 2, 3), nil)
+	if got, _ := sub.TryRecvBatch(nil, 2); len(got) != 2 {
+		t.Fatalf("drained %d events, want 2", len(got))
+	}
+	sub.deliverBatch(rel(4, 5, 6), nil) // full and wrapped: head = 2
+	sub.mu.Lock()
+	head, n := sub.head, sub.n
+	sub.mu.Unlock()
+	if head != 2 || n != 4 {
+		t.Fatalf("before growth head=%d n=%d, want a full ring wrapped at 2", head, n)
+	}
+	// Reliable 7 grows the ring; best-effort 8 meets an all-reliable ring
+	// below 2 × depth and is appended too.
+	sub.deliverBatch(append(rel(7), deliveryEvent(8, "/grow/t", false)), nil)
+	sub.mu.Lock()
+	head, n, relN, size := sub.head, sub.n, sub.relN, len(sub.ring)
+	sub.mu.Unlock()
+	if size != 8 || head != 0 || n != 6 || relN != 5 {
+		t.Fatalf("after growth len=%d head=%d n=%d relN=%d, want 8/0/6/5", size, head, n, relN)
+	}
+
+	sub.SetOverflow(OverflowDropOldest, nil)
+	sub.deliverBatch([]*event.Event{deliveryEvent(9, "/grow/t", false), deliveryEvent(10, "/grow/t", true)}, nil)
+	if d := sub.Drops(); d != 2 {
+		t.Fatalf("drop-oldest shed %d events, want 2", d)
+	}
+	got, _ := sub.TryRecvBatch(nil, 16)
+	want := []uint64{5, 6, 7, 8, 9, 10}
+	if len(got) != len(want) {
+		t.Fatalf("ring holds %d events, want %d", len(got), len(want))
+	}
+	for i, e := range got {
+		if e.ID != want[i] {
+			t.Fatalf("slot %d has ID %d, want %d", i, e.ID, want[i])
+		}
+	}
+	sub.mu.Lock()
+	n, relN, size = sub.n, sub.relN, len(sub.ring)
+	sub.mu.Unlock()
+	if n != 0 || relN != 0 || size != 8 {
+		t.Fatalf("drained ring n=%d relN=%d len=%d, want 0/0/8", n, relN, size)
 	}
 }
 
@@ -721,8 +770,8 @@ func TestCoalescedAcksLossLink(t *testing.T) {
 
 // TestOverflowDropModes: the two SDK overflow modes treat both lanes
 // alike at a full ring — drop-oldest displaces a buffered reliable
-// event, drop-newest sheds a reliable newcomer, neither parks or blocks
-// — and the drop hook sees exactly the shed count, outside the ring
+// event, drop-newest sheds a reliable newcomer, neither grows the ring
+// or blocks — and the drop hook sees exactly the shed count, outside the ring
 // lock (it takes that lock itself here).
 func TestOverflowDropModes(t *testing.T) {
 	for _, tc := range []struct {
@@ -747,8 +796,8 @@ func TestOverflowDropModes(t *testing.T) {
 		if hooked != 4 || sub.Drops() != 4 {
 			t.Fatalf("mode %d: hook saw %d drops, counter %d, want 4", tc.mode, hooked, sub.Drops())
 		}
-		if st := sub.DeliveryStats(); st.ParkedEvents != 0 {
-			t.Fatalf("mode %d: %d events parked", tc.mode, st.ParkedEvents)
+		if st := sub.DeliveryStats(); st.MaxOccupancy != 3 {
+			t.Fatalf("mode %d: buffered %d events at depth 3", tc.mode, st.MaxOccupancy)
 		}
 		buf, _ := sub.TryRecvBatch(nil, 8)
 		if len(buf) != len(tc.want) {

@@ -41,9 +41,9 @@ const (
 //   - a bounded best-effort lane that drops its oldest entry on overflow,
 //     which is the correct policy for real-time media.
 //
-// tryPop returns reliable items first. The queue is signal-based rather
-// than condvar-based so the writer can multiplex "more traffic arrived"
-// against flush timers.
+// tryPop and popBatch return reliable items first. The queue never
+// blocks a consumer: every push and the close signal the session's
+// writer pool through onSignal, and the pool drains it.
 type sendQueue struct {
 	mu      sync.Mutex
 	rel     []outItem // ring storage, doubled when full
@@ -85,22 +85,16 @@ type sendQueue struct {
 	// regression tests.
 	pushLocks atomic.Uint64
 
-	// notify carries at most one wakeup token for a queue with no writer
-	// pool bound (pop's consumer); every push and close deposits one, the
-	// single consumer drains to empty before waiting.
-	notify chan struct{}
-
-	// onSignal, when set (by session.bindPool, before the session
-	// starts; immutable after), replaces the notify-channel deposit: the
-	// wakeup goes to the writer pool's ready list. It reports whether a
-	// wakeup was actually deposited (false when the consumer is already
-	// armed).
+	// onSignal (set by session.bindPool before the session starts;
+	// immutable after) wakes the consumer: it arms the session on its
+	// writer pool's ready list and reports whether a wakeup was actually
+	// deposited (false when the session is already armed). A queue with
+	// no pool bound signals nothing.
 	onSignal func() bool
 
-	// wakeups counts deposited wakeup tokens (channel sends that landed,
-	// or pool arms that won the CAS). Together with pushLocks it
-	// instruments the batching contract: one lock, one wakeup per
-	// session per burst.
+	// wakeups counts deposited wakeups (pool arms that won the CAS).
+	// Together with pushLocks it instruments the batching contract: one
+	// lock, one wakeup per session per burst.
 	wakeups atomic.Uint64
 }
 
@@ -108,23 +102,12 @@ func newSendQueue(bestEffortDepth int) *sendQueue {
 	if bestEffortDepth <= 0 {
 		bestEffortDepth = 1
 	}
-	return &sendQueue{
-		be:     make([]outItem, bestEffortDepth),
-		notify: make(chan struct{}, 1),
-	}
+	return &sendQueue{be: make([]outItem, bestEffortDepth)}
 }
 
 func (q *sendQueue) signal() {
-	if q.onSignal != nil {
-		if q.onSignal() {
-			q.wakeups.Add(1)
-		}
-		return
-	}
-	select {
-	case q.notify <- struct{}{}:
+	if q.onSignal != nil && q.onSignal() {
 		q.wakeups.Add(1)
-	default:
 	}
 }
 
@@ -348,21 +331,6 @@ func (q *sendQueue) popBatch(buf []outItem, max int) ([]outItem, popState) {
 		return buf, popClosed
 	}
 	return buf, popEmpty
-}
-
-// pop blocks until an event is available or the queue closes. The second
-// return is false once the queue is closed and drained.
-func (q *sendQueue) pop() (*event.Event, bool) {
-	for {
-		it, st := q.tryPop()
-		switch st {
-		case popOK:
-			return it.e, true
-		case popClosed:
-			return nil, false
-		}
-		<-q.notify
-	}
 }
 
 // close wakes the consumer; tryPop drains remaining events first.

@@ -13,15 +13,24 @@ func qe(id uint64) *event.Event {
 	return &event.Event{ID: id, Topic: "/q", Kind: event.KindData}
 }
 
+// popID pops one item without blocking and returns its event's ID.
+func popID(t *testing.T, q *sendQueue) uint64 {
+	t.Helper()
+	it, st := q.tryPop()
+	if st != popOK {
+		t.Fatalf("tryPop = %v, want an item", st)
+	}
+	return it.e.ID
+}
+
 func TestSendQueueFIFO(t *testing.T) {
 	q := newSendQueue(8)
 	for i := range 5 {
 		q.pushBestEffort(qe(uint64(i)), nil)
 	}
 	for i := range 5 {
-		e, ok := q.pop()
-		if !ok || e.ID != uint64(i) {
-			t.Fatalf("pop %d = %v, %v", i, e, ok)
+		if id := popID(t, q); id != uint64(i) {
+			t.Fatalf("pop %d = id %d", i, id)
 		}
 	}
 }
@@ -36,9 +45,8 @@ func TestSendQueueDropOldest(t *testing.T) {
 	}
 	// Oldest two (0,1) dropped; expect 2,3,4.
 	for _, want := range []uint64{2, 3, 4} {
-		e, ok := q.pop()
-		if !ok || e.ID != want {
-			t.Fatalf("pop = %v, %v; want id %d", e, ok, want)
+		if id := popID(t, q); id != want {
+			t.Fatalf("pop = id %d; want id %d", id, want)
 		}
 	}
 }
@@ -47,13 +55,11 @@ func TestSendQueueReliablePriority(t *testing.T) {
 	q := newSendQueue(8)
 	q.pushBestEffort(qe(1), nil)
 	q.pushReliable(qe(100))
-	e, _ := q.pop()
-	if e.ID != 100 {
-		t.Fatalf("pop = %d, want reliable event 100 first", e.ID)
+	if id := popID(t, q); id != 100 {
+		t.Fatalf("pop = %d, want reliable event 100 first", id)
 	}
-	e, _ = q.pop()
-	if e.ID != 1 {
-		t.Fatalf("pop = %d, want best-effort 1 second", e.ID)
+	if id := popID(t, q); id != 1 {
+		t.Fatalf("pop = %d, want best-effort 1 second", id)
 	}
 }
 
@@ -70,52 +76,15 @@ func TestSendQueueReliableNeverDropped(t *testing.T) {
 	}
 }
 
-func TestSendQueuePopBlocksUntilPush(t *testing.T) {
-	q := newSendQueue(4)
-	got := make(chan uint64, 1)
-	go func() {
-		e, ok := q.pop()
-		if ok {
-			got <- e.ID
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.pushBestEffort(qe(7), nil)
-	select {
-	case id := <-got:
-		if id != 7 {
-			t.Fatalf("got %d, want 7", id)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("pop never unblocked")
-	}
-}
-
 func TestSendQueueCloseDrains(t *testing.T) {
 	q := newSendQueue(4)
 	q.pushBestEffort(qe(1), nil)
 	q.close()
-	if e, ok := q.pop(); !ok || e.ID != 1 {
-		t.Fatalf("pop after close = %v, %v; want queued event", e, ok)
+	if id := popID(t, q); id != 1 {
+		t.Fatalf("pop after close = id %d; want queued event 1", id)
 	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("pop after drain should report closed")
-	}
-}
-
-func TestSendQueueCloseUnblocksPop(t *testing.T) {
-	q := newSendQueue(4)
-	done := make(chan struct{})
-	go func() {
-		q.pop()
-		close(done)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.close()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("pop did not unblock on close")
+	if _, st := q.tryPop(); st != popClosed {
+		t.Fatalf("pop after drain = %v, want closed", st)
 	}
 }
 
@@ -126,13 +95,23 @@ func TestSendQueuePushAfterCloseIgnored(t *testing.T) {
 		t.Fatal("push accepted after close")
 	}
 	q.pushReliable(qe(2))
-	if _, ok := q.pop(); ok {
+	if _, st := q.tryPop(); st != popClosed {
 		t.Fatal("event queued after close")
 	}
 }
 
 func TestSendQueueConcurrentProducersConsumer(t *testing.T) {
 	q := newSendQueue(100000)
+	// Stand in for the writer pool: one wakeup token, armed by onSignal.
+	wake := make(chan struct{}, 1)
+	q.onSignal = func() bool {
+		select {
+		case wake <- struct{}{}:
+			return true
+		default:
+			return false
+		}
+	}
 	const producers, per = 8, 1000
 	var wg sync.WaitGroup
 	for range producers {
@@ -148,11 +127,18 @@ func TestSendQueueConcurrentProducersConsumer(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		buf := make([]outItem, 0, 64)
 		for received < producers*per {
-			if _, ok := q.pop(); !ok {
+			var st popState
+			buf, st = q.popBatch(buf[:0], 64)
+			switch st {
+			case popOK:
+				received += len(buf)
+			case popClosed:
 				return
+			default:
+				<-wake
 			}
-			received++
 		}
 	}()
 	wg.Wait()

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -242,18 +243,17 @@ func (c *Client) resumeOn(conn transport.Conn) bool {
 		c.afterReconnect(false)
 		return true
 	}
-	select {
-	case op := <-hs:
+	op, err := awaitReply(context.Background(), c, lost, hs)
+	switch err {
+	case nil:
 		c.afterReconnect(op == opResumed)
 		return true
-	case <-lost:
-		return false
-	case <-c.done:
+	case ErrClientClosed:
 		return true
-	case <-time.After(subscribeTimeout):
+	case ErrFenceTimeout:
 		conn.Close()
-		return false
 	}
+	return false
 }
 
 // afterReconnect completes a reconnect. On a refused resume the broker

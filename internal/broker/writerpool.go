@@ -29,8 +29,7 @@ import (
 type writerPool struct {
 	b *Broker
 
-	// notify carries at most one wakeup token for the ready list, the
-	// pool-level twin of sendQueue.notify.
+	// notify carries at most one wakeup token for the ready list.
 	notify chan struct{}
 	// done is closed after the pool's sessions closed their queues — by
 	// Broker.Stop for a shared pool, by session.close for a private one;

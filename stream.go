@@ -29,10 +29,10 @@ const (
 	// (e.g. replay heads).
 	DropNewest
 	// Block never discards a reliable event: one that meets a full
-	// buffer waits in a bounded overflow park of the same depth, and
-	// past that the client's connection stops reading until the consumer
-	// catches up — which delays every other stream on the same client,
-	// and lets backpressure reach the broker's reliable sender.
+	// buffer is held anyway, the buffer growing once to twice its depth,
+	// and past that the client's connection stops reading until the
+	// consumer catches up — which delays every other stream on the same
+	// client, and lets backpressure reach the broker's reliable sender.
 	// Best-effort traffic does not wait for a slow consumer anywhere: at
 	// a full buffer the oldest buffered best-effort event gives way to
 	// the newest, as in every bounded queue upstream, and that is not
@@ -60,10 +60,11 @@ type streamConfig struct {
 // WithBuffer sets the stream's delivery buffer depth: the stream holds
 // at most n undelivered events (plus the burst of up to 256 its
 // receiver has already taken out to decode) before the drop policy
-// applies. The buffer is the client-side subscription ring itself, not
-// a queue behind it. Conflating streams and Chan add a channel of the
-// same depth in front of it. n <= 0 keeps the stream's default (64 for
-// chat and presence, 256 for media and raw events).
+// applies; under Block, reliable events may fill it to 2n before the
+// connection stops reading. The buffer is the client-side subscription
+// ring itself, not a queue behind it. Conflating streams and Chan add a
+// channel of the same depth in front of it. n <= 0 keeps the stream's
+// default (64 for chat and presence, 256 for media and raw events).
 func WithBuffer(n int) StreamOption {
 	return func(c *streamConfig) { c.buffer = n }
 }
