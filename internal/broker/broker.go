@@ -183,17 +183,19 @@ func (c Config) withDefaults() Config {
 // Broker is one node of the messaging middleware. Its state is split
 // into two planes:
 //
-//   - The data plane (router) resolves publish targets through per-shard
-//     locks and an epoch-versioned route cache; publishes never touch
-//     b.mu.
+//   - The data plane (subs) resolves publish targets through per-shard
+//     trie locks, memoised per topic in each route sweep and revalidated
+//     by the shard's mutation epoch; publishes never touch b.mu.
 //   - The control plane (b.mu) guards session/peer membership,
 //     advertisement bookkeeping and listener lifecycle — the slow,
 //     rare mutations.
 type Broker struct {
 	cfg Config
 
-	// router is the data plane: sharded subscription state + route cache.
-	router *router
+	// subs is the data plane: the sharded subscription trie. Sessions
+	// are keyed by their own patterns plus, for peer links, the remote
+	// patterns routed through them.
+	subs *topic.ShardedTrie[*session]
 	// sweeps lends Broker.route a routeSweep per call (session readers
 	// own theirs), so a loopback publish routes through the same slab
 	// and arena as a decoded burst.
@@ -314,7 +316,7 @@ func New(cfg Config) *Broker {
 	cfg = cfg.withDefaults()
 	b := &Broker{
 		cfg:         cfg,
-		router:      newRouter(topic.DefaultShards),
+		subs:        topic.NewShardedTrie[*session](topic.DefaultShards),
 		sessions:    make(map[*session]struct{}),
 		peers:       make(map[*session]struct{}),
 		ids:         make(map[string]*session),
@@ -683,17 +685,7 @@ func (b *Broker) detach(s *session) {
 	if b.ids[s.id] == s {
 		delete(b.ids, s.id)
 	}
-	// Per-pattern cache invalidation needs the union of everything this
-	// session was routed under (its own subscriptions plus advertised
-	// remote interest).
-	patterns := make([]string, 0, len(s.localPatterns)+len(s.remotePatterns))
-	for p := range s.localPatterns {
-		patterns = append(patterns, p)
-	}
-	for p := range s.remotePatterns {
-		patterns = append(patterns, p)
-	}
-	b.router.removeAll(s, patterns)
+	b.subs.RemoveAll(s)
 	if wasPeer {
 		// Recompute routes for everything this link advertised: surviving
 		// links holding the next-best cost promote into the trie and the
@@ -986,7 +978,7 @@ func (b *Broker) subscribe(s *session, pattern string) error {
 		return nil
 	}
 	s.localPatterns[pattern] = struct{}{}
-	if err := b.router.add(pattern, s); err != nil {
+	if err := b.subs.Add(pattern, s); err != nil {
 		delete(s.localPatterns, pattern)
 		b.mu.Unlock()
 		return err
@@ -1009,7 +1001,7 @@ func (b *Broker) unsubscribe(s *session, pattern string) {
 		return
 	}
 	delete(s.localPatterns, pattern)
-	b.router.remove(pattern, s)
+	b.subs.Remove(pattern, s)
 	b.patternRefs[pattern]--
 	wasLast := b.patternRefs[pattern] <= 0
 	if wasLast {
@@ -1196,9 +1188,10 @@ func (st *routeStats) flush(ctr *brokerCounters) {
 // routeOne is the single implementation of the routing policy —
 // duplicate suppression, durable recording, split horizon, per-hop TTL
 // decrement, routed (serve-mask) peer forwarding, and the peer-to-peer
-// flood. Targets and mesh plans resolve through the sweep's memos,
-// deliveries and recorded-pattern hits are staged for finish, and the
-// event's frames come from the sweep's slab and arena.
+// flood. Targets, recorders and the mesh plan come from the topic's
+// sweep-private route entry, deliveries and recorded-pattern hits are
+// staged for finish, and the event's frames come from the sweep's slab
+// and arena.
 func (rs *routeSweep) routeOne(e *event.Event, from *session) {
 	b, stats := rs.b, &rs.stats
 	rs.peersServed = rs.peersServed[:0]
@@ -1217,15 +1210,13 @@ func (rs *routeSweep) routeOne(e *event.Event, from *session) {
 			return
 		}
 	}
-	targets := rs.matchMemo(e.Topic)
+	ent := rs.lookup(e.Topic)
 	fs := rs.source(e)
 	// Record after duplicate suppression (a mesh copy must not be logged
 	// twice) and before target iteration (an event with zero current
 	// subscribers is still history a late joiner replays).
-	if b.rec != nil {
-		for _, r := range b.rec.match(e.Topic) {
-			rs.recordStage(r, e, fs)
-		}
+	for _, r := range ent.recs {
+		rs.recordStage(r, e, fs)
 	}
 	// Routed mode: resolve the forwarding plan once per event. inMask is
 	// the set of origins this copy is responsible for — everything for a
@@ -1234,7 +1225,7 @@ func (rs *routeSweep) routeOne(e *event.Event, from *session) {
 	var plan *topicPlan
 	var inMask uint64
 	if b.routed && e.TTL > 0 && b.hasPeers() {
-		if plan = rs.planMemo(e.Topic); plan != nil {
+		if plan = rs.planOf(ent); plan != nil {
 			inMask = e.Mask
 			if inMask == 0 {
 				inMask = ^uint64(0)
@@ -1252,7 +1243,7 @@ func (rs *routeSweep) routeOne(e *event.Event, from *session) {
 		}
 	}
 	delivered := 0
-	for _, t := range targets {
+	for _, t := range ent.targets {
 		if t == from && t.isPeer {
 			continue // split horizon: never echo back along the inbound link
 		}
@@ -1314,10 +1305,10 @@ func (rs *routeSweep) routeOne(e *event.Event, from *session) {
 	}
 }
 
-// matchSessions resolves the sessions subscribed to a concrete topic via
-// the data-plane router (no broker-wide lock).
+// matchSessions resolves the sessions subscribed to a concrete topic on
+// the data-plane trie (no broker-wide lock).
 func (b *Broker) matchSessions(t string) []*session {
-	return b.router.match(t)
+	return b.subs.Match(t, nil)
 }
 
 // Publish injects an event into the broker as if a local client had sent

@@ -32,7 +32,7 @@ func TestRouteBatchSingleLockPerSession(t *testing.T) {
 		// Sessions are hand-attached (no goroutines) so only the routing
 		// sweep touches their queues.
 		s := newSession(b, newCaptureConn(), fmt.Sprintf("lock-sub-%d", i), false)
-		if err := b.router.add("/lock/t", s); err != nil {
+		if err := b.subs.Add("/lock/t", s); err != nil {
 			t.Fatal(err)
 		}
 		sessions = append(sessions, s)
@@ -74,7 +74,7 @@ func TestReliableFanoutEncodeOnce(t *testing.T) {
 	sessions := make([]*session, 0, fanout)
 	for i := 0; i < fanout; i++ {
 		s := newSession(b, newCaptureConn(), fmt.Sprintf("rel-sub-%d", i), false)
-		if err := b.router.add("/rel/t", s); err != nil {
+		if err := b.subs.Add("/rel/t", s); err != nil {
 			t.Fatal(err)
 		}
 		sessions = append(sessions, s)
@@ -89,7 +89,7 @@ func TestReliableFanoutEncodeOnce(t *testing.T) {
 	}
 
 	for i, s := range sessions {
-		it, st := s.queue.tryPop()
+		it, st := popOne(s.queue)
 		if st != popOK {
 			t.Fatalf("session %d: no queued reliable item", i)
 		}
@@ -129,7 +129,7 @@ func TestReliableFanoutEncodeOncePeers(t *testing.T) {
 	sessions := make([]*session, 0, peers)
 	for i := 0; i < peers; i++ {
 		s := newSession(b, newCaptureConn(), fmt.Sprintf("rel-peer-%d", i), true)
-		if err := b.router.add("/rel/p", s); err != nil {
+		if err := b.subs.Add("/rel/p", s); err != nil {
 			t.Fatal(err)
 		}
 		sessions = append(sessions, s)
@@ -144,7 +144,7 @@ func TestReliableFanoutEncodeOncePeers(t *testing.T) {
 		t.Fatalf("reliable fan-out to %d framed peers marshalled %d times, want 1", peers, d)
 	}
 	for i, s := range sessions {
-		it, st := s.queue.tryPop()
+		it, st := popOne(s.queue)
 		if st != popOK || it.frame == nil {
 			t.Fatalf("peer %d: missing frame-backed reliable item", i)
 		}

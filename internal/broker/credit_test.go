@@ -26,7 +26,7 @@ func TestPeerCreditStallShedsAtSender(t *testing.T) {
 		if s.creditWindow != window {
 			t.Fatalf("peer credit window = %d, want %d", s.creditWindow, window)
 		}
-		if err := b.router.add("/cr/t", s); err != nil {
+		if err := b.subs.Add("/cr/t", s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,11 +86,11 @@ func TestPeerCreditReceiverGrants(t *testing.T) {
 	}
 
 	s.noteConsumed(1)
-	if _, st := s.queue.tryPop(); st != popEmpty {
+	if _, st := popOne(s.queue); st != popEmpty {
 		t.Fatalf("grant emitted below the quantum: %v", st)
 	}
 	s.noteConsumed(1)
-	it, st := s.queue.tryPop()
+	it, st := popOne(s.queue)
 	if st != popOK || it.e == nil || it.e.Topic != topicCredit {
 		t.Fatalf("expected a credit grant, got %+v (%v)", it, st)
 	}
@@ -105,14 +105,14 @@ func TestPeerCreditReceiverGrants(t *testing.T) {
 	// collapse into one slot carrying the newest cumulative count.
 	s.noteConsumed(2)
 	s.noteConsumed(2)
-	it, st = s.queue.tryPop()
+	it, st = popOne(s.queue)
 	if st != popOK || it.e == nil || it.e.Topic != topicCredit {
 		t.Fatalf("expected a coalesced grant, got %+v (%v)", it, st)
 	}
 	if cum, _ := headerUint(it.e, hdrSeq); cum != 6 {
 		t.Fatalf("coalesced grant cum = %d, want 6", cum)
 	}
-	if _, st = s.queue.tryPop(); st != popEmpty {
+	if _, st = popOne(s.queue); st != popEmpty {
 		t.Fatalf("more than one grant queued: %v", st)
 	}
 }
@@ -174,7 +174,7 @@ func TestPeerCreditEndToEnd(t *testing.T) {
 	})
 }
 
-// TestMeshCloseDuringCreditStall churns session close against a router
+// TestMeshCloseDuringCreditStall churns session close against a route
 // sweep that is credit-stalling on the same link — the admit path
 // (atomics + stall counter) racing detach, for the race detector.
 func TestMeshCloseDuringCreditStall(t *testing.T) {
@@ -184,7 +184,7 @@ func TestMeshCloseDuringCreditStall(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		s := newSession(b, newCaptureConn(), fmt.Sprintf("churn-%d", round), true)
 		s.creditStallCtr = b.Metrics().Counter("broker.peer.churn.credit_stalls")
-		if err := b.router.add("/churn/t", s); err != nil {
+		if err := b.subs.Add("/churn/t", s); err != nil {
 			t.Fatal(err)
 		}
 		b.mu.Lock()
@@ -211,7 +211,7 @@ func TestMeshCloseDuringCreditStall(t *testing.T) {
 			s.noteCreditGrant(uint64(round + 1))
 		}()
 		wg.Wait()
-		b.router.remove("/churn/t", s)
+		b.subs.Remove("/churn/t", s)
 		b.mu.Lock()
 		delete(b.peers, s)
 		b.refreshPeerSnapLocked()

@@ -203,7 +203,7 @@ func TestStageSlotClobberRecovery(t *testing.T) {
 	b := New(Config{ID: "clobber"})
 	defer b.Stop()
 	target := newSession(b, newCaptureConn(), "clobber-sub", false)
-	if err := b.router.add("/cl/t", target); err != nil {
+	if err := b.subs.Add("/cl/t", target); err != nil {
 		t.Fatal(err)
 	}
 	s1 := b.newRouteSweep()
@@ -252,7 +252,7 @@ func TestConcurrentSweepsThroughWriterPool(t *testing.T) {
 		defer clientEnd.Close()
 		s := newSession(b, brokerEnd, fmt.Sprintf("conc-sub-%d", i), false)
 		s.bindPool(b.pools[i%len(b.pools)])
-		if err := b.router.add("/conc/t", s); err != nil {
+		if err := b.subs.Add("/conc/t", s); err != nil {
 			t.Fatal(err)
 		}
 		go func(i int, c transport.Conn) {
@@ -279,10 +279,10 @@ func TestConcurrentSweepsThroughWriterPool(t *testing.T) {
 				return
 			default:
 			}
-			if err := b.router.add("/conc/churn", churn); err != nil {
+			if err := b.subs.Add("/conc/churn", churn); err != nil {
 				return
 			}
-			b.router.remove("/conc/churn", churn)
+			b.subs.Remove("/conc/churn", churn)
 		}
 	}()
 

@@ -89,7 +89,7 @@ func TestMeshForwardSingleLockPerLink(t *testing.T) {
 	peers := make([]*session, 0, links)
 	for i := 0; i < links; i++ {
 		s := newSession(b, newCaptureConn(), fmt.Sprintf("lock-peer-%d", i), true)
-		if err := b.router.add("/mesh/t", s); err != nil {
+		if err := b.subs.Add("/mesh/t", s); err != nil {
 			t.Fatal(err)
 		}
 		peers = append(peers, s)
@@ -432,9 +432,9 @@ func TestAckSlotCoalesces(t *testing.T) {
 	q.pushAck(7)
 	q.pushAck(5)
 
-	it, st := q.tryPop()
+	it, st := popOne(q)
 	if st != popOK || it.e == nil {
-		t.Fatalf("tryPop = %v, %v", it, st)
+		t.Fatalf("popOne = %v, %v", it, st)
 	}
 	if it.e.Topic != topicAck {
 		t.Fatalf("first drained item is %q, want the pending ack", it.e.Topic)
@@ -449,66 +449,11 @@ func TestAckSlotCoalesces(t *testing.T) {
 		t.Fatalf("acksCoalesced = %d, want 2", n)
 	}
 	// The reliable event queued before the acks follows.
-	it, st = q.tryPop()
+	it, st = popOne(q)
 	if st != popOK || it.e == nil || it.e.Topic != "/x" {
 		t.Fatalf("second item = %v, %v", it, st)
 	}
-	if _, st = q.tryPop(); st != popEmpty {
+	if _, st = popOne(q); st != popEmpty {
 		t.Fatalf("queue not drained: %v", st)
-	}
-}
-
-// TestRouteCachePerPatternInvalidation: a trie mutation drops only the
-// cache entries whose topics the mutated pattern matches; unrelated
-// entries in the same shard are re-stamped and keep serving from cache.
-func TestRouteCachePerPatternInvalidation(t *testing.T) {
-	b := New(Config{ID: "cache-inv"})
-	defer b.Stop()
-	r := newRouter(1)
-
-	s1 := newSession(b, newCaptureConn(), "cache-s1", false)
-	if err := r.add("/a/one", s1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.add("/b/keep", s1); err != nil {
-		t.Fatal(err)
-	}
-	r.match("/a/one")
-	r.match("/b/keep")
-
-	entry := func(topic string) (routeEntry, bool) {
-		c := &r.caches[0]
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		ent, ok := c.entries[topic]
-		return ent, ok
-	}
-
-	// Removing /a/one must evict exactly the entries it matches.
-	r.remove("/a/one", s1)
-	if _, ok := entry("/a/one"); ok {
-		t.Fatal("cache entry /a/one survived removal of its pattern")
-	}
-	ent, ok := entry("/b/keep")
-	if !ok {
-		t.Fatal("unrelated cache entry /b/keep was evicted")
-	}
-	if ent.epoch != r.subs.EpochAt(0) {
-		t.Fatalf("surviving entry not re-stamped: epoch %d, shard epoch %d",
-			ent.epoch, r.subs.EpochAt(0))
-	}
-	// The re-stamped entry still serves (a match returns its targets
-	// without a trie walk changing the entry).
-	if got := r.match("/b/keep"); len(got) != 1 || got[0] != s1 {
-		t.Fatalf("match(/b/keep) = %v", got)
-	}
-
-	// A wildcard-first mutation matches everything and clears the shard.
-	s2 := newSession(b, newCaptureConn(), "cache-s2", false)
-	if err := r.add("/#", s2); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := entry("/b/keep"); ok {
-		t.Fatal("wildcard mutation left a matching cache entry behind")
 	}
 }

@@ -98,12 +98,11 @@ type meshPlanTable struct {
 	entries []meshPatternPlan
 }
 
-// planFor resolves the forwarding plan for a concrete topic, nil when no
-// advertised pattern matches (callers then fall back to unmasked
-// forwarding along whatever the trie holds — the behaviour hand-wired
-// tests and convergence gaps rely on).
-func (b *Broker) planFor(t string) *topicPlan {
-	tbl := b.meshPlans.Load()
+// planFor resolves the forwarding plan for a concrete topic, nil when the
+// table is nil or no advertised pattern matches (callers then fall back
+// to unmasked forwarding along whatever the trie holds — the behaviour
+// hand-wired tests and convergence gaps rely on).
+func (tbl *meshPlanTable) planFor(t string) *topicPlan {
 	if tbl == nil {
 		return nil
 	}
@@ -184,11 +183,11 @@ func (b *Broker) recomputePatternRouteLocked(pattern string) {
 		_, has := p.routedPatterns[pattern]
 		switch {
 		case want[p] && !has:
-			if b.router.add(pattern, p) == nil {
+			if b.subs.Add(pattern, p) == nil {
 				p.routedPatterns[pattern] = struct{}{}
 			}
 		case !want[p] && has:
-			b.router.remove(pattern, p)
+			b.subs.Remove(pattern, p)
 			delete(p.routedPatterns, pattern)
 		}
 	}

@@ -154,7 +154,7 @@ func TestMeshRoutedStagedOncePerBurst(t *testing.T) {
 	b.recomputePatternRouteLocked("/plan/t")
 	b.mu.Unlock()
 
-	if plan := b.planFor("/plan/t"); plan == nil || plan.maskFor(near) == 0 || plan.maskFor(far) != 0 {
+	if plan := b.meshPlans.Load().planFor("/plan/t"); plan == nil || plan.maskFor(near) == 0 || plan.maskFor(far) != 0 {
 		t.Fatalf("plan did not choose the cheapest link: %+v", plan)
 	}
 

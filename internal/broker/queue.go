@@ -25,11 +25,11 @@ type outItem struct {
 	reliable bool
 }
 
-// popState reports the outcome of a non-blocking pop.
+// popState reports the outcome of a non-blocking popBatch.
 type popState int
 
 const (
-	popOK     popState = iota // an item was returned
+	popOK     popState = iota // at least one item was returned
 	popEmpty                  // queue open but momentarily empty
 	popClosed                 // queue closed and fully drained
 )
@@ -41,9 +41,10 @@ const (
 //   - a bounded best-effort lane that drops its oldest entry on overflow,
 //     which is the correct policy for real-time media.
 //
-// tryPop and popBatch return reliable items first. The queue never
-// blocks a consumer: every push and the close signal the session's
-// writer pool through onSignal, and the pool drains it.
+// popBatch returns the ack and credit slots first, then reliable items,
+// then best-effort ones. The queue never blocks a consumer: every push
+// and the close signal the session's writer pool through onSignal, and
+// the pool drains it.
 type sendQueue struct {
 	mu      sync.Mutex
 	rel     []outItem // ring storage, doubled when full
@@ -270,33 +271,6 @@ func (q *sendQueue) popReliableLocked() outItem {
 	return it
 }
 
-// tryPop removes one item without blocking, preferring the pending ack
-// slot, then the reliable lane.
-func (q *sendQueue) tryPop() (outItem, popState) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.ackDue {
-		return q.takeAckLocked(), popOK
-	}
-	if q.creditDue {
-		return q.takeCreditLocked(), popOK
-	}
-	if q.relLen > 0 {
-		return q.popReliableLocked(), popOK
-	}
-	if q.beLen > 0 {
-		it := q.be[q.beHead]
-		q.be[q.beHead] = outItem{}
-		q.beHead = (q.beHead + 1) % len(q.be)
-		q.beLen--
-		return it, popOK
-	}
-	if q.closed {
-		return outItem{}, popClosed
-	}
-	return outItem{}, popEmpty
-}
-
 // popBatch appends up to max queued items to buf under one lock
 // acquisition — the consumer-side mirror of pushBatch — preferring the
 // reliable lane. The state is popOK when anything was drained, popEmpty
@@ -333,7 +307,8 @@ func (q *sendQueue) popBatch(buf []outItem, max int) ([]outItem, popState) {
 	return buf, popEmpty
 }
 
-// close wakes the consumer; tryPop drains remaining events first.
+// close wakes the consumer; popBatch drains remaining events before it
+// reports popClosed.
 func (q *sendQueue) close() {
 	q.mu.Lock()
 	q.closed = true

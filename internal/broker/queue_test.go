@@ -13,12 +13,21 @@ func qe(id uint64) *event.Event {
 	return &event.Event{ID: id, Topic: "/q", Kind: event.KindData}
 }
 
+// popOne pops at most one item without blocking.
+func popOne(q *sendQueue) (outItem, popState) {
+	buf, st := q.popBatch(nil, 1)
+	if len(buf) == 0 {
+		return outItem{}, st
+	}
+	return buf[0], st
+}
+
 // popID pops one item without blocking and returns its event's ID.
 func popID(t *testing.T, q *sendQueue) uint64 {
 	t.Helper()
-	it, st := q.tryPop()
+	it, st := popOne(q)
 	if st != popOK {
-		t.Fatalf("tryPop = %v, want an item", st)
+		t.Fatalf("popOne = %v, want an item", st)
 	}
 	return it.e.ID
 }
@@ -83,7 +92,7 @@ func TestSendQueueCloseDrains(t *testing.T) {
 	if id := popID(t, q); id != 1 {
 		t.Fatalf("pop after close = id %d; want queued event 1", id)
 	}
-	if _, st := q.tryPop(); st != popClosed {
+	if _, st := popOne(q); st != popClosed {
 		t.Fatalf("pop after drain = %v, want closed", st)
 	}
 }
@@ -95,7 +104,7 @@ func TestSendQueuePushAfterCloseIgnored(t *testing.T) {
 		t.Fatal("push accepted after close")
 	}
 	q.pushReliable(qe(2))
-	if _, st := q.tryPop(); st != popClosed {
+	if _, st := popOne(q); st != popClosed {
 		t.Fatal("event queued after close")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/event"
@@ -13,13 +12,13 @@ import (
 	"github.com/globalmmcs/globalmmcs/internal/topiclog"
 )
 
-// The durable-log record plane. Recording rides the burst plane:
-// routeOne invokes a recordFn for every recorder whose pattern matches
-// a routed event, the route sweep stages the event's encode-once frame
-// bytes per recorder, and finish() appends each recorder's staged run
-// in ONE topiclog.Append (one file write, one log lock) per burst —
-// recording a 256-event burst costs the same lock cadence as
-// delivering it.
+// The durable-log record plane. Recording rides the burst plane: for
+// every recorder on a routed event's route entry (the recorders whose
+// pattern matches its topic), the route sweep stages the event's
+// encode-once frame bytes per recorder, and finish() appends each
+// recorder's staged run in ONE topiclog.Append (one file write, one log
+// lock) per burst — recording a 256-event burst costs the same lock
+// cadence as delivering it.
 //
 // Replay rides the reliable lane, and a replayed byte is copied once
 // broker-side: from the page cache into the buffer that is the wire
@@ -54,23 +53,15 @@ type recorder struct {
 	reapedGauge  *metrics.Gauge
 }
 
-// recordPlane is the broker's set of recorders plus a bounded
-// topic→recorders memo (the record-side mirror of the route cache —
-// the pattern set is fixed at construction, so entries never go
-// stale).
+// recordPlane is the broker's set of recorders. The pattern set is
+// fixed at construction, so a route sweep resolves a topic's recorders
+// once, when it creates the topic's route entry, and never again.
 type recordPlane struct {
 	recorders []*recorder
 	byPattern map[string]*recorder
 
-	mu   sync.RWMutex
-	memo map[string][]*recorder
-
 	appendErrs *metrics.Counter
 }
-
-// recordMemoBound caps the memoised topic set (matching the route
-// cache's bound).
-const recordMemoBound = 4096
 
 // newRecordPlane opens one log per configured pattern under
 // cfg.RecordDir. A pattern whose log fails to open (or fails
@@ -80,7 +71,6 @@ const recordMemoBound = 4096
 func newRecordPlane(cfg Config, reg *metrics.Registry) *recordPlane {
 	rp := &recordPlane{
 		byPattern:  make(map[string]*recorder),
-		memo:       make(map[string][]*recorder),
 		appendErrs: reg.Counter("broker.log.append_errors"),
 	}
 	openErrs := reg.Counter("broker.log.open_errors")
@@ -138,26 +128,14 @@ func patternDirName(pattern string) string {
 	return sb.String()
 }
 
-// match returns the recorders whose pattern matches a concrete topic,
-// memoised per topic (nil — the overwhelmingly common result — is a
-// valid cached value).
+// match returns the recorders whose pattern matches a concrete topic.
 func (rp *recordPlane) match(t string) []*recorder {
-	rp.mu.RLock()
-	rs, ok := rp.memo[t]
-	rp.mu.RUnlock()
-	if ok {
-		return rs
-	}
+	var rs []*recorder
 	for _, r := range rp.recorders {
 		if topic.MatchPattern(r.pattern, t) {
 			rs = append(rs, r)
 		}
 	}
-	rp.mu.Lock()
-	if len(rp.memo) < recordMemoBound {
-		rp.memo[t] = rs
-	}
-	rp.mu.Unlock()
 	return rs
 }
 

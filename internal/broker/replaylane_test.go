@@ -51,7 +51,7 @@ func replayRig(tb testing.TB, records, size int) (*session, *sessionReplay) {
 // records it carries, checking the frame is what a client would parse.
 func envelopeIDs(tb testing.TB, s *session) (ids []uint64) {
 	tb.Helper()
-	it, st := s.queue.tryPop()
+	it, st := popOne(s.queue)
 	if st != popOK || it.frame == nil || !it.reliable {
 		tb.Fatalf("no frame-backed reliable envelope queued (state %v)", st)
 	}
@@ -106,7 +106,7 @@ func TestReliableFanoutNeverStampsShared(t *testing.T) {
 		t.Fatal("the shared slot frame was stamped in place")
 	}
 	for i, s := range sessions {
-		it, st := s.queue.tryPop()
+		it, st := popOne(s.queue)
 		if st != popOK || it.frame == nil {
 			t.Fatalf("session %d: no frame-backed reliable item", i)
 		}
@@ -133,7 +133,7 @@ func TestOwnedFrameRetransmitIdentical(t *testing.T) {
 	if d := event.MarshalCalls() - before; d != 1 {
 		t.Fatalf("unshared reliable send marshalled %d times, want 1", d)
 	}
-	first, st := s.queue.tryPop()
+	first, st := popOne(s.queue)
 	if st != popOK || first.frame == nil || first.frame.RSeq() != 42 {
 		t.Fatalf("first send: state %v frame %v", st, first.frame)
 	}
@@ -142,7 +142,7 @@ func TestOwnedFrameRetransmitIdentical(t *testing.T) {
 	if s.retransmit(time.Now().Add(time.Hour), time.Second, 8) {
 		t.Fatal("retransmit asked to close a session on its first retry")
 	}
-	again, st := s.queue.tryPop()
+	again, st := popOne(s.queue)
 	if st != popOK || again.frame != first.frame || !bytes.Equal(again.frame.Bytes(), sent) {
 		t.Fatalf("retransmission is not the frame first sent (state %v)", st)
 	}
@@ -364,6 +364,7 @@ func BenchmarkReplayEnvelope(b *testing.B) {
 	b.ResetTimer()
 	defer func() { sr.cur.Close() }() // the rig only knows the first cursor
 	var buf []byte
+	var popped []outItem
 	for i := 0; i < b.N; i++ {
 		var progressed bool
 		var err error
@@ -376,7 +377,8 @@ func BenchmarkReplayEnvelope(b *testing.B) {
 			i--
 			continue
 		}
-		if _, st := s.queue.tryPop(); st != popOK {
+		var st popState
+		if popped, st = s.queue.popBatch(popped[:0], 1); st != popOK {
 			b.Fatal("no envelope queued")
 		}
 		s.handleAck(s.nextRSeq)

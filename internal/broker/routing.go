@@ -1,165 +1,10 @@
 package broker
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"github.com/globalmmcs/globalmmcs/internal/event"
-	"github.com/globalmmcs/globalmmcs/internal/topic"
 )
-
-// router is the broker's data-plane routing state: a sharded subscription
-// trie plus an epoch-versioned route cache. It is deliberately separate
-// from the Broker's control-plane mutex — publishes resolve their targets
-// through per-shard locks only and never contend with advertisement or
-// peering bookkeeping on b.mu.
-type router struct {
-	subs *topic.ShardedTrie[*session]
-	// caches is parallel to the trie shards: cache shard i memoises
-	// matches for topics owned by trie shard i, validated by that shard's
-	// mutation epoch.
-	caches      []routeCacheShard
-	maxPerShard int
-}
-
-type routeCacheShard struct {
-	mu      sync.RWMutex
-	entries map[string]routeEntry
-	_       [8]uint64 // avoid false sharing between shard locks
-}
-
-// routeEntry is one memoised match result, valid while the owning trie
-// shard's epoch still equals epoch.
-type routeEntry struct {
-	targets []*session
-	epoch   uint64
-}
-
-// routeCacheBound caps the total number of memoised topics across all
-// shards (matching the pre-split broker's 4096-topic bound).
-const routeCacheBound = 4096
-
-func newRouter(shards int) *router {
-	subs := topic.NewShardedTrie[*session](shards)
-	n := subs.NumShards()
-	per := routeCacheBound / n
-	if per < 16 {
-		per = 16
-	}
-	r := &router{
-		subs:        subs,
-		caches:      make([]routeCacheShard, n),
-		maxPerShard: per,
-	}
-	for i := range r.caches {
-		r.caches[i].entries = make(map[string]routeEntry)
-	}
-	return r
-}
-
-// Mutators re-validate the route cache per pattern rather than letting
-// entries go epoch-stale wholesale: entries whose topic the mutated
-// pattern matches are dropped, everything else is re-stamped to the
-// post-mutation epoch and keeps serving from cache. All mutations are
-// serialized by the broker's control-plane mutex, so a sweep never races
-// another sweep; a concurrent data-plane match can only insert an entry
-// stamped with a pre-mutation epoch, which fails validation
-// conservatively.
-
-func (r *router) add(pattern string, s *session) error {
-	if err := r.subs.Add(pattern, s); err != nil {
-		return err
-	}
-	r.invalidatePattern(pattern)
-	return nil
-}
-
-func (r *router) remove(pattern string, s *session) {
-	r.subs.Remove(pattern, s)
-	r.invalidatePattern(pattern)
-}
-
-// removeAll unregisters s everywhere. patterns is the session's own
-// bookkeeping of what it was subscribed to (local + remote); RemoveAll
-// bumps every shard epoch, so every cache shard is swept against them.
-func (r *router) removeAll(s *session, patterns []string) {
-	r.subs.RemoveAll(s)
-	for i := range r.caches {
-		r.sweepCacheShard(i, patterns)
-	}
-}
-
-// invalidatePattern re-validates the cache shard(s) a single mutated
-// pattern can affect: one shard for a concrete-first pattern, all shards
-// for a wildcard-first (replicated) one.
-func (r *router) invalidatePattern(pattern string) {
-	pats := []string{pattern}
-	if shard, all := r.subs.PatternShard(pattern); all {
-		for i := range r.caches {
-			r.sweepCacheShard(i, pats)
-		}
-	} else {
-		r.sweepCacheShard(shard, pats)
-	}
-}
-
-// sweepCacheShard drops cache entries whose topic matches any of the
-// mutated patterns and re-stamps the rest with the post-mutation epoch
-// (sampled under the cache lock, after the trie mutation completed), so
-// churn on one pattern does not thrash the shard's whole cache.
-func (r *router) sweepCacheShard(i int, patterns []string) {
-	c := &r.caches[i]
-	c.mu.Lock()
-	epoch := r.subs.EpochAt(i)
-	for t, ent := range c.entries {
-		matched := false
-		for _, p := range patterns {
-			if topic.MatchPattern(p, t) {
-				matched = true
-				break
-			}
-		}
-		if matched {
-			delete(c.entries, t)
-		} else if ent.epoch != epoch {
-			ent.epoch = epoch
-			c.entries[t] = ent
-		}
-	}
-	c.mu.Unlock()
-}
-
-// match resolves the sessions subscribed to a concrete topic.
-func (r *router) match(t string) []*session {
-	targets, _, _ := r.matchEpoch(t)
-	return targets
-}
-
-// matchEpoch resolves the sessions subscribed to a concrete topic, plus
-// the validation coordinates — the owning trie shard and the epoch the
-// result is valid for — so sweep-local caches can revalidate later hits
-// with one atomic epoch load and no shared lock at all. The fast path
-// is a cache shard RLock plus an atomic epoch check; a miss matches
-// under the trie shard's RLock and memoises the result stamped with the
-// epoch sampled before matching, so a concurrent mutation can only make
-// the entry conservatively stale, never wrongly fresh.
-func (r *router) matchEpoch(t string) ([]*session, int, uint64) {
-	shard := r.subs.ShardFor(t)
-	c := &r.caches[shard]
-	c.mu.RLock()
-	ent, ok := c.entries[t]
-	c.mu.RUnlock()
-	if ok && ent.epoch == r.subs.EpochAt(shard) {
-		return ent.targets, shard, ent.epoch
-	}
-	targets, epoch := r.subs.MatchEpochAt(shard, t, nil)
-	c.mu.Lock()
-	if ok || len(c.entries) < r.maxPerShard {
-		c.entries[t] = routeEntry{targets: targets, epoch: epoch}
-	}
-	c.mu.Unlock()
-	return targets, shard, epoch
-}
 
 // frameSource lazily encodes one event a single time per route sweep so
 // every wire-bound session in the fan-out shares the same immutable
@@ -278,37 +123,24 @@ var sweepGenCounter atomic.Uint64
 // bits carry the sweep generation.
 const stageIdxBits = 20
 
-// routeSweep routes a whole decoded burst in one sweep, resolving
-// targets once per topic (memoized across the burst) and staging
-// best-effort deliveries into per-session batches that are pushed — one
-// queue lock, one writer wakeup per session — when the sweep finishes.
-// It is the broker's one routing path: a session reader owns a sweep
-// for its connection's life, and Broker.route borrows a pooled one for
-// a burst of one. Not safe for concurrent use.
+// routeSweep routes a whole decoded burst in one sweep, resolving each
+// topic through its sweep-private route entry and staging best-effort
+// deliveries into per-session batches that are pushed — one queue lock,
+// one writer wakeup per session — when the sweep finishes. It is the
+// broker's one routing path: a session reader owns a sweep for its
+// connection's life, and Broker.route borrows a pooled one for a burst
+// of one. Not safe for concurrent use.
 type routeSweep struct {
 	b *Broker
 
-	// Target memo. The map-free fast path covers the immediately
-	// preceding topic within a burst. Behind it sits cache: a persistent,
-	// sweep-private topic→targets memo validated per hit by one atomic
-	// load of the owning trie shard's epoch — so concurrent publisher
-	// bursts on different reader goroutines resolve repeating topics
-	// with zero shared-lock acquisitions, instead of all meeting on the
-	// router's cache-shard RWMutex every burst. A mutation anywhere in
-	// the shard bumps its epoch and the stale entry re-resolves through
-	// the router.
-	lastTopic   string
-	lastTargets []*session
-	lastOK      bool
-	cache       map[string]sweepRoute
-
-	// Per-burst mesh-plan memo, mirroring the target memo: one plan
-	// resolution per topic per burst (nil is a valid, memoized result —
-	// unplanned topics fall back to unmasked forwarding).
-	lastPlanTopic string
-	lastPlan      *topicPlan
-	lastPlanOK    bool
-	plans         map[string]*topicPlan
+	// Route memo: one persistent, sweep-private entry per topic, with
+	// last as the map-free fast path for a repeating topic. Every hit is
+	// revalidated by one atomic load of the owning trie shard's epoch, so
+	// concurrent publisher bursts on different reader goroutines resolve
+	// repeating topics with no shared lock at all; a mutation anywhere in
+	// the shard bumps its epoch and the entry re-matches on the trie.
+	routes map[string]*sweepRoute
+	last   *sweepRoute
 
 	// Per-session staging, index-stable within a sweep so the item
 	// slices are reused burst to burst. A session's index lives in its
@@ -345,26 +177,31 @@ type routeSweep struct {
 	recBufs [][][]byte
 }
 
-// sweepRoute is one sweep-local memoised match: targets valid while the
-// owning trie shard's epoch still equals epoch.
+// sweepRoute is everything routing needs for one topic. targets are
+// valid while the owning trie shard's epoch still equals epoch; recs
+// never go stale (the recorded patterns are fixed at construction); plan
+// is valid while the broker's published plan table is still plans.
 type sweepRoute struct {
+	topic   string
 	targets []*session
+	recs    []*recorder
 	shard   int
 	epoch   uint64
+	plan    *topicPlan
+	plans   *meshPlanTable
 }
 
-// sweepRouteCacheBound caps each sweep's private route cache (cleared
-// wholesale on overflow; per-reader, so total memory is readers × bound).
-const sweepRouteCacheBound = 1024
+// sweepRouteBound caps each sweep's route memo (cleared wholesale on
+// overflow; per-reader, so total memory is readers × bound).
+const sweepRouteBound = 1024
 
 // newRouteSweep creates a sweep bound to the broker's data plane.
 func (b *Broker) newRouteSweep() *routeSweep {
 	rs := &routeSweep{
-		b:     b,
-		cache: make(map[string]sweepRoute),
-		plans: make(map[string]*topicPlan),
-		idx:   make(map[*session]int),
-		gen:   sweepGenCounter.Add(1),
+		b:      b,
+		routes: make(map[string]*sweepRoute),
+		idx:    make(map[*session]int),
+		gen:    sweepGenCounter.Add(1),
 	}
 	if b.rec != nil {
 		rs.recIdx = make(map[*recorder]int)
@@ -387,39 +224,43 @@ func (rs *routeSweep) recordStage(r *recorder, e *event.Event, fs *frameSource) 
 	rs.recBufs[i] = append(rs.recBufs[i], fs.frame().Bytes())
 }
 
-// matchMemo resolves targets for a topic: the last-topic fast path, then
-// the sweep-private epoch-validated cache (a hit costs one atomic load,
-// no shared lock), then the router.
-func (rs *routeSweep) matchMemo(topic string) []*session {
-	if rs.lastOK && topic == rs.lastTopic {
-		return rs.lastTargets
-	}
-	r := rs.b.router
-	ent, ok := rs.cache[topic]
-	if !ok || ent.epoch != r.subs.EpochAt(ent.shard) {
-		ent.targets, ent.shard, ent.epoch = r.matchEpoch(topic)
-		if len(rs.cache) >= sweepRouteCacheBound {
-			clear(rs.cache)
+// lookup returns the topic's route entry with current targets: the
+// last-topic fast path, then the sweep's map, a new entry on a miss.
+// A hit costs one atomic epoch load and no shared lock; a stale or new
+// entry matches on the trie under the shard's RLock, stamped with the
+// epoch sampled before matching, so a concurrent mutation can only make
+// it conservatively stale, never wrongly fresh.
+func (rs *routeSweep) lookup(topic string) *sweepRoute {
+	subs := rs.b.subs
+	ent := rs.last
+	if ent == nil || ent.topic != topic {
+		if ent = rs.routes[topic]; ent == nil {
+			if len(rs.routes) >= sweepRouteBound {
+				clear(rs.routes)
+			}
+			ent = &sweepRoute{topic: topic, shard: subs.ShardFor(topic)}
+			ent.targets, ent.epoch = subs.MatchEpochAt(ent.shard, topic, nil)
+			if rs.b.rec != nil {
+				ent.recs = rs.b.rec.match(topic)
+			}
+			rs.routes[topic] = ent
 		}
-		rs.cache[topic] = ent
+		rs.last = ent
 	}
-	rs.lastTopic, rs.lastTargets, rs.lastOK = topic, ent.targets, true
-	return ent.targets
+	if ent.epoch != subs.EpochAt(ent.shard) {
+		ent.targets, ent.epoch = subs.MatchEpochAt(ent.shard, topic, nil)
+	}
+	return ent
 }
 
-// planMemo resolves the mesh forwarding plan for a topic at most once
-// per burst.
-func (rs *routeSweep) planMemo(topic string) *topicPlan {
-	if rs.lastPlanOK && topic == rs.lastPlanTopic {
-		return rs.lastPlan
+// planOf returns the entry's mesh forwarding plan, re-resolving it only
+// when the broker has published a new plan table since (nil is a valid
+// result: unplanned topics fall back to unmasked forwarding).
+func (rs *routeSweep) planOf(ent *sweepRoute) *topicPlan {
+	if tbl := rs.b.meshPlans.Load(); tbl != ent.plans {
+		ent.plan, ent.plans = tbl.planFor(ent.topic), tbl
 	}
-	p, ok := rs.plans[topic]
-	if !ok {
-		p = rs.b.planFor(topic)
-		rs.plans[topic] = p
-	}
-	rs.lastPlanTopic, rs.lastPlan, rs.lastPlanOK = topic, p, true
-	return p
+	return ent.plan
 }
 
 // stage queues one best-effort item for t in the sweep's pending batch.
@@ -522,16 +363,9 @@ func (rs *routeSweep) finish() {
 	rs.sessions = rs.sessions[:0]
 	clear(rs.idx)
 	// A fresh generation invalidates every staging slot this burst wrote.
-	// The epoch-validated cache persists across bursts (that is its
+	// The epoch-validated route memo persists across bursts (that is its
 	// point).
 	rs.gen = sweepGenCounter.Add(1)
-	rs.lastOK = false
-	rs.lastTargets = nil
-	rs.lastTopic = ""
-	clear(rs.plans)
-	rs.lastPlanOK = false
-	rs.lastPlan = nil
-	rs.lastPlanTopic = ""
 	clear(rs.peersServed)
 	rs.peersServed = rs.peersServed[:0]
 }

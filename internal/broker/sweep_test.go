@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func newRoomsRig(tb testing.TB) *roomsRig {
 		topics[k] = fmt.Sprintf("/bench/room/%d/audio", k)
 		for l := 0; l < listeners; l++ {
 			s := newSession(r.b, newCaptureConn(), fmt.Sprintf("room-%d-sub-%d", k, l), false)
-			if err := r.b.router.add(topics[k], s); err != nil {
+			if err := r.b.subs.Add(topics[k], s); err != nil {
 				tb.Fatal(err)
 			}
 			r.sessions = append(r.sessions, s)
@@ -88,16 +89,156 @@ func TestReliableLaneAllocs(t *testing.T) {
 	testutil.SkipAllocGateUnderRace(t)
 	q := newSendQueue(8)
 	it := outItem{e: burstEvent(1, "/rel/ring"), reliable: true}
+	buf := make([]outItem, 0, 1)
 	got := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 10_000; i++ {
 			q.pushItem(it)
-			if _, st := q.tryPop(); st != popOK {
+			var st popState
+			if buf, st = q.popBatch(buf[:0], 1); st != popOK {
 				t.Fatal("reliable item not returned")
 			}
 		}
 	})
 	if got != 0 {
 		t.Fatalf("%.0f allocations over 10k reliable push/pop rounds, want 0", got)
+	}
+}
+
+// TestBestEffortBatchAllocs: a full best-effort burst handed through the
+// queue — one pushBatch, one popBatch into a reused buffer — allocates
+// nothing.
+func TestBestEffortBatchAllocs(t *testing.T) {
+	testutil.SkipAllocGateUnderRace(t)
+	q := newSendQueue(maxBurst)
+	items := make([]outItem, maxBurst)
+	for i := range items {
+		items[i] = outItem{e: burstEvent(uint64(i+1), "/be/ring")}
+	}
+	buf := make([]outItem, 0, maxBurst)
+	got := testing.AllocsPerRun(100, func() {
+		if dropped := q.pushBatch(items); dropped != 0 {
+			t.Fatalf("%d items dropped from an empty %d-deep lane", dropped, maxBurst)
+		}
+		var st popState
+		if buf, st = q.popBatch(buf[:0], maxBurst); st != popOK || len(buf) != maxBurst {
+			t.Fatalf("popBatch = %d items, %v; want %d", len(buf), st, maxBurst)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("%.0f allocations per %d-item pushBatch/popBatch, want 0", got, maxBurst)
+	}
+}
+
+// TestSweepMemoSeesMutations: a sweep's route memo persists across
+// bursts, and every hit revalidates against the trie shard's epoch — a
+// removed pattern stops its delivery, a memoised topic it does not match
+// keeps delivering, and a wildcard-first pattern joins every topic.
+func TestSweepMemoSeesMutations(t *testing.T) {
+	b := New(Config{ID: "sweep-memo"})
+	defer b.Stop()
+	s1 := newSession(b, newCaptureConn(), "memo-s1", false)
+	for _, p := range []string{"/a/one", "/b/keep"} {
+		if err := b.subs.Add(p, s1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs := b.newRouteSweep()
+	var id uint64
+	burst := func() {
+		var events []*event.Event
+		for _, topic := range []string{"/a/one", "/b/keep"} {
+			id++
+			events = append(events, burstEvent(id, topic))
+		}
+		rs.routeBatch(events, nil)
+	}
+	topics := func(s *session) string {
+		items, _ := s.queue.popBatch(nil, 16)
+		var got []string
+		for _, it := range items {
+			got = append(got, it.e.Topic)
+		}
+		return strings.Join(got, " ")
+	}
+
+	burst()
+	if got := topics(s1); got != "/a/one /b/keep" {
+		t.Fatalf("before any mutation s1 got %q", got)
+	}
+	b.subs.Remove("/a/one", s1)
+	burst()
+	if got := topics(s1); got != "/b/keep" {
+		t.Fatalf("after removing /a/one s1 got %q, want only /b/keep", got)
+	}
+	s2 := newSession(b, newCaptureConn(), "memo-s2", false)
+	if err := b.subs.Add("/#", s2); err != nil {
+		t.Fatal(err)
+	}
+	burst()
+	if got := topics(s1); got != "/b/keep" {
+		t.Fatalf("after adding /# s1 got %q, want only /b/keep", got)
+	}
+	if got := topics(s2); got != "/a/one /b/keep" {
+		t.Fatalf("the wildcard-first subscriber got %q, want both topics", got)
+	}
+}
+
+// TestSweepRecordsOncePerLog: a topic's recorders are resolved when its
+// route entry is created and ride along when the entry revalidates —
+// each event is appended exactly once to every log whose pattern matches
+// it, before and after a subscribe bumps the topic's trie shard.
+func TestSweepRecordsOncePerLog(t *testing.T) {
+	b := newTestBrokerCfg(t, Config{
+		ID:             "sweep-rec",
+		RecordPatterns: []string{"/rec/#", "/rec/a/*"},
+		RecordDir:      t.TempDir(),
+	})
+	rs := b.newRouteSweep()
+	burst := func(first uint64) {
+		var events []*event.Event
+		for i, topic := range []string{"/rec/a/x", "/rec/b", "/rec/a/x"} {
+			events = append(events, burstEvent(first+uint64(i), topic))
+		}
+		rs.routeBatch(events, nil)
+	}
+	burst(1)
+	epoch := b.subs.EpochAt(b.subs.ShardFor("/rec/a/x"))
+	// Same first segment, so the same trie shard as every recorded topic.
+	s := newSession(b, newCaptureConn(), "sweep-rec-sub", false)
+	if err := b.subs.Add("/rec/other", s); err != nil {
+		t.Fatal(err)
+	}
+	if b.subs.EpochAt(b.subs.ShardFor("/rec/a/x")) == epoch {
+		t.Fatal("the subscribe did not bump the recorded topics' shard")
+	}
+	burst(4)
+
+	for pattern, want := range map[string]string{
+		"/rec/#":   "1 2 3 4 5 6",
+		"/rec/a/*": "1 3 4 6",
+	} {
+		c := b.TopicLog(pattern).NewCursor(0)
+		var got []string
+		for {
+			recs, err := c.Next(nil, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) == 0 {
+				break
+			}
+			for _, r := range recs {
+				e, err := event.Unmarshal(r.Payload)
+				if err != nil {
+					t.Fatalf("%s record %d does not decode: %v", pattern, r.Seq, err)
+				}
+				got = append(got, fmt.Sprint(e.ID))
+			}
+		}
+		c.Close()
+		if g := strings.Join(got, " "); g != want {
+			t.Fatalf("%s log holds events %q, want %q", pattern, g, want)
+		}
 	}
 }
 
@@ -147,7 +288,7 @@ func TestConcurrentLoopbackPublish(t *testing.T) {
 	b := New(Config{ID: "loopback-pool"})
 	defer b.Stop()
 	s := newSession(b, newCaptureConn(), "loopback-sub", false)
-	if err := b.router.add("/loopback/t", s); err != nil {
+	if err := b.subs.Add("/loopback/t", s); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup

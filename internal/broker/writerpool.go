@@ -359,7 +359,10 @@ func (wp *writerPool) fail(s *session) {
 	s.writerDone = true
 	s.close()
 	for {
-		if _, st := s.queue.tryPop(); st != popOK {
+		var st popState
+		wp.drain, st = s.queue.popBatch(wp.drain[:0], maxBurst)
+		clear(wp.drain)
+		if st != popOK {
 			return
 		}
 	}

@@ -46,7 +46,7 @@ func TestWriterPoolSingleLockSingleWakeupPerBurst(t *testing.T) {
 			} else {
 				runPrivatePool(t, s)
 			}
-			if err := b.router.add("/wp/t", s); err != nil {
+			if err := b.subs.Add("/wp/t", s); err != nil {
 				t.Fatal(err)
 			}
 			sessions = append(sessions, s)

@@ -14,7 +14,7 @@ import (
 // always touches exactly one shard.
 //
 // Each shard carries an epoch that is bumped on every mutation. Callers
-// building caches on top of Match sample the epoch with MatchEpoch and
+// building caches on top of Match sample the epoch with MatchEpochAt and
 // treat a cached entry as valid only while the shard epoch is unchanged.
 type ShardedTrie[V comparable] struct {
 	shards []trieShard[V]
@@ -53,9 +53,6 @@ func NewShardedTrie[V comparable](n int) *ShardedTrie[V] {
 	return t
 }
 
-// NumShards returns the shard count.
-func (t *ShardedTrie[V]) NumShards() int { return len(t.shards) }
-
 // firstSegment extracts the first path segment of a validated topic or
 // pattern without allocating.
 func firstSegment(s string) string {
@@ -79,17 +76,6 @@ func (t *ShardedTrie[V]) shardOf(seg string) int {
 // ShardFor returns the shard index a concrete topic resolves to.
 func (t *ShardedTrie[V]) ShardFor(topic string) int {
 	return t.shardOf(firstSegment(topic))
-}
-
-// PatternShard returns the shard a pattern's entries live in, or
-// all=true when the pattern's first segment is a wildcard (such patterns
-// are replicated into every shard). Cache layers use it to scope
-// per-pattern invalidation to the shards a mutation can have touched.
-func (t *ShardedTrie[V]) PatternShard(pattern string) (shard int, all bool) {
-	if wildcardFirst(pattern) {
-		return 0, true
-	}
-	return t.shardOf(firstSegment(pattern)), false
 }
 
 // wildcardFirst reports whether the pattern's first segment is "*" or "#"
@@ -170,21 +156,16 @@ func (t *ShardedTrie[V]) RemoveAll(v V) int {
 
 // Match appends every subscriber matching the concrete topic to dst.
 func (t *ShardedTrie[V]) Match(topic string, dst []V) []V {
-	matched, _ := t.MatchEpoch(topic, dst)
+	matched, _ := t.MatchEpochAt(t.ShardFor(topic), topic, dst)
 	return matched
 }
 
-// MatchEpoch is Match plus the shard epoch sampled before matching.
-// A cache entry stored with this epoch is valid while Epoch(topic) still
+// MatchEpochAt is Match on the shard at an index already resolved via
+// ShardFor, plus that shard's epoch sampled before matching. A cached
+// result stored with this epoch is valid while EpochAt(shard) still
 // returns the same value: any concurrent mutation that could change the
 // match result bumps the shard epoch, so a stale entry can never be
 // observed as fresh.
-func (t *ShardedTrie[V]) MatchEpoch(topic string, dst []V) ([]V, uint64) {
-	return t.MatchEpochAt(t.ShardFor(topic), topic, dst)
-}
-
-// MatchEpochAt is MatchEpoch for a shard index already resolved via
-// ShardFor, sparing hot paths a repeated hash of the topic.
 func (t *ShardedTrie[V]) MatchEpochAt(shard int, topic string, dst []V) ([]V, uint64) {
 	s := &t.shards[shard]
 	epoch := s.epoch.Load()
@@ -194,73 +175,8 @@ func (t *ShardedTrie[V]) MatchEpochAt(shard int, topic string, dst []V) ([]V, ui
 	return dst, epoch
 }
 
-// Epoch returns the current mutation epoch of the shard owning topic.
-func (t *ShardedTrie[V]) Epoch(topic string) uint64 {
-	return t.EpochAt(t.ShardFor(topic))
-}
-
 // EpochAt returns the mutation epoch of the shard at an index already
 // resolved via ShardFor.
 func (t *ShardedTrie[V]) EpochAt(shard int) uint64 {
 	return t.shards[shard].epoch.Load()
-}
-
-// Len returns the number of (pattern, subscriber) entries; wildcard-first
-// replicas count once.
-func (t *ShardedTrie[V]) Len() int {
-	total := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		if i == 0 {
-			total += s.trie.Len()
-		} else {
-			// Subtract this shard's replicas of wildcard-first patterns:
-			// they are exactly the entries shard 0 also holds with a
-			// wildcard first segment.
-			total += s.trie.Len() - countWildcardFirst(s.trie)
-		}
-		s.mu.RUnlock()
-	}
-	return total
-}
-
-// countWildcardFirst counts entries under a top-level "*" or "#" segment.
-func countWildcardFirst[V comparable](tr *Trie[V]) int {
-	n := 0
-	root := tr.root
-	n += len(root.rest) // "/#"
-	if c, ok := root.children[Single]; ok {
-		n += countEntries(c)
-	}
-	return n
-}
-
-func countEntries[V comparable](n *node[V]) int {
-	total := len(n.exact) + len(n.rest)
-	for _, c := range n.children {
-		total += countEntries(c)
-	}
-	return total
-}
-
-// Patterns returns every registered pattern, sorted, de-duplicating
-// wildcard-first replicas.
-func (t *ShardedTrie[V]) Patterns() []string {
-	seen := make(map[string]struct{})
-	var out []string
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		ps := s.trie.Patterns()
-		s.mu.RUnlock()
-		for _, p := range ps {
-			if _, dup := seen[p]; !dup {
-				seen[p] = struct{}{}
-				out = append(out, p)
-			}
-		}
-	}
-	sortStrings(out)
-	return out
 }

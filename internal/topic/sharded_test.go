@@ -84,44 +84,24 @@ func TestShardedTrieRemoveAll(t *testing.T) {
 func TestShardedTrieEpochInvalidation(t *testing.T) {
 	st := NewShardedTrie[int](4)
 	st.Add("/a/b", 1)
-	matched, epoch := st.MatchEpoch("/a/b", nil)
+	shard := st.ShardFor("/a/b")
+	matched, epoch := st.MatchEpochAt(shard, "/a/b", nil)
 	if len(matched) != 1 {
 		t.Fatalf("match = %v", matched)
 	}
-	if st.Epoch("/a/b") != epoch {
+	if st.EpochAt(shard) != epoch {
 		t.Fatal("epoch changed without mutation")
 	}
 	// A mutation in the same shard must bump the epoch.
 	st.Add("/a/c", 2)
-	if st.Epoch("/a/b") == epoch {
+	if st.EpochAt(shard) == epoch {
 		t.Fatal("epoch unchanged after same-shard mutation")
 	}
 	// Wildcard-first mutations bump every shard.
-	_, e2 := st.MatchEpoch("/a/b", nil)
+	_, e2 := st.MatchEpochAt(shard, "/a/b", nil)
 	st.Add("/#", 3)
-	if st.Epoch("/a/b") == e2 {
+	if st.EpochAt(shard) == e2 {
 		t.Fatal("epoch unchanged after wildcard-first mutation")
-	}
-}
-
-func TestShardedTrieLenAndPatterns(t *testing.T) {
-	st := NewShardedTrie[int](4)
-	st.Add("/a/b", 1)
-	st.Add("/a/b", 2)
-	st.Add("/#", 1)
-	st.Add("/*/x", 1)
-	if n := st.Len(); n != 4 {
-		t.Fatalf("Len = %d, want 4 (replicas deduped)", n)
-	}
-	ps := st.Patterns()
-	want := []string{"/#", "/*/x", "/a/b"}
-	if len(ps) != len(want) {
-		t.Fatalf("Patterns = %v, want %v", ps, want)
-	}
-	for i := range want {
-		if ps[i] != want[i] {
-			t.Fatalf("Patterns = %v, want %v", ps, want)
-		}
 	}
 }
 
@@ -139,13 +119,13 @@ func TestShardedTrieMalformed(t *testing.T) {
 }
 
 func TestShardedTrieShardCountRounding(t *testing.T) {
-	if n := NewShardedTrie[int](0).NumShards(); n != DefaultShards {
+	if n := len(NewShardedTrie[int](0).shards); n != DefaultShards {
 		t.Fatalf("default shards = %d, want %d", n, DefaultShards)
 	}
-	if n := NewShardedTrie[int](5).NumShards(); n != 8 {
+	if n := len(NewShardedTrie[int](5).shards); n != 8 {
 		t.Fatalf("shards(5) = %d, want 8", n)
 	}
-	if n := NewShardedTrie[int](1).NumShards(); n != 1 {
+	if n := len(NewShardedTrie[int](1).shards); n != 1 {
 		t.Fatalf("shards(1) = %d, want 1", n)
 	}
 }

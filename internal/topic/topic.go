@@ -318,36 +318,3 @@ func (t *Trie[V]) match(n *node[V], segs []string, seen map[V]struct{}) {
 		t.match(c, segs[1:], seen)
 	}
 }
-
-// Patterns returns every registered pattern (without subscribers), sorted
-// lexicographically. Used to advertise local subscriptions to peer brokers.
-func (t *Trie[V]) Patterns() []string {
-	var out []string
-	var walk func(n *node[V], prefix string)
-	walk = func(n *node[V], prefix string) {
-		if len(n.exact) > 0 {
-			p := prefix
-			if p == "" {
-				p = "/"
-			}
-			out = append(out, p)
-		}
-		if len(n.rest) > 0 {
-			out = append(out, prefix+"/"+Rest)
-		}
-		for seg, c := range n.children {
-			walk(c, prefix+"/"+seg)
-		}
-	}
-	walk(t.root, "")
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}

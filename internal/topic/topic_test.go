@@ -193,19 +193,6 @@ func TestTrieMatchMalformedTopic(t *testing.T) {
 	}
 }
 
-func TestTriePatterns(t *testing.T) {
-	tr := NewTrie[int]()
-	mustAdd(t, tr, "/a/b", 1)
-	mustAdd(t, tr, "/a/*", 2)
-	mustAdd(t, tr, "/a/#", 3)
-	mustAdd(t, tr, "/z", 4)
-	got := tr.Patterns()
-	want := []string{"/a/#", "/a/*", "/a/b", "/z"}
-	if !slices.Equal(got, want) {
-		t.Fatalf("Patterns = %v, want %v", got, want)
-	}
-}
-
 func TestTrieAddRejectsMalformed(t *testing.T) {
 	tr := NewTrie[int]()
 	if err := tr.Add("nope", 1); err == nil {
