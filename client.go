@@ -2,9 +2,12 @@ package globalmmcs
 
 import (
 	"context"
+	"fmt"
 	"time"
 
-	"github.com/globalmmcs/globalmmcs/internal/core"
+	"github.com/globalmmcs/globalmmcs/internal/broker"
+	"github.com/globalmmcs/globalmmcs/internal/im"
+	"github.com/globalmmcs/globalmmcs/internal/metrics"
 	"github.com/globalmmcs/globalmmcs/internal/xgsp"
 )
 
@@ -12,14 +15,40 @@ import (
 // presence and media over one broker connection. Create one per user
 // with Server.Client.
 type Client struct {
-	c *core.Client
+	userID string
+	bc     *broker.Client
+	xgsp   *xgsp.Client
+	chat   *im.Chatter
+	// reg receives the per-stream delivery gauges of the client's
+	// streams.
+	reg *metrics.Registry
+}
+
+// newClient wraps an attached broker client into a collaboration
+// client. It owns bc: on failure bc is closed.
+func newClient(ctx context.Context, bc *broker.Client, userID string, reg *metrics.Registry) (*Client, error) {
+	xc, err := xgsp.NewClient(ctx, bc, userID)
+	if err != nil {
+		_ = bc.Close()
+		return nil, fmt.Errorf("globalmmcs: xgsp client: %w", err)
+	}
+	chat, err := im.NewChatter(bc, userID)
+	if err != nil {
+		xc.Close()
+		_ = bc.Close()
+		return nil, fmt.Errorf("globalmmcs: chatter: %w", err)
+	}
+	return &Client{userID: userID, bc: bc, xgsp: xc, chat: chat, reg: reg}, nil
 }
 
 // UserID returns the client identity.
-func (c *Client) UserID() string { return c.c.UserID() }
+func (c *Client) UserID() string { return c.userID }
 
 // Close releases the client and its broker connection.
-func (c *Client) Close() error { return c.c.Close() }
+func (c *Client) Close() error {
+	c.xgsp.Close()
+	return c.bc.Close()
+}
 
 // CreateSession creates a session and returns a handle bound to this
 // client. With no options the session is ad-hoc and active immediately;
@@ -30,11 +59,11 @@ func (c *Client) CreateSession(ctx context.Context, name string, opts ...Session
 	for _, opt := range opts {
 		opt(&req)
 	}
-	info, err := c.c.XGSP.Create(ctx, req)
+	info, err := c.xgsp.Create(ctx, req)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return &Session{c: c.c, info: info}, nil
+	return &Session{c: c, info: info}, nil
 }
 
 // SessionOption configures a session at CreateSession.
@@ -63,17 +92,17 @@ func WithSchedule(start, end time.Time) SessionOption {
 // Join joins a session by id with a logical terminal name and returns a
 // handle bound to this client.
 func (c *Client) Join(ctx context.Context, sessionID, terminal string) (*Session, error) {
-	info, err := c.c.Join(ctx, sessionID, terminal)
+	info, err := c.xgsp.Join(ctx, sessionID, terminal, nil)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return &Session{c: c.c, info: info}, nil
+	return &Session{c: c, info: info}, nil
 }
 
 // Sessions lists the visible sessions, including scheduled ones that
 // have not yet activated.
 func (c *Client) Sessions(ctx context.Context) ([]SessionDetails, error) {
-	list, err := c.c.XGSP.List(ctx, true)
+	list, err := c.xgsp.List(ctx, true)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -86,14 +115,14 @@ func (c *Client) Sessions(ctx context.Context) ([]SessionDetails, error) {
 
 // Session returns a handle for an existing session without joining it.
 func (c *Client) Session(ctx context.Context, sessionID string) (*Session, error) {
-	info, err := c.c.XGSP.Lookup(ctx, sessionID)
+	info, err := c.xgsp.Lookup(ctx, sessionID)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
 	if info == nil {
 		return nil, tag(ErrSessionNotFound, errSessionID(sessionID))
 	}
-	return &Session{c: c.c, info: info}, nil
+	return &Session{c: c, info: info}, nil
 }
 
 // SetPresence publishes the user's presence state into a community.
@@ -101,18 +130,18 @@ func (c *Client) SetPresence(ctx context.Context, community string, status Prese
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return wrapErr(c.c.Chat.SetPresence(community, internalStatus(status), note))
+	return wrapErr(c.chat.SetPresence(community, internalStatus(status), note))
 }
 
 // WatchPresence streams every presence update of a community. Delivery
 // QoS is set with StreamOptions.
 func (c *Client) WatchPresence(ctx context.Context, community string, opts ...StreamOption) (*PresenceWatch, error) {
-	sub, err := c.c.Chat.WatchCommunity(ctx, community, ringDepth[Presence](defaultChatBuffer, false, opts))
+	sub, err := c.chat.WatchCommunity(ctx, community, ringDepth[Presence](defaultChatBuffer, false, opts))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	name := c.c.UserID() + ".presence." + community
-	return newPresenceWatch(sub, c.c.Metrics, name, opts), nil
+	name := c.userID + ".presence." + community
+	return newPresenceWatch(sub, c.reg, name, opts), nil
 }
 
 type errSessionID string

@@ -29,7 +29,7 @@ func TestJoinHonorsCancellation(t *testing.T) {
 
 	// Stop the XGSP session server: requests now publish fine but no
 	// response ever comes back, so Join blocks.
-	srv.core.XGSP.Stop()
+	srv.xgsp.Stop()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"github.com/globalmmcs/globalmmcs/internal/broker"
-	"github.com/globalmmcs/globalmmcs/internal/core"
 	"github.com/globalmmcs/globalmmcs/internal/xgsp"
 )
 
@@ -112,10 +111,8 @@ func wrapErr(err error) error {
 		return tag(ErrNotConnected, err)
 	case errors.Is(err, broker.ErrPublisherClosed):
 		return tag(ErrPublisherClosed, err)
-	case errors.Is(err, core.ErrStopped), errors.Is(err, broker.ErrBrokerStopped):
+	case errors.Is(err, broker.ErrBrokerStopped):
 		return tag(ErrServerStopped, err)
-	case errors.Is(err, core.ErrSessionNotFound):
-		return tag(ErrSessionNotFound, err)
 	}
 	return err
 }

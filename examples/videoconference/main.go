@@ -136,11 +136,10 @@ func run(ctx context.Context) error {
 	}
 	fmt.Printf("published %d video packets at ~600 Kbps\n", sent)
 
-	// A gateway-style bulk sender: the batched Publisher hands the
-	// broker one write per batch instead of one per packet — how a
-	// relay pumping many RTP streams would publish.
-	bulk, err := session.Publisher(globalmmcs.Audio,
-		globalmmcs.WithPublishBatching(64<<10, time.Millisecond))
+	// A gateway-style bulk sender: the Publisher publishes exactly what
+	// it is given, unpaced — how a relay pumping many RTP streams would
+	// publish.
+	bulk, err := session.Publisher(globalmmcs.Audio)
 	if err != nil {
 		return err
 	}
@@ -157,7 +156,7 @@ func run(ctx context.Context) error {
 	if err := bulk.Close(); err != nil {
 		return err
 	}
-	fmt.Println("bulk-published 50 more packets through the batching publisher")
+	fmt.Println("bulk-published 50 more packets through the publisher")
 
 	// Tally what the raw event tap saw.
 	tallyCtx, cancelTally := context.WithTimeout(ctx, 2*time.Second)

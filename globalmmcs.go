@@ -30,7 +30,7 @@
 // Recv, All or Chan, closed with Close, and tuned per subscription with
 // QoS options (WithBuffer, WithDropPolicy, WithConflation,
 // WithLagNotify). The send side mirrors it with Session.Publisher and
-// per-handle options (WithReliable, WithTTL, WithPublishBatching):
+// per-handle options (WithReliable, WithTTL):
 //
 //	room, err := session.Chat(ctx, globalmmcs.WithBuffer(128))
 //	if err != nil { ... }
@@ -47,120 +47,401 @@ package globalmmcs
 
 import (
 	"context"
+	"fmt"
+	"net"
+	"net/http"
+	"sync"
+	"time"
 
-	"github.com/globalmmcs/globalmmcs/internal/core"
+	"github.com/globalmmcs/globalmmcs/internal/accessgrid"
+	"github.com/globalmmcs/globalmmcs/internal/admire"
+	"github.com/globalmmcs/globalmmcs/internal/broker"
+	"github.com/globalmmcs/globalmmcs/internal/directory"
+	"github.com/globalmmcs/globalmmcs/internal/h323"
+	"github.com/globalmmcs/globalmmcs/internal/im"
+	"github.com/globalmmcs/globalmmcs/internal/rtpproxy"
+	"github.com/globalmmcs/globalmmcs/internal/sip"
+	"github.com/globalmmcs/globalmmcs/internal/streaming"
+	"github.com/globalmmcs/globalmmcs/internal/transport"
+	"github.com/globalmmcs/globalmmcs/internal/wsci"
+	"github.com/globalmmcs/globalmmcs/internal/xgsp"
 )
 
 // Version is the release version of this reproduction.
 const Version = "3.0.0"
 
-// Server is a running Global-MMCS node.
+// Server is a running Global-MMCS node: the paper's Figure 2 — the
+// broker, the XGSP session server and its web frontend, the naming &
+// directory store, the SIP and H.323 servers with their RTP proxies,
+// the RTSP streaming server, the IM/presence service, and the bridges to
+// Admire and Access Grid communities.
 type Server struct {
-	core *core.Server
+	cfg config
+
+	broker      *broker.Broker
+	mesh        *broker.Mesh // nil without peers
+	xgsp        *xgsp.Server
+	directory   *directory.Store
+	communities *wsci.Registry
+	// The services below are nil when their Without* option is given.
+	sip         *sip.Server
+	gatekeeper  *h323.Gatekeeper
+	h323Gateway *h323.Gateway
+	rtsp        *streaming.Server
+	im          *im.Service
+
+	webLn   net.Listener
+	webSrv  *http.Server
+	gwXGSP  []*xgsp.Client
+	proxies []*rtpproxy.Proxy
+
+	mu      sync.Mutex
+	clients []*broker.Client
+	bridges []closer
+	stopped bool
+	wg      sync.WaitGroup
 }
+
+type closer interface{ Close() }
 
 // Start assembles and starts a Global-MMCS node. ctx bounds the startup
 // handshakes; cancelling it aborts startup and tears down whatever was
 // already running. With no options every service starts on loopback
 // with ephemeral ports.
 func Start(ctx context.Context, opts ...Option) (*Server, error) {
-	var cfg core.Config
+	var cfg config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	cs, err := core.Start(ctx, cfg)
-	if err != nil {
+	s := &Server{
+		cfg:         cfg.withDefaults(),
+		directory:   &directory.Store{},
+		communities: wsci.NewRegistry(),
+	}
+	if err := s.start(ctx); err != nil {
+		s.Stop()
 		return nil, wrapErr(err)
 	}
-	return &Server{core: cs}, nil
+	return s, nil
+}
+
+// start brings the services up in dependency order. On error the caller
+// stops whatever already runs.
+func (s *Server) start(ctx context.Context) error {
+	cfg := s.cfg
+	reg := cfg.broker.Metrics
+	s.broker = broker.New(cfg.broker)
+	for _, url := range cfg.listenURLs {
+		if _, err := s.broker.Listen(url); err != nil {
+			return fmt.Errorf("globalmmcs: broker listen %s: %w", url, err)
+		}
+	}
+	if len(cfg.peers) > 0 {
+		s.mesh = broker.NewMesh(s.broker, broker.MeshConfig{Peers: cfg.peers})
+	}
+
+	xgspBC, err := s.localClient("xgsp-session-server")
+	if err != nil {
+		return err
+	}
+	s.xgsp = xgsp.NewServer(xgspBC, xgsp.ServerConfig{Clock: cfg.clock, Metrics: reg})
+	if err := s.xgsp.Start(); err != nil {
+		return fmt.Errorf("globalmmcs: starting xgsp server: %w", err)
+	}
+
+	if !cfg.withoutIM {
+		imBC, err := s.localClient("im-service")
+		if err != nil {
+			return err
+		}
+		s.im, err = im.NewService(ctx, imBC, im.ServiceConfig{
+			Communities: []string{"global", "sip", "h323", "admire", "accessgrid"},
+		})
+		if err != nil {
+			return fmt.Errorf("globalmmcs: starting im service: %w", err)
+		}
+	}
+
+	if !cfg.withoutSIP {
+		xc, proxy, err := s.gatewayKit(ctx, "sip")
+		if err != nil {
+			return err
+		}
+		sipCfg := sip.ServerConfig{
+			Domain:    cfg.domain,
+			XGSP:      xc,
+			Proxy:     proxy,
+			Directory: s.directory,
+			Clock:     cfg.clock,
+			Metrics:   reg,
+		}
+		if s.im != nil {
+			sipCfg.Chat = s.im
+		}
+		s.sip, err = sip.NewServer(sipCfg)
+		if err != nil {
+			return fmt.Errorf("globalmmcs: starting sip server: %w", err)
+		}
+	}
+
+	if !cfg.withoutH323 {
+		xc, proxy, err := s.gatewayKit(ctx, "h323")
+		if err != nil {
+			return err
+		}
+		s.h323Gateway, err = h323.NewGateway(h323.GatewayConfig{
+			XGSP: xc, Proxy: proxy, Metrics: reg,
+		})
+		if err != nil {
+			return fmt.Errorf("globalmmcs: starting h323 gateway: %w", err)
+		}
+		s.gatekeeper, err = h323.NewGatekeeper(h323.GatekeeperConfig{
+			SignalAddr: s.h323Gateway.Addr(), Directory: s.directory,
+			Clock: cfg.clock, Metrics: reg,
+		})
+		if err != nil {
+			return fmt.Errorf("globalmmcs: starting gatekeeper: %w", err)
+		}
+	}
+
+	if !cfg.withoutRTSP {
+		xc, err := s.xgspClient(ctx, "rtsp-xgsp", "rtsp-server")
+		if err != nil {
+			return err
+		}
+		mediaBC, err := s.localClient("rtsp-media")
+		if err != nil {
+			return err
+		}
+		s.rtsp, err = streaming.NewServer(streaming.ServerConfig{
+			XGSP: xc, Broker: mediaBC, Metrics: reg,
+		})
+		if err != nil {
+			return fmt.Errorf("globalmmcs: starting rtsp server: %w", err)
+		}
+	}
+
+	return s.startWebServer(ctx)
+}
+
+// localClient attaches an in-process broker client that Stop closes. It
+// refuses once the server is stopped, so nothing attached late outlives
+// Stop.
+func (s *Server) localClient(id string) (*broker.Client, error) {
+	bc, err := s.broker.LocalClient(id, transport.LinkProfile{})
+	if err != nil {
+		return nil, fmt.Errorf("globalmmcs: attaching %s: %w", id, err)
+	}
+	s.mu.Lock()
+	stopped := s.stopped
+	if !stopped {
+		s.clients = append(s.clients, bc)
+	}
+	s.mu.Unlock()
+	if stopped {
+		_ = bc.Close()
+		return nil, ErrServerStopped
+	}
+	return bc, nil
+}
+
+// xgspClient attaches a service's XGSP client under its own broker
+// client; Stop closes both.
+func (s *Server) xgspClient(ctx context.Context, bcID, userID string) (*xgsp.Client, error) {
+	bc, err := s.localClient(bcID)
+	if err != nil {
+		return nil, err
+	}
+	xc, err := xgsp.NewClient(ctx, bc, userID)
+	if err != nil {
+		return nil, fmt.Errorf("globalmmcs: %s xgsp client: %w", userID, err)
+	}
+	s.gwXGSP = append(s.gwXGSP, xc)
+	return xc, nil
+}
+
+// gatewayKit builds the xgsp client + rtp proxy pair every media gateway
+// needs.
+func (s *Server) gatewayKit(ctx context.Context, name string) (*xgsp.Client, *rtpproxy.Proxy, error) {
+	xc, err := s.xgspClient(ctx, name+"-gateway-xgsp", name+"-gateway")
+	if err != nil {
+		return nil, nil, err
+	}
+	proxyBC, err := s.localClient(name + "-rtpproxy")
+	if err != nil {
+		return nil, nil, err
+	}
+	proxy := rtpproxy.New(proxyBC)
+	s.proxies = append(s.proxies, proxy)
+	return xc, proxy, nil
 }
 
 // Stop shuts every subsystem down in dependency order. It is idempotent.
-func (s *Server) Stop() { s.core.Stop() }
+func (s *Server) Stop() {
+	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
+		return
+	}
+	s.stopped = true
+	bridges, clients := s.bridges, s.clients
+	s.bridges = nil
+	s.mu.Unlock()
+
+	for _, b := range bridges {
+		b.Close()
+	}
+	if s.webSrv != nil {
+		_ = s.webSrv.Close()
+	}
+	if s.rtsp != nil {
+		s.rtsp.Stop()
+	}
+	if s.gatekeeper != nil {
+		s.gatekeeper.Stop()
+	}
+	if s.h323Gateway != nil {
+		s.h323Gateway.Stop()
+	}
+	if s.sip != nil {
+		s.sip.Stop()
+	}
+	if s.im != nil {
+		s.im.Stop()
+	}
+	for _, p := range s.proxies {
+		p.Close()
+	}
+	for _, xc := range s.gwXGSP {
+		xc.Close()
+	}
+	if s.xgsp != nil {
+		s.xgsp.Stop()
+	}
+	for _, bc := range clients {
+		_ = bc.Close()
+	}
+	if s.mesh != nil {
+		s.mesh.Stop()
+	}
+	if s.broker != nil {
+		s.broker.Stop()
+	}
+	s.wg.Wait()
+}
 
 // Drain gracefully winds the node's broker down ahead of Stop: new
 // connections are refused, attached clients receive a reliable GOAWAY,
 // and the call waits until in-flight reliable traffic is acknowledged
 // or ctx expires. Wired to SIGTERM in cmd/gmmcs-server via
 // -drain-timeout.
-func (s *Server) Drain(ctx context.Context) error { return wrapErr(s.core.Broker.Drain(ctx)) }
+func (s *Server) Drain(ctx context.Context) error { return wrapErr(s.broker.Drain(ctx)) }
 
 // WaitReady blocks until the node answers on its web listener, bounded
 // by ctx — the replacement for the startup sleeps examples used to need.
 func (s *Server) WaitReady(ctx context.Context) error {
-	return wrapErr(s.core.WaitReady(ctx))
+	for {
+		if err := ctx.Err(); err != nil {
+			return wrapErr(err)
+		}
+		conn, err := net.DialTimeout("tcp", s.webLn.Addr().String(), time.Second)
+		if err == nil {
+			conn.Close()
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return wrapErr(ctx.Err())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
 }
 
 // Client attaches an in-process collaboration client for a user.
 func (s *Server) Client(ctx context.Context, userID string) (*Client, error) {
-	cc, err := s.core.Client(ctx, userID)
+	s.mu.Lock()
+	stopped := s.stopped
+	s.mu.Unlock()
+	if stopped {
+		return nil, ErrServerStopped
+	}
+	bc, err := s.broker.LocalClient("user-"+userID, transport.LinkProfile{})
+	if err != nil {
+		return nil, wrapErr(fmt.Errorf("globalmmcs: attaching client %s: %w", userID, err))
+	}
+	c, err := newClient(ctx, bc, userID, s.cfg.broker.Metrics)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return &Client{c: cc}, nil
+	return c, nil
 }
 
 // WebAddr returns the XGSP web server's HTTP base URL. The WSDL-CI SOAP
 // endpoint is WebAddr()+"/ws".
-func (s *Server) WebAddr() string { return s.core.WebAddr() }
+func (s *Server) WebAddr() string {
+	if s.webLn == nil {
+		return ""
+	}
+	return "http://" + s.webLn.Addr().String()
+}
 
 // SIPAddr returns the SIP server's UDP address, or "" when SIP is
 // disabled.
 func (s *Server) SIPAddr() string {
-	if s.core.SIP == nil {
+	if s.sip == nil {
 		return ""
 	}
-	return s.core.SIP.Addr()
+	return s.sip.Addr()
 }
 
 // SIPDomain returns the SIP domain, or "" when SIP is disabled.
 func (s *Server) SIPDomain() string {
-	if s.core.SIP == nil {
+	if s.sip == nil {
 		return ""
 	}
-	return s.core.SIP.Domain()
+	return s.sip.Domain()
 }
 
 // GatekeeperAddr returns the H.323 RAS address, or "" when H.323 is
 // disabled.
 func (s *Server) GatekeeperAddr() string {
-	if s.core.Gatekeeper == nil {
+	if s.gatekeeper == nil {
 		return ""
 	}
-	return s.core.Gatekeeper.Addr()
+	return s.gatekeeper.Addr()
 }
 
 // H323GatewayAddr returns the H.323 call-signalling address, or "" when
 // H.323 is disabled.
 func (s *Server) H323GatewayAddr() string {
-	if s.core.H323Gateway == nil {
+	if s.h323Gateway == nil {
 		return ""
 	}
-	return s.core.H323Gateway.Addr()
+	return s.h323Gateway.Addr()
 }
 
 // RTSPAddr returns the streaming server's address, or "" when RTSP is
 // disabled.
 func (s *Server) RTSPAddr() string {
-	if s.core.RTSP == nil {
+	if s.rtsp == nil {
 		return ""
 	}
-	return s.core.RTSP.Addr()
+	return s.rtsp.Addr()
 }
 
 // StreamURL returns the rtsp:// URL a media player uses to watch a
 // session, or "" when RTSP is disabled.
 func (s *Server) StreamURL(sessionID string) string {
-	if s.core.RTSP == nil {
+	if s.rtsp == nil {
 		return ""
 	}
-	return s.core.RTSP.URL(sessionID)
+	return s.rtsp.URL(sessionID)
 }
 
 // SessionInfo looks a session up server-side and reports whether it
 // exists.
 func (s *Server) SessionInfo(sessionID string) (SessionDetails, bool) {
-	info := s.core.XGSP.Lookup(sessionID)
+	info := s.xgsp.Lookup(sessionID)
 	if info == nil {
 		return SessionDetails{}, false
 	}
@@ -170,10 +451,10 @@ func (s *Server) SessionInfo(sessionID string) (SessionDetails, bool) {
 // ChatHistory returns up to limit most recent messages of a session's
 // room, oldest first. It returns nil when IM is disabled.
 func (s *Server) ChatHistory(sessionID string, limit int) []ChatMessage {
-	if s.core.IM == nil {
+	if s.im == nil {
 		return nil
 	}
-	history := s.core.IM.History(sessionID, limit)
+	history := s.im.History(sessionID, limit)
 	out := make([]ChatMessage, len(history))
 	for i, m := range history {
 		out[i] = chatFromInternal(&m)
@@ -184,12 +465,61 @@ func (s *Server) ChatHistory(sessionID string, limit int) []ChatMessage {
 // LinkAdmire bridges a session to an Admire conference served at the
 // given WSDL-CI endpoint, registering the community on the way.
 func (s *Server) LinkAdmire(ctx context.Context, sessionID, confID, endpoint string) error {
-	_, err := s.core.LinkAdmire(ctx, sessionID, confID, endpoint)
-	return wrapErr(err)
+	if err := ctx.Err(); err != nil {
+		return wrapErr(err)
+	}
+	info := s.xgsp.Lookup(sessionID)
+	if info == nil {
+		return tag(ErrSessionNotFound, errSessionID(sessionID))
+	}
+	if err := s.communities.Register(wsci.ServiceEntry{
+		Community: "admire", Kind: "admire", Endpoint: endpoint,
+	}); err != nil {
+		return wrapErr(err)
+	}
+	bc, err := s.localClient("admire-bridge-" + sessionID)
+	if err != nil {
+		return wrapErr(err)
+	}
+	bridge, err := admire.NewBridge(bc, info, confID, wsci.NewClient(endpoint))
+	if err != nil {
+		return wrapErr(err)
+	}
+	return s.keepBridge(bridge)
 }
 
 // LinkAccessGrid bridges a session to a venue on a venue server.
 func (s *Server) LinkAccessGrid(ctx context.Context, sessionID string, venues *VenueServer, venue string) error {
-	_, err := s.core.LinkAccessGrid(ctx, sessionID, venues.vs, venue)
-	return wrapErr(err)
+	if err := ctx.Err(); err != nil {
+		return wrapErr(err)
+	}
+	info := s.xgsp.Lookup(sessionID)
+	if info == nil {
+		return tag(ErrSessionNotFound, errSessionID(sessionID))
+	}
+	bc, err := s.localClient("ag-bridge-" + sessionID)
+	if err != nil {
+		return wrapErr(err)
+	}
+	bridge, err := accessgrid.NewBridge(bc, venues.vs, venue, info)
+	if err != nil {
+		return wrapErr(err)
+	}
+	return s.keepBridge(bridge)
+}
+
+// keepBridge hands a new bridge to Stop, or closes it when Stop has
+// already taken its snapshot.
+func (s *Server) keepBridge(b closer) error {
+	s.mu.Lock()
+	stopped := s.stopped
+	if !stopped {
+		s.bridges = append(s.bridges, b)
+	}
+	s.mu.Unlock()
+	if stopped {
+		b.Close()
+		return ErrServerStopped
+	}
+	return nil
 }

@@ -264,7 +264,7 @@ type Broker struct {
 	poolNext atomic.Uint64
 
 	// handshakeTimeout is handshakeDeadline; a field only so a test can
-	// shorten it before Serve.
+	// shorten it before Serve or ConnectPeer.
 	handshakeTimeout time.Duration
 
 	wg   sync.WaitGroup
@@ -395,9 +395,10 @@ func (b *Broker) Listen(url string) (transport.Listener, error) {
 	return l, nil
 }
 
-// handshakeDeadline bounds the wait for a new conn's first event: a
-// remote that connects and says nothing is closed instead of holding a
-// goroutine (and Stop, which waits for it) indefinitely.
+// handshakeDeadline bounds the wait for a new conn's first event, and
+// for a dialed peer's hello reply: a remote that connects and says
+// nothing is closed instead of holding a goroutine (and Stop, which
+// waits for it) indefinitely.
 const handshakeDeadline = 10 * time.Second
 
 // handshake reads the first event on a new conn to learn whether the
@@ -1359,7 +1360,11 @@ func (b *Broker) connectPeerConn(conn transport.Conn) (*session, error) {
 		conn.Close()
 		return nil, fmt.Errorf("broker: peer hello: %w", err)
 	}
+	deadline := time.AfterFunc(b.handshakeTimeout, func() { conn.Close() })
 	reply, err := conn.Recv()
+	if !deadline.Stop() && err == nil {
+		err = fmt.Errorf("no reply within %v", b.handshakeTimeout)
+	}
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("broker: waiting for peer hello reply: %w", err)
@@ -1544,5 +1549,3 @@ func (b *Broker) Stop() {
 		b.rec.close()
 	}
 }
-
-func formatUint(v uint64) string { return strconv.FormatUint(v, 10) }

@@ -861,7 +861,7 @@ func (c *Client) SubscribeContext(ctx context.Context, pattern string, depth int
 	c.routeEpoch.Add(1)
 	c.mu.Unlock()
 
-	if err := c.send(subEvent(pattern, BestEffort)); err != nil {
+	if err := c.send(subEvent(pattern)); err != nil {
 		c.dropSub(sub)
 		return nil, fmt.Errorf("broker: sending subscribe: %w", err)
 	}

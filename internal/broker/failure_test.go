@@ -117,7 +117,7 @@ func TestSlowReliableConsumerIsDisconnected(t *testing.T) {
 	if err := client.Send(hello); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Send(subEvent("/evict/t", BestEffort)); err != nil {
+	if err := client.Send(subEvent("/evict/t")); err != nil {
 		t.Fatal(err)
 	}
 	// Drain inbound so the pipe does not backpressure, but never ack.

@@ -191,3 +191,82 @@ func TestSilentConnHandshakeDeadline(t *testing.T) {
 		t.Fatalf("%d sessions attached for a conn that never said hello", n)
 	}
 }
+
+// silentPeer listens on loopback and accepts one conn, which it reads
+// from but never answers: a peer broker that hangs after accept.
+func silentPeer(t *testing.T) (url string, accepted <-chan net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := make(chan net.Conn, 1)
+	go func() {
+		defer ln.Close()
+		if nc, err := ln.Accept(); err == nil {
+			ch <- nc
+		}
+	}()
+	return "tcp://" + ln.Addr().String(), ch
+}
+
+// awaitHello waits for the dialer's peer hello to arrive, so the dialer
+// is past its send and waiting for the reply.
+func awaitHello(t *testing.T, accepted <-chan net.Conn) net.Conn {
+	t.Helper()
+	var nc net.Conn
+	select {
+	case nc = <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dialer never connected")
+	}
+	t.Cleanup(func() { nc.Close() })
+	if err := nc.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Read(make([]byte, 1)); err != nil {
+		t.Fatalf("no peer hello from the dialer: %v", err)
+	}
+	return nc
+}
+
+// TestMeshStopWithSilentPeer: a mesh link whose peer accepts and never
+// replies is stuck in its dial's handshake; Mesh.Stop must close that
+// dial and return, not wait out the peer.
+func TestMeshStopWithSilentPeer(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	b := newTestBroker(t, "leak-mesh-silent")
+	url, accepted := silentPeer(t)
+	m := NewMesh(b, MeshConfig{Peers: []string{url}})
+	awaitHello(t, accepted)
+	stopped := make(chan struct{})
+	go func() {
+		m.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Mesh.Stop hung on a peer that never replied")
+	}
+}
+
+// TestConnectPeerSilentDeadline: the dialer side of the peer handshake
+// gives up on a silent peer once the handshake deadline passes.
+func TestConnectPeerSilentDeadline(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	b := newTestBroker(t, "leak-peer-silent")
+	b.handshakeTimeout = 50 * time.Millisecond
+	url, accepted := silentPeer(t)
+	done := make(chan error, 1)
+	go func() { done <- b.ConnectPeer(url) }()
+	awaitHello(t, accepted)
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("linked to a peer that never replied")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ConnectPeer waited past the handshake deadline")
+	}
+}

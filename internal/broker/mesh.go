@@ -177,6 +177,9 @@ type meshLink struct {
 	state    string
 	redials  uint64
 	sess     *session
+	// dialing is the conn of a dial still in its peer handshake; stop
+	// closes it so a silent peer cannot hold the supervisor.
+	dialing transport.Conn
 }
 
 func newMeshLink(m *Mesh, url string) *meshLink {
@@ -186,11 +189,14 @@ func newMeshLink(m *Mesh, url string) *meshLink {
 func (l *meshLink) stop() {
 	l.stopOnce.Do(func() { close(l.done) })
 	l.mu.Lock()
-	s := l.sess
+	s, conn := l.sess, l.dialing
 	l.state = LinkStopped
 	l.mu.Unlock()
 	if s != nil {
 		s.close()
+	}
+	if conn != nil {
+		conn.Close()
 	}
 }
 
@@ -293,7 +299,18 @@ func (l *meshLink) dial() (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.m.b.connectPeerConn(conn)
+	l.mu.Lock()
+	l.dialing = conn
+	l.mu.Unlock()
+	if l.stopped() {
+		// stop ran before dialing was set, so it did not close conn.
+		conn.Close()
+	}
+	s, err := l.m.b.connectPeerConn(conn)
+	l.mu.Lock()
+	l.dialing = nil
+	l.mu.Unlock()
+	return s, err
 }
 
 // monitor watches an up link: every heartbeat interval it checks the

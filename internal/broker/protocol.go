@@ -44,7 +44,6 @@ const (
 const (
 	hdrID      = "id"      // client or broker identity
 	hdrPattern = "pattern" // subscription pattern
-	hdrProfile = "profile" // "reliable" or "besteffort"
 	hdrOp      = "op"      // "add" or "remove" for advertisements
 	hdrOrigin  = "origin"  // originating broker of an advertisement
 	hdrSeq     = "seq"     // advertisement sequence number
@@ -57,40 +56,6 @@ const (
 	hdrError   = "error"   // human-readable error detail on replay replies
 	hdrToken   = "token"   // session resume token (hello/welcome exchange)
 )
-
-// Profile selects the delivery guarantees of a subscription.
-type Profile uint8
-
-// Delivery profiles. Enums start at 1 so the zero value is invalid.
-const (
-	// BestEffort delivery may drop events under backpressure (media).
-	BestEffort Profile = iota + 1
-	// Reliable delivery acknowledges and retransmits events (signalling).
-	Reliable
-)
-
-// String implements fmt.Stringer.
-func (p Profile) String() string {
-	switch p {
-	case BestEffort:
-		return "besteffort"
-	case Reliable:
-		return "reliable"
-	default:
-		return fmt.Sprintf("profile(%d)", uint8(p))
-	}
-}
-
-func parseProfile(s string) (Profile, error) {
-	switch s {
-	case "besteffort", "":
-		return BestEffort, nil
-	case "reliable":
-		return Reliable, nil
-	default:
-		return 0, fmt.Errorf("broker: unknown profile %q", s)
-	}
-}
 
 // isControlTopic reports whether t belongs to the reserved namespace.
 func isControlTopic(t string) bool {
@@ -169,9 +134,9 @@ func peerHeartbeatEvent(op string) *event.Event {
 	return e
 }
 
-func subEvent(pattern string, profile Profile) *event.Event {
+func subEvent(pattern string) *event.Event {
 	e := event.New(topicSub, event.KindControl, nil)
-	e.Headers = map[string]string{hdrPattern: pattern, hdrProfile: profile.String()}
+	e.Headers = map[string]string{hdrPattern: pattern}
 	return e
 }
 

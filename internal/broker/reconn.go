@@ -274,7 +274,7 @@ func (c *Client) afterReconnect(resumed bool) {
 		}
 		c.mu.Unlock()
 		for p := range patterns {
-			_ = c.send(subEvent(p, BestEffort))
+			_ = c.send(subEvent(p))
 		}
 	}
 	c.restartReplays()

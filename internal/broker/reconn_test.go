@@ -338,7 +338,7 @@ func TestDrainTimeout(t *testing.T) {
 	// Raw conn that subscribes and goes silent: reliable events pile up
 	// unacked.
 	rc := rawAttach(t, b, helloEvent("dt-silent"))
-	if err := rc.conn.Send(subEvent("/dt/t", BestEffort)); err != nil {
+	if err := rc.conn.Send(subEvent("/dt/t")); err != nil {
 		t.Fatal(err)
 	}
 	go func() {

@@ -101,7 +101,7 @@ func TestResumeWindowSalvage(t *testing.T) {
 	if op != opWelcome || token == "" {
 		t.Fatalf("welcome op=%q token=%q, want opWelcome with token", op, token)
 	}
-	if err := rc.conn.Send(subEvent("/rs/t", BestEffort)); err != nil {
+	if err := rc.conn.Send(subEvent("/rs/t")); err != nil {
 		t.Fatal(err)
 	}
 	waitCondition(t, 5*time.Second, "subscribed", func() bool {
@@ -169,7 +169,7 @@ func TestResumeLingerExpiry(t *testing.T) {
 	b := newResumeBroker(t, "expiry", 50*time.Millisecond)
 	rc := rawAttach(t, b, helloEvent("exp-c"))
 	_, token := rc.welcome()
-	if err := rc.conn.Send(subEvent("/exp/t", BestEffort)); err != nil {
+	if err := rc.conn.Send(subEvent("/exp/t")); err != nil {
 		t.Fatal(err)
 	}
 	waitCondition(t, 5*time.Second, "subscribed", func() bool {

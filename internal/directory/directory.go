@@ -2,7 +2,8 @@
 // §2.2: the directory of user accounts and media terminals (binding users
 // to the endpoints they attend with) and the directory of communities and
 // their collaboration servers. State can be exported to and imported from
-// XML, and the store is exposed as a WSDL-CI web service by package core.
+// XML, and the store is exposed as a WSDL-CI web service by the root
+// package's XGSP web server.
 package directory
 
 import (

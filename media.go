@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/broker"
-	"github.com/globalmmcs/globalmmcs/internal/core"
 	"github.com/globalmmcs/globalmmcs/internal/event"
 	"github.com/globalmmcs/globalmmcs/internal/media"
 	"github.com/globalmmcs/globalmmcs/internal/metrics"
@@ -120,8 +119,8 @@ type MediaSender struct {
 	s *media.Sender
 }
 
-func newMediaSender(c *core.Client, stream MediaStream) *MediaSender {
-	return &MediaSender{s: media.NewSender(c.BC, stream.Topic)}
+func newMediaSender(c *Client, stream MediaStream) *MediaSender {
+	return &MediaSender{s: media.NewSender(c.bc, stream.Topic)}
 }
 
 // SendAudio streams packets from src until count packets are sent or

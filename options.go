@@ -3,24 +3,59 @@ package globalmmcs
 import (
 	"time"
 
-	"github.com/globalmmcs/globalmmcs/internal/core"
+	"github.com/globalmmcs/globalmmcs/internal/broker"
+	"github.com/globalmmcs/globalmmcs/internal/clock"
 	"github.com/globalmmcs/globalmmcs/internal/metrics"
 )
 
 // Option configures a Server at Start. The zero configuration (no
 // options) starts every service on loopback with ephemeral ports, so
 // Start(ctx) alone always yields a working node.
-type Option func(*core.Config)
+type Option func(*config)
+
+// config is what the options set. The broker's settings, the metrics
+// registry among them, live in the broker's own Config.
+type config struct {
+	broker      broker.Config
+	listenURLs  []string
+	peers       []string
+	domain      string
+	webAddr     string
+	withoutSIP  bool
+	withoutH323 bool
+	withoutRTSP bool
+	withoutIM   bool
+	clock       clock.Clock
+}
+
+func (c config) withDefaults() config {
+	if c.broker.ID == "" {
+		c.broker.ID = "gmmcs-broker"
+	}
+	if c.broker.Metrics == nil {
+		c.broker.Metrics = &metrics.Registry{}
+	}
+	if c.domain == "" {
+		c.domain = "mmcs.local"
+	}
+	if c.webAddr == "" {
+		c.webAddr = "127.0.0.1:0"
+	}
+	if c.clock == nil {
+		c.clock = clock.System{}
+	}
+	return c
+}
 
 // WithBrokerID names this node's broker in a multi-broker network.
 func WithBrokerID(id string) Option {
-	return func(c *core.Config) { c.BrokerID = id }
+	return func(c *config) { c.broker.ID = id }
 }
 
 // WithBrokerListen adds transport URLs the broker accepts remote clients
 // and peer brokers on (e.g. "tcp://127.0.0.1:9040").
 func WithBrokerListen(urls ...string) Option {
-	return func(c *core.Config) { c.BrokerListenURLs = append(c.BrokerListenURLs, urls...) }
+	return func(c *config) { c.listenURLs = append(c.listenURLs, urls...) }
 }
 
 // WithBrokerBatching tunes the broker data path's outbound batching:
@@ -31,9 +66,9 @@ func WithBrokerListen(urls ...string) Option {
 // default, flushes immediately on idle — batching then costs no
 // latency). Reliable signalling always flushes immediately regardless.
 func WithBrokerBatching(maxBatchBytes int, flushInterval time.Duration) Option {
-	return func(c *core.Config) {
-		c.BrokerMaxBatchBytes = maxBatchBytes
-		c.BrokerFlushInterval = flushInterval
+	return func(c *config) {
+		c.broker.MaxBatchBytes = maxBatchBytes
+		c.broker.FlushInterval = flushInterval
 	}
 }
 
@@ -43,13 +78,13 @@ func WithBrokerBatching(maxBatchBytes int, flushInterval time.Duration) Option {
 // peer heartbeats); subscription advertisements re-sync automatically
 // when a link comes back. Repeated options accumulate.
 func WithPeers(urls ...string) Option {
-	return func(c *core.Config) { c.BrokerPeers = append(c.BrokerPeers, urls...) }
+	return func(c *config) { c.peers = append(c.peers, urls...) }
 }
 
 // WithMeshID scopes this node's peer links to one federation mesh:
 // brokers only link when their mesh IDs match (empty matches anything).
 func WithMeshID(id string) Option {
-	return func(c *core.Config) { c.BrokerMeshID = id }
+	return func(c *config) { c.broker.MeshID = id }
 }
 
 // WithRecording turns on the broker's durable topic log for the given
@@ -61,11 +96,11 @@ func WithMeshID(id string) Option {
 // use the usual wildcards ("/chat/#"); replay subscriptions must name
 // a recorded pattern exactly. Repeated options accumulate patterns.
 func WithRecording(dir string, patterns ...string) Option {
-	return func(c *core.Config) {
+	return func(c *config) {
 		if dir != "" {
-			c.BrokerRecordDir = dir
+			c.broker.RecordDir = dir
 		}
-		c.BrokerRecordPatterns = append(c.BrokerRecordPatterns, patterns...)
+		c.broker.RecordPatterns = append(c.broker.RecordPatterns, patterns...)
 	}
 }
 
@@ -75,42 +110,42 @@ func WithRecording(dir string, patterns ...string) Option {
 // oldest segments are reaped past either bound, except segments an
 // active replay cursor still reads (0 = unbounded).
 func WithRecordingRetention(segmentBytes int64, maxSegments int, maxBytes int64) Option {
-	return func(c *core.Config) {
-		c.BrokerRecordSegmentBytes = segmentBytes
-		c.BrokerRecordMaxSegments = maxSegments
-		c.BrokerRecordMaxBytes = maxBytes
+	return func(c *config) {
+		c.broker.RecordSegmentBytes = segmentBytes
+		c.broker.RecordMaxSegments = maxSegments
+		c.broker.RecordMaxBytes = maxBytes
 	}
 }
 
 // WithDomain sets the SIP domain (default "mmcs.local").
 func WithDomain(domain string) Option {
-	return func(c *core.Config) { c.Domain = domain }
+	return func(c *config) { c.domain = domain }
 }
 
 // WithWebAddr sets the XGSP web server's HTTP listen address (default
 // loopback with an ephemeral port).
 func WithWebAddr(addr string) Option {
-	return func(c *core.Config) { c.WebAddr = addr }
+	return func(c *config) { c.webAddr = addr }
 }
 
 // WithoutSIP disables the SIP registrar/proxy/gateway.
 func WithoutSIP() Option {
-	return func(c *core.Config) { c.DisableSIP = true }
+	return func(c *config) { c.withoutSIP = true }
 }
 
 // WithoutH323 disables the H.323 gatekeeper and gateway.
 func WithoutH323() Option {
-	return func(c *core.Config) { c.DisableH323 = true }
+	return func(c *config) { c.withoutH323 = true }
 }
 
 // WithoutRTSP disables the streaming server.
 func WithoutRTSP() Option {
-	return func(c *core.Config) { c.DisableRTSP = true }
+	return func(c *config) { c.withoutRTSP = true }
 }
 
 // WithoutIM disables the chat/presence service.
 func WithoutIM() Option {
-	return func(c *core.Config) { c.DisableIM = true }
+	return func(c *config) { c.withoutIM = true }
 }
 
 // Clock abstracts the time source driving schedulers and expiry logic,
@@ -126,7 +161,7 @@ type Clock interface {
 
 // WithClock substitutes the server's time source.
 func WithClock(clk Clock) Option {
-	return func(c *core.Config) { c.Clock = clk }
+	return func(c *config) { c.clock = clk }
 }
 
 // Metrics is a registry of the server's counters, histograms and series.
@@ -143,5 +178,5 @@ func (m *Metrics) Report() string { return m.reg.Report() }
 // WithMetrics routes all server counters into m instead of a private
 // registry.
 func WithMetrics(m *Metrics) Option {
-	return func(c *core.Config) { c.Metrics = m.reg }
+	return func(c *config) { c.broker.Metrics = m.reg }
 }

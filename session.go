@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"github.com/globalmmcs/globalmmcs/internal/broker"
-	"github.com/globalmmcs/globalmmcs/internal/core"
 	"github.com/globalmmcs/globalmmcs/internal/xgsp"
 )
 
@@ -61,7 +60,7 @@ func detailsFromInfo(info *xgsp.SessionInfo) SessionDetails {
 // that created or joined it. It caches the most recent description the
 // session server returned; Refresh re-fetches it.
 type Session struct {
-	c *core.Client
+	c *Client
 
 	mu   sync.Mutex
 	info *xgsp.SessionInfo
@@ -99,7 +98,7 @@ func (s *Session) update(info *xgsp.SessionInfo) {
 
 // Refresh re-fetches the session description from the session server.
 func (s *Session) Refresh(ctx context.Context) error {
-	info, err := s.c.XGSP.Lookup(ctx, s.ID())
+	info, err := s.c.xgsp.Lookup(ctx, s.ID())
 	if err != nil {
 		return wrapErr(err)
 	}
@@ -112,7 +111,7 @@ func (s *Session) Refresh(ctx context.Context) error {
 
 // Join adds this client to the session with a logical terminal name.
 func (s *Session) Join(ctx context.Context, terminal string) error {
-	info, err := s.c.XGSP.Join(ctx, s.ID(), terminal, nil)
+	info, err := s.c.xgsp.Join(ctx, s.ID(), terminal, nil)
 	if err != nil {
 		return wrapErr(err)
 	}
@@ -122,29 +121,29 @@ func (s *Session) Join(ctx context.Context, terminal string) error {
 
 // Leave removes this client from the session.
 func (s *Session) Leave(ctx context.Context) error {
-	return wrapErr(s.c.XGSP.Leave(ctx, s.ID()))
+	return wrapErr(s.c.xgsp.Leave(ctx, s.ID()))
 }
 
 // Terminate ends the session; only its creator may terminate.
 func (s *Session) Terminate(ctx context.Context, reason string) error {
-	return wrapErr(s.c.XGSP.Terminate(ctx, s.ID(), reason))
+	return wrapErr(s.c.xgsp.Terminate(ctx, s.ID(), reason))
 }
 
 // InviteUser asks the session server to notify another user of an
 // invitation to this session.
 func (s *Session) InviteUser(ctx context.Context, userID, message string) error {
-	return wrapErr(s.c.XGSP.Invite(ctx, s.ID(), userID, message))
+	return wrapErr(s.c.xgsp.Invite(ctx, s.ID(), userID, message))
 }
 
 // RequestFloor asks for the floor on a media channel. ErrFloorBusy
 // reports that another participant holds it.
 func (s *Session) RequestFloor(ctx context.Context, kind MediaKind) error {
-	return wrapErr(s.c.XGSP.RequestFloor(ctx, s.ID(), xgsp.MediaType(kind)))
+	return wrapErr(s.c.xgsp.RequestFloor(ctx, s.ID(), xgsp.MediaType(kind)))
 }
 
 // ReleaseFloor returns the floor on a media channel.
 func (s *Session) ReleaseFloor(ctx context.Context, kind MediaKind) error {
-	return wrapErr(s.c.XGSP.ReleaseFloor(ctx, s.ID(), xgsp.MediaType(kind)))
+	return wrapErr(s.c.xgsp.ReleaseFloor(ctx, s.ID(), xgsp.MediaType(kind)))
 }
 
 // Send posts a chat message into the session's room.
@@ -152,23 +151,23 @@ func (s *Session) Send(ctx context.Context, body string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return wrapErr(s.c.Chat.Send(s.ID(), body))
+	return wrapErr(s.c.chat.Send(s.ID(), body))
 }
 
 // Chat joins the session's chat room and streams its messages until
 // the room is closed. Delivery QoS is set with StreamOptions.
 func (s *Session) Chat(ctx context.Context, opts ...StreamOption) (*ChatRoom, error) {
-	sub, err := s.c.Chat.JoinRoom(ctx, s.ID(), ringDepth[ChatMessage](defaultChatBuffer, false, opts))
+	sub, err := s.c.chat.JoinRoom(ctx, s.ID(), ringDepth[ChatMessage](defaultChatBuffer, false, opts))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return newChatRoom(sub, s.c.Metrics, s.streamName("chat"), opts), nil
+	return newChatRoom(sub, s.c.reg, s.streamName("chat"), opts), nil
 }
 
 // streamName builds the per-stream metrics identity
 // "<user>.<label>.<session>" under which drop gauges register.
 func (s *Session) streamName(label string) string {
-	return s.c.UserID() + "." + label + "." + s.ID()
+	return s.c.userID + "." + label + "." + s.ID()
 }
 
 // Sender returns a paced sender publishing onto one of the session's
@@ -193,7 +192,7 @@ func (s *Session) Subscribe(ctx context.Context, kind MediaKind, opts ...StreamO
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return newMediaSubscription(sub, s.c.Metrics, s.streamName("media."+string(kind)), opts), nil
+	return newMediaSubscription(sub, s.c.reg, s.streamName("media."+string(kind)), opts), nil
 }
 
 // subscribeStream opens the broker subscription behind a stream, depth
@@ -203,9 +202,9 @@ func (s *Session) Subscribe(ctx context.Context, kind MediaKind, opts ...StreamO
 func (s *Session) subscribeStream(ctx context.Context, pattern string, depth int, opts []StreamOption) (*broker.Subscription, error) {
 	cfg := resolveStreamConfig(defaultMediaBuffer, opts)
 	if cfg.replay {
-		return s.c.BC.SubscribeReplay(ctx, pattern, cfg.replayFrom, depth)
+		return s.c.bc.SubscribeReplay(ctx, pattern, cfg.replayFrom, depth)
 	}
-	return s.c.BC.SubscribeContext(ctx, pattern, depth)
+	return s.c.bc.SubscribeContext(ctx, pattern, depth)
 }
 
 // Events streams every raw broker event published on this session's
@@ -224,7 +223,7 @@ func (s *Session) Events(ctx context.Context, opts ...StreamOption) (*Stream[Eve
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return newStream(sub, s.c.Metrics, s.streamName("events"), defaultMediaBuffer, rawFromInternal, nil, opts), nil
+	return newStream(sub, s.c.reg, s.streamName("events"), defaultMediaBuffer, rawFromInternal, nil, opts), nil
 }
 
 func (s *Session) stream(kind MediaKind) (MediaStream, bool) {

@@ -348,10 +348,9 @@ func TestStreamIteratorYieldsContextError(t *testing.T) {
 	}
 }
 
-// TestPublisherBatchingFacade: a batched publisher over the in-process
-// transport still delivers (per-event fallback), and reliable publishes
-// flush a pending wire batch promptly — asserted end to end through a
-// subscribed stream.
+// TestPublisherBatchingFacade: a publisher over the in-process transport
+// delivers every event, and Flush and Close succeed on it — asserted end
+// to end through a subscribed stream.
 func TestPublisherBatchingFacade(t *testing.T) {
 	ctx := context.Background()
 	srv := startNode(t)
@@ -365,8 +364,7 @@ func TestPublisherBatchingFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	pub, err := session.Publisher(globalmmcs.Audio,
-		globalmmcs.WithPublishBatching(32<<10, time.Millisecond), globalmmcs.WithTTL(4))
+	pub, err := session.Publisher(globalmmcs.Audio, globalmmcs.WithTTL(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,6 +95,6 @@ func (Archive) Replay(ctx context.Context, r io.Reader, target *Session, kind Me
 		return 0, tag(ErrNoSuchMedia, errMediaKind(kind))
 	}
 	var arch streaming.Archiver
-	n, err := arch.Replay(ctx, r, target.c.BC, pace, func(string) string { return stream.Topic })
+	n, err := arch.Replay(ctx, r, target.c.bc, pace, func(string) string { return stream.Topic })
 	return n, wrapErr(err)
 }

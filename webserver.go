@@ -1,4 +1,4 @@
-package core
+package globalmmcs
 
 import (
 	"context"
@@ -16,8 +16,8 @@ import (
 // SOAP payloads of the XGSP web server — the WSDL-CI frontend through
 // which web portals and other communities drive Global-MMCS (§2.2).
 type (
-	// WSCreateSession creates a session on behalf of a user.
-	WSCreateSession struct {
+	// wsCreateSession creates a session on behalf of a user.
+	wsCreateSession struct {
 		XMLName xml.Name `xml:"CreateSession"`
 		Creator string   `xml:"creator"`
 		Name    string   `xml:"name"`
@@ -25,52 +25,52 @@ type (
 		Start string `xml:"start,omitempty"`
 		End   string `xml:"end,omitempty"`
 	}
-	// WSSessionResponse returns the session's catalogue entry.
-	WSSessionResponse struct {
+	// wsSessionResponse returns the session's catalogue entry.
+	wsSessionResponse struct {
 		XMLName xml.Name `xml:"CreateSessionResponse"`
 		ID      string   `xml:"id"`
 		Name    string   `xml:"name"`
 		Active  bool     `xml:"active"`
 		Control string   `xml:"controlTopic"`
 	}
-	// WSListSessions lists sessions.
-	WSListSessions struct {
+	// wsListSessions lists sessions.
+	wsListSessions struct {
 		XMLName          xml.Name `xml:"ListSessions"`
 		IncludeScheduled bool     `xml:"includeScheduled"`
 	}
-	// WSListSessionsResponse carries the catalogue.
-	WSListSessionsResponse struct {
+	// wsListSessionsResponse carries the catalogue.
+	wsListSessionsResponse struct {
 		XMLName  xml.Name         `xml:"ListSessionsResponse"`
-		Sessions []WSSessionEntry `xml:"session"`
+		Sessions []wsSessionEntry `xml:"session"`
 	}
-	// WSSessionEntry is one catalogue row.
-	WSSessionEntry struct {
+	// wsSessionEntry is one catalogue row.
+	wsSessionEntry struct {
 		ID      string `xml:"id,attr"`
 		Name    string `xml:"name,attr"`
 		Active  bool   `xml:"active,attr"`
 		Members int    `xml:"members,attr"`
 	}
-	// WSAddUser registers a user in the directory.
-	WSAddUser struct {
+	// wsAddUser registers a user in the directory.
+	wsAddUser struct {
 		XMLName   xml.Name `xml:"AddUser"`
 		ID        string   `xml:"id"`
 		Name      string   `xml:"name"`
 		Community string   `xml:"community"`
 	}
-	// WSOKResponse is a generic acknowledgement.
-	WSOKResponse struct {
+	// wsOKResponse is a generic acknowledgement.
+	wsOKResponse struct {
 		XMLName xml.Name `xml:"OKResponse"`
 		OK      bool     `xml:"ok"`
 	}
-	// WSRegisterCommunity registers a community collaboration service.
-	WSRegisterCommunity struct {
+	// wsRegisterCommunity registers a community collaboration service.
+	wsRegisterCommunity struct {
 		XMLName  xml.Name `xml:"RegisterCommunity"`
 		Name     string   `xml:"name"`
 		Kind     string   `xml:"kind"`
 		Endpoint string   `xml:"endpoint"`
 	}
-	// WSLinkAdmire bridges a session to an Admire conference.
-	WSLinkAdmire struct {
+	// wsLinkAdmire bridges a session to an Admire conference.
+	wsLinkAdmire struct {
 		XMLName    xml.Name `xml:"LinkAdmire"`
 		SessionID  string   `xml:"session"`
 		Conference string   `xml:"conference"`
@@ -82,22 +82,17 @@ type (
 const webUserID = "xgsp-web-server"
 
 func (s *Server) startWebServer(ctx context.Context) error {
-	webBC, err := s.localClient(webUserID)
+	xc, err := s.xgspClient(ctx, webUserID, webUserID)
 	if err != nil {
 		return err
 	}
-	xc, err := xgsp.NewClient(ctx, webBC, webUserID)
-	if err != nil {
-		return fmt.Errorf("core: web xgsp client: %w", err)
-	}
-	s.gwXGSP = append(s.gwXGSP, xc)
 
 	svc := wsci.NewService("GlobalMMCS")
 	svc.Register(wsci.Operation{
 		Name: "CreateSession", Doc: "create an ad-hoc or scheduled session",
 		Input: "CreateSession", Output: "CreateSessionResponse",
 	}, func(ctx context.Context, action []byte) (any, error) {
-		var req WSCreateSession
+		var req wsCreateSession
 		if err := xml.Unmarshal(action, &req); err != nil {
 			return nil, err
 		}
@@ -112,7 +107,7 @@ func (s *Server) startWebServer(ctx context.Context) error {
 		if err != nil {
 			return nil, err
 		}
-		return &WSSessionResponse{
+		return &wsSessionResponse{
 			ID: info.ID, Name: info.Name, Active: info.Active, Control: info.ControlTopic,
 		}, nil
 	})
@@ -120,7 +115,7 @@ func (s *Server) startWebServer(ctx context.Context) error {
 		Name: "ListSessions", Doc: "list active (and scheduled) sessions",
 		Input: "ListSessions", Output: "ListSessionsResponse",
 	}, func(ctx context.Context, action []byte) (any, error) {
-		var req WSListSessions
+		var req wsListSessions
 		if err := xml.Unmarshal(action, &req); err != nil {
 			return nil, err
 		}
@@ -128,9 +123,9 @@ func (s *Server) startWebServer(ctx context.Context) error {
 		if err != nil {
 			return nil, err
 		}
-		resp := &WSListSessionsResponse{}
+		resp := &wsListSessionsResponse{}
 		for _, info := range list {
-			resp.Sessions = append(resp.Sessions, WSSessionEntry{
+			resp.Sessions = append(resp.Sessions, wsSessionEntry{
 				ID: info.ID, Name: info.Name, Active: info.Active, Members: len(info.Members),
 			})
 		}
@@ -140,54 +135,54 @@ func (s *Server) startWebServer(ctx context.Context) error {
 		Name: "AddUser", Doc: "register a user account",
 		Input: "AddUser", Output: "OKResponse",
 	}, func(ctx context.Context, action []byte) (any, error) {
-		var req WSAddUser
+		var req wsAddUser
 		if err := xml.Unmarshal(action, &req); err != nil {
 			return nil, err
 		}
-		if err := s.Directory.AddUser(directory.User{
+		if err := s.directory.AddUser(directory.User{
 			ID: req.ID, Name: req.Name, Community: req.Community,
 		}); err != nil {
 			return nil, err
 		}
-		return &WSOKResponse{OK: true}, nil
+		return &wsOKResponse{OK: true}, nil
 	})
 	svc.Register(wsci.Operation{
 		Name: "RegisterCommunity", Doc: "register a community collaboration service",
 		Input: "RegisterCommunity", Output: "OKResponse",
 	}, func(ctx context.Context, action []byte) (any, error) {
-		var req WSRegisterCommunity
+		var req wsRegisterCommunity
 		if err := xml.Unmarshal(action, &req); err != nil {
 			return nil, err
 		}
-		if err := s.Communities.Register(wsci.ServiceEntry{
+		if err := s.communities.Register(wsci.ServiceEntry{
 			Community: req.Name, Kind: req.Kind, Endpoint: req.Endpoint,
 		}); err != nil {
 			return nil, err
 		}
-		if err := s.Directory.AddCommunity(directory.Community{
+		if err := s.directory.AddCommunity(directory.Community{
 			Name: req.Name, ControlEndpoint: req.Endpoint,
-		}); err != nil && !isExists(err) {
+		}); err != nil && !errors.Is(err, directory.ErrExists) {
 			return nil, err
 		}
-		return &WSOKResponse{OK: true}, nil
+		return &wsOKResponse{OK: true}, nil
 	})
 	svc.Register(wsci.Operation{
 		Name: "LinkAdmire", Doc: "bridge a session to an Admire conference",
 		Input: "LinkAdmire", Output: "OKResponse",
 	}, func(ctx context.Context, action []byte) (any, error) {
-		var req WSLinkAdmire
+		var req wsLinkAdmire
 		if err := xml.Unmarshal(action, &req); err != nil {
 			return nil, err
 		}
-		if _, err := s.LinkAdmire(ctx, req.SessionID, req.Conference, req.Endpoint); err != nil {
+		if err := s.LinkAdmire(ctx, req.SessionID, req.Conference, req.Endpoint); err != nil {
 			return nil, err
 		}
-		return &WSOKResponse{OK: true}, nil
+		return &wsOKResponse{OK: true}, nil
 	})
 
-	ln, err := net.Listen("tcp", s.cfg.WebAddr)
+	ln, err := net.Listen("tcp", s.cfg.webAddr)
 	if err != nil {
-		return fmt.Errorf("core: binding web server: %w", err)
+		return fmt.Errorf("globalmmcs: binding web server: %w", err)
 	}
 	s.webLn = ln
 	mux := http.NewServeMux()
@@ -202,8 +197,4 @@ func (s *Server) startWebServer(ctx context.Context) error {
 		_ = s.webSrv.Serve(ln)
 	}()
 	return nil
-}
-
-func isExists(err error) bool {
-	return errors.Is(err, directory.ErrExists)
 }
