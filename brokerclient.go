@@ -29,7 +29,7 @@ func (s ConnState) String() string { return broker.ConnState(s).String() }
 // WithReconnect it survives broker restarts and network cuts: the link
 // is redialed with backoff across the given URLs, subscriptions are
 // resumed (reliable delivery picks up where the old conn died when the
-// broker parks sessions, see BrokerConfig.SessionLinger), and replay
+// broker parks sessions, see WithSessionLinger), and replay
 // subscriptions catch up from the durable topic log.
 type BrokerClient struct {
 	c *broker.Client

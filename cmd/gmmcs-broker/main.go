@@ -36,11 +36,9 @@ func run() error {
 		meshID = flag.String("mesh-id", "", "federation mesh identity; brokers link only when mesh IDs match (empty matches anything)")
 		mode   = flag.String("mode", "client-server", "routing mode: client-server or p2p")
 		stats  = flag.Duration("stats", 30*time.Second, "stats print interval (0 = off)")
-		depth  = flag.Int("queue-depth", 0, "per-session best-effort queue depth (0 = default 512)")
 		batch  = flag.Int("max-batch-bytes", 0, "per-session write batch bound (0 = default 256KiB)")
 		flush  = flag.Duration("flush-interval", 0, "batch linger once a session queue idles (0 = flush immediately)")
 		pprofA = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
-		credit = flag.Int("peer-credit-window", 0, "best-effort events in flight per peer link before sender-side shedding (0 = default queue-depth/2, negative = off)")
 
 		record         = flag.String("record", "", "comma-separated topic patterns to record to durable topic logs for replay")
 		recordDir      = flag.String("record-dir", "", "topic log root directory (empty = per-broker default under the OS temp dir)")
@@ -60,43 +58,42 @@ func run() error {
 		fmt.Printf("pprof on http://%s/debug/pprof/\n", *pprofA)
 	}
 
-	m := globalmmcs.BrokerClientServer
-	if *mode == "p2p" {
-		m = globalmmcs.BrokerPeerToPeer
+	m := globalmmcs.NewMetrics()
+	opts := []globalmmcs.Option{
+		globalmmcs.WithBrokerID(*id),
+		globalmmcs.WithBrokerListen(splitList(*listen)...),
+		globalmmcs.WithPeers(splitList(*peers)...),
+		globalmmcs.WithMeshID(*meshID),
+		globalmmcs.WithBrokerBatching(*batch, *flush),
+		globalmmcs.WithRecording(*recordDir, splitList(*record)...),
+		globalmmcs.WithRecordingRetention(*recordSegBytes, *recordMaxSegs, *recordMaxBytes),
+		globalmmcs.WithSessionLinger(*linger),
+		globalmmcs.WithMetrics(m),
 	}
-	b := globalmmcs.NewBrokerWithConfig(*id, m, globalmmcs.BrokerConfig{
-		QueueDepth:         *depth,
-		MaxBatchBytes:      *batch,
-		FlushInterval:      *flush,
-		MeshID:             *meshID,
-		PeerCreditWindow:   *credit,
-		RecordPatterns:     splitList(*record),
-		RecordDir:          *recordDir,
-		RecordSegmentBytes: *recordSegBytes,
-		RecordMaxSegments:  *recordMaxSegs,
-		RecordMaxBytes:     *recordMaxBytes,
-		SessionLinger:      *linger,
-	})
-	defer b.Stop()
-
-	for _, url := range splitList(*listen) {
-		addr, err := b.Listen(url)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("broker %s listening on %s (%s mode)\n", *id, addr, m)
-	}
-	for _, p := range splitList(*record) {
-		fmt.Printf("recording %s\n", p)
+	switch *mode {
+	case "client-server":
+	case "p2p":
+		opts = append(opts, globalmmcs.WithPeerToPeer())
+	default:
+		return fmt.Errorf("unknown -mode %q (want client-server or p2p)", *mode)
 	}
 	// Peer links are supervised: each is dialed (and redialed with backoff
 	// after drops) in the background, so a peer that is not up yet is not
 	// fatal — the link converges when it appears.
-	if peerURLs := splitList(*peers); len(peerURLs) > 0 {
-		b.SetPeers(peerURLs...)
-		for _, url := range peerURLs {
-			fmt.Printf("supervising mesh link to %s\n", url)
-		}
+	b, err := globalmmcs.NewBroker(opts...)
+	if err != nil {
+		return err
+	}
+	defer b.Stop()
+
+	for _, addr := range b.Addrs() {
+		fmt.Printf("broker %s listening on %s (%s mode)\n", *id, addr, *mode)
+	}
+	for _, p := range splitList(*record) {
+		fmt.Printf("recording %s\n", p)
+	}
+	for _, url := range splitList(*peers) {
+		fmt.Printf("supervising mesh link to %s\n", url)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -116,7 +113,7 @@ func run() error {
 			for _, l := range b.PeerLinks() {
 				fmt.Printf("link %s state=%s remote=%q redials=%d\n", l.URL, l.State, l.RemoteID, l.Redials)
 			}
-			fmt.Print(b.MetricsReport())
+			fmt.Print(m.Report())
 		}
 	}
 }

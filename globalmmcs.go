@@ -78,8 +78,7 @@ const Version = "3.0.0"
 type Server struct {
 	cfg config
 
-	broker      *broker.Broker
-	mesh        *broker.Mesh // nil without peers
+	node        *Broker
 	xgsp        *xgsp.Server
 	directory   *directory.Store
 	communities *wsci.Registry
@@ -130,14 +129,9 @@ func Start(ctx context.Context, opts ...Option) (*Server, error) {
 func (s *Server) start(ctx context.Context) error {
 	cfg := s.cfg
 	reg := cfg.broker.Metrics
-	s.broker = broker.New(cfg.broker)
-	for _, url := range cfg.listenURLs {
-		if _, err := s.broker.Listen(url); err != nil {
-			return fmt.Errorf("globalmmcs: broker listen %s: %w", url, err)
-		}
-	}
-	if len(cfg.peers) > 0 {
-		s.mesh = broker.NewMesh(s.broker, broker.MeshConfig{Peers: cfg.peers})
+	var err error
+	if s.node, err = newNode(cfg); err != nil {
+		return err
 	}
 
 	xgspBC, err := s.localClient("xgsp-session-server")
@@ -228,7 +222,7 @@ func (s *Server) start(ctx context.Context) error {
 // refuses once the server is stopped, so nothing attached late outlives
 // Stop.
 func (s *Server) localClient(id string) (*broker.Client, error) {
-	bc, err := s.broker.LocalClient(id, transport.LinkProfile{})
+	bc, err := s.node.b.LocalClient(id, transport.LinkProfile{})
 	if err != nil {
 		return nil, fmt.Errorf("globalmmcs: attaching %s: %w", id, err)
 	}
@@ -321,11 +315,8 @@ func (s *Server) Stop() {
 	for _, bc := range clients {
 		_ = bc.Close()
 	}
-	if s.mesh != nil {
-		s.mesh.Stop()
-	}
-	if s.broker != nil {
-		s.broker.Stop()
+	if s.node != nil {
+		s.node.Stop()
 	}
 	s.wg.Wait()
 }
@@ -335,7 +326,7 @@ func (s *Server) Stop() {
 // and the call waits until in-flight reliable traffic is acknowledged
 // or ctx expires. Wired to SIGTERM in cmd/gmmcs-server via
 // -drain-timeout.
-func (s *Server) Drain(ctx context.Context) error { return wrapErr(s.broker.Drain(ctx)) }
+func (s *Server) Drain(ctx context.Context) error { return s.node.Drain(ctx) }
 
 // WaitReady blocks until the node answers on its web listener, bounded
 // by ctx — the replacement for the startup sleeps examples used to need.
@@ -365,7 +356,7 @@ func (s *Server) Client(ctx context.Context, userID string) (*Client, error) {
 	if stopped {
 		return nil, ErrServerStopped
 	}
-	bc, err := s.broker.LocalClient("user-"+userID, transport.LinkProfile{})
+	bc, err := s.node.b.LocalClient("user-"+userID, transport.LinkProfile{})
 	if err != nil {
 		return nil, wrapErr(fmt.Errorf("globalmmcs: attaching client %s: %w", userID, err))
 	}

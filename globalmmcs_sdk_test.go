@@ -528,7 +528,7 @@ func TestSessionEventsReplay(t *testing.T) {
 
 // TestBrokerBatchingOptions checks the new broker tuning surface: a
 // server started with batching options comes up healthy, and a
-// standalone broker accepts a full BrokerConfig.
+// standalone broker takes the same options.
 func TestBrokerBatchingOptions(t *testing.T) {
 	srv := startNode(t,
 		globalmmcs.WithBrokerBatching(64<<10, 2*time.Millisecond),
@@ -536,16 +536,12 @@ func TestBrokerBatchingOptions(t *testing.T) {
 	if err := srv.WaitReady(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	b := globalmmcs.NewBrokerWithConfig("tuned", globalmmcs.BrokerClientServer, globalmmcs.BrokerConfig{
-		QueueDepth:    64,
-		MaxBatchBytes: 32 << 10,
-		FlushInterval: time.Millisecond,
-	})
-	defer b.Stop()
-	if _, err := b.Listen("tcp://127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if b.Mode() != globalmmcs.BrokerClientServer {
-		t.Fatalf("mode = %v", b.Mode())
+	b := startBrokerNode(t,
+		globalmmcs.WithBrokerID("tuned"),
+		globalmmcs.WithBrokerBatching(32<<10, time.Millisecond),
+		globalmmcs.WithBrokerListen("tcp://127.0.0.1:0"),
+	)
+	if addrs := b.Addrs(); len(addrs) != 1 {
+		t.Fatalf("addrs = %v, want one bound listener", addrs)
 	}
 }

@@ -53,8 +53,9 @@ type Testbed struct {
 //     NaradaBrokering's advantage. Together they put the reflector's
 //     single-thread fan-out (400 × ~28 µs ≈ 11.5 ms/packet) right at the
 //     saturation knee, reproducing the oscillating 100-400 ms delays of
-//     Figure 3, while the broker pays the same costs across parallel
-//     per-client writers and stays bounded by egress queueing.
+//     Figure 3, while the broker pays the same costs on one private
+//     writer pool per shaped session and stays bounded by egress
+//     queueing.
 //   - EgressRate is GigE-class: the paper's 400-receiver test pushes
 //     240 Mbps aggregate, impossible on Fast Ethernet, so the testbed
 //     link must have been ~1 Gbps.

@@ -351,9 +351,6 @@ func New(cfg Config) *Broker {
 // ID returns the broker's identity.
 func (b *Broker) ID() string { return b.cfg.ID }
 
-// Mode returns the routing mode.
-func (b *Broker) Mode() Mode { return b.cfg.Mode }
-
 // Metrics returns the broker's metrics registry.
 func (b *Broker) Metrics() *metrics.Registry { return b.cfg.Metrics }
 

@@ -273,39 +273,3 @@ func TestReceiverDetectsLoss(t *testing.T) {
 		t.Fatalf("loss rate = %v, want ~0.2", snap.LossRate)
 	}
 }
-
-func TestBuildReceiverReport(t *testing.T) {
-	r := NewReceiver(ReceiverConfig{ClockRate: rtp.AudioClockRate})
-	a := NewAudioSource(AudioConfig{})
-	for i := range 20 {
-		p := a.NextPacket()
-		if i == 7 {
-			continue // one loss
-		}
-		b, err := p.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.HandleEvent(event.New("/x", event.KindRTP, b))
-	}
-	rr := r.BuildReceiverReport(111, 222)
-	if rr.SSRC != 111 || len(rr.Reports) != 1 {
-		t.Fatalf("rr = %+v", rr)
-	}
-	rb := rr.Reports[0]
-	if rb.SSRC != 222 || rb.CumulativeLost != 1 || rb.HighestSeq != 19 {
-		t.Fatalf("block = %+v", rb)
-	}
-	// The report must marshal as valid RTCP.
-	b, err := rr.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got rtp.ReceiverReport
-	if err := got.Unmarshal(b); err != nil {
-		t.Fatal(err)
-	}
-	if got.Reports[0].CumulativeLost != 1 {
-		t.Fatalf("roundtrip block = %+v", got.Reports[0])
-	}
-}

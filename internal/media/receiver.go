@@ -180,18 +180,6 @@ type Snapshot struct {
 	JitterMs    float64
 }
 
-// BuildReceiverReport assembles an RFC 3550 receiver report for the
-// measured source, as an RTP client would periodically send. ownSSRC
-// identifies this receiver; sourceSSRC the reported-on sender.
-func (r *Receiver) BuildReceiverReport(ownSSRC, sourceSSRC uint32) *rtp.ReceiverReport {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &rtp.ReceiverReport{
-		SSRC:    ownSSRC,
-		Reports: []rtp.ReportBlock{r.stats.ReportBlock(sourceSSRC)},
-	}
-}
-
 // Snapshot returns the receiver's statistics.
 func (r *Receiver) Snapshot() Snapshot {
 	r.mu.Lock()

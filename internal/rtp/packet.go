@@ -1,7 +1,7 @@
-// Package rtp implements the subset of RTP and RTCP (RFC 3550) that
-// Global-MMCS media paths use: packet encoding, per-source reception
-// statistics with the standard interarrival-jitter estimator, sender and
-// receiver reports, and a playout jitter buffer.
+// Package rtp implements the subset of RTP (RFC 3550) that Global-MMCS
+// media paths use: packet encoding, per-source reception statistics
+// with the standard interarrival-jitter estimator, and a playout jitter
+// buffer.
 package rtp
 
 import (

@@ -20,9 +20,6 @@ type SourceStats struct {
 	badSeq      uint32
 	probation   int
 
-	expectedPrior uint64
-	receivedPrior uint64
-
 	transit int64   // last packet's transit time in timestamp units
 	jitter  float64 // RFC 3550 interarrival jitter estimate, ts units
 }
@@ -65,8 +62,6 @@ func (s *SourceStats) Update(seq uint16, rtpTS uint32, arrival time.Time) {
 		s.maxSeq = seq
 		s.cycles = 0
 		s.received++
-		s.expectedPrior = 0
-		s.receivedPrior = 0
 	}
 	s.updateJitter(rtpTS, arrival)
 }
@@ -123,21 +118,6 @@ func (s *SourceStats) LossRate() float64 {
 	return float64(s.CumulativeLost()) / float64(exp)
 }
 
-// FractionLostSinceLastReport computes the RFC 3550 8-bit fraction lost
-// over the interval since the previous call, and resets the interval.
-func (s *SourceStats) FractionLostSinceLastReport() uint8 {
-	expected := s.ExpectedPackets()
-	expectedInt := expected - s.expectedPrior
-	receivedInt := s.received - s.receivedPrior
-	s.expectedPrior = expected
-	s.receivedPrior = s.received
-	if expectedInt == 0 || receivedInt >= expectedInt {
-		return 0
-	}
-	lost := expectedInt - receivedInt
-	return uint8(lost * 256 / expectedInt)
-}
-
 // Jitter returns the interarrival jitter estimate in timestamp units.
 func (s *SourceStats) Jitter() float64 { return s.jitter }
 
@@ -147,20 +127,4 @@ func (s *SourceStats) JitterDuration() time.Duration {
 		return 0
 	}
 	return time.Duration(s.jitter / float64(s.ClockRate) * float64(time.Second))
-}
-
-// ReportBlock assembles an RFC 3550 reception report block for this
-// source. It advances the fraction-lost interval.
-func (s *SourceStats) ReportBlock(ssrc uint32) ReportBlock {
-	cum := s.CumulativeLost()
-	if cum > 0xFFFFFF {
-		cum = 0xFFFFFF
-	}
-	return ReportBlock{
-		SSRC:           ssrc,
-		FractionLost:   s.FractionLostSinceLastReport(),
-		CumulativeLost: uint32(cum),
-		HighestSeq:     s.ExtendedHighest(),
-		Jitter:         uint32(s.jitter),
-	}
 }

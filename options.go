@@ -8,9 +8,11 @@ import (
 	"github.com/globalmmcs/globalmmcs/internal/metrics"
 )
 
-// Option configures a Server at Start. The zero configuration (no
-// options) starts every service on loopback with ephemeral ports, so
-// Start(ctx) alone always yields a working node.
+// Option configures a Server at Start or a standalone Broker at
+// NewBroker. The zero configuration (no options) starts every service
+// on loopback with ephemeral ports, so Start(ctx) alone always yields a
+// working node. NewBroker ignores the service options (WithDomain,
+// WithWebAddr, the Without* options and WithClock).
 type Option func(*config)
 
 // config is what the options set. The broker's settings, the metrics
@@ -85,6 +87,24 @@ func WithPeers(urls ...string) Option {
 // brokers only link when their mesh IDs match (empty matches anything).
 func WithMeshID(id string) Option {
 	return func(c *config) { c.broker.MeshID = id }
+}
+
+// WithPeerToPeer switches the broker from routing along subscription
+// advertisements (the paper's "client-server mode like JMS", the
+// default) to flooding events to all peers with TTL and duplicate
+// suppression (its "JXTA-like peer-to-peer mode"). Brokers only link
+// when their modes match.
+func WithPeerToPeer() Option {
+	return func(c *config) { c.broker.Mode = broker.ModePeerToPeer }
+}
+
+// WithSessionLinger retains a client session whose conn died — its
+// subscriptions, reliable window and ack floor — for d, awaiting a
+// resume from a reconnecting client (see DialBroker with
+// WithReconnect). 0, the default, disables parking: a dead conn tears
+// the session down immediately.
+func WithSessionLinger(d time.Duration) Option {
+	return func(c *config) { c.broker.SessionLinger = d }
 }
 
 // WithRecording turns on the broker's durable topic log for the given

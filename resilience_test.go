@@ -17,15 +17,12 @@ import (
 
 func startResilientBroker(t *testing.T, id string) (*globalmmcs.Broker, string) {
 	t.Helper()
-	b := globalmmcs.NewBrokerWithConfig(id, 0, globalmmcs.BrokerConfig{
-		SessionLinger: time.Minute,
-	})
-	t.Cleanup(b.Stop)
-	addr, err := b.Listen("tcp://127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b, addr
+	b := startBrokerNode(t,
+		globalmmcs.WithBrokerID(id),
+		globalmmcs.WithSessionLinger(time.Minute),
+		globalmmcs.WithBrokerListen("tcp://127.0.0.1:0"),
+	)
+	return b, b.Addrs()[0]
 }
 
 func recvPayload(t *testing.T, sub *globalmmcs.BrokerSubscription) []byte {
