@@ -78,12 +78,12 @@ func TestNodeDrainAfterStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, n := range map[string]interface {
-		Drain(context.Context) error
-		Stop()
-	}{"broker": b, "server": srv} {
-		n.Stop()
-		if err := n.Drain(ctx); !errors.Is(err, globalmmcs.ErrServerStopped) {
+	for name, n := range map[string]struct {
+		b    *globalmmcs.Broker
+		stop func()
+	}{"broker": {b, b.Stop}, "server": {srv.Broker(), srv.Stop}} {
+		n.stop()
+		if err := n.b.Drain(ctx); !errors.Is(err, globalmmcs.ErrServerStopped) {
 			t.Errorf("%s: drain after stop = %v, want ErrServerStopped", name, err)
 		}
 	}

@@ -2,6 +2,7 @@ package globalmmcs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -12,8 +13,8 @@ import (
 )
 
 // Client is a user's collaboration endpoint: session control, chat,
-// presence and media over one broker connection. Create one per user
-// with Server.Client.
+// presence and media over one broker connection. Server.Client attaches
+// one in-process; Dial connects one from a remote process.
 type Client struct {
 	userID string
 	bc     *broker.Client
@@ -23,6 +24,36 @@ type Client struct {
 	// streams.
 	reg *metrics.Registry
 }
+
+// Dial connects a collaboration client for a user to a broker network
+// — a Server's broker listeners (Server.Broker().Addrs) or brokers
+// meshed with one — and returns the same Client that Server.Client
+// does. The client survives broker restarts, drains and network cuts:
+// it redials the URLs in turn with backoff, resumes its broker session
+// where the old conn died when the broker parks sessions (see
+// WithSessionLinger), and re-subscribes when the resume is refused.
+// While the link is down up to 256 publishes are buffered and sent in
+// order after the reconnect; past that, calls fail with ErrConnLost.
+// ctx bounds the client's setup once connected; the TCP connect itself
+// is not bounded by ctx.
+func Dial(ctx context.Context, userID string, urls []string) (*Client, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, wrapErr(err)
+	}
+	if userID == "" || len(urls) == 0 {
+		return nil, tag(ErrInvalidRequest, errors.New("globalmmcs: Dial needs a user id and a broker URL"))
+	}
+	bc, err := broker.DialResilient(broker.ResilientConfig{URLs: urls, ID: brokerID(userID)})
+	if err != nil {
+		return nil, wrapErr(err)
+	}
+	c, err := newClient(ctx, bc, userID, nil)
+	return c, wrapErr(err)
+}
+
+// brokerID is a user's client identity on the broker, the same for a
+// dialed and an in-process client.
+func brokerID(userID string) string { return "user-" + userID }
 
 // newClient wraps an attached broker client into a collaboration
 // client. It owns bc: on failure bc is closed.
@@ -43,6 +74,23 @@ func newClient(ctx context.Context, bc *broker.Client, userID string, reg *metri
 
 // UserID returns the client identity.
 func (c *Client) UserID() string { return c.userID }
+
+// ConnState is a client's broker link state.
+type ConnState int
+
+// Link states. An in-process client only moves Connected → Closed; a
+// dialed one cycles Connected ↔ Reconnecting until closed.
+const (
+	StateConnected ConnState = iota + 1
+	StateReconnecting
+	StateClosed
+)
+
+// String implements fmt.Stringer.
+func (s ConnState) String() string { return broker.ConnState(s).String() }
+
+// ConnState reports the client's current link state.
+func (c *Client) ConnState() ConnState { return ConnState(c.bc.ConnState()) }
 
 // Close releases the client and its broker connection.
 func (c *Client) Close() error {

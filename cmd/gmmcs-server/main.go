@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -76,7 +77,7 @@ func run() error {
 
 	fmt.Printf("Global-MMCS node up\n")
 	fmt.Printf("  web (SOAP):   %s/ws\n", srv.WebAddr())
-	fmt.Printf("  broker:       %s\n", *brokerURL)
+	fmt.Printf("  broker:       %s\n", strings.Join(srv.Broker().Addrs(), " "))
 	if addr := srv.SIPAddr(); addr != "" {
 		fmt.Printf("  sip:          %s (domain %s)\n", addr, srv.SIPDomain())
 	}
@@ -93,7 +94,7 @@ func run() error {
 		fmt.Printf("draining (timeout %s)\n", *drainTimeout)
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
-		if err := srv.Drain(drainCtx); err != nil {
+		if err := srv.Broker().Drain(drainCtx); err != nil {
 			fmt.Printf("drain: %v\n", err)
 		}
 	}

@@ -25,6 +25,14 @@
 //	session, err := alice.CreateSession(ctx, "standup")
 //	if errors.Is(err, globalmmcs.ErrTimeout) { ... }
 //
+// A remote process gets the same Client by dialing a node's broker
+// listeners (WithBrokerListen); it reconnects and resumes on its own:
+//
+//	bob, err := globalmmcs.Dial(ctx, "bob", []string{"tcp://mmcs.example.org:9040"})
+//	if err != nil { ... }
+//	defer bob.Close()
+//	session, err := bob.Join(ctx, sessionID, "bob-laptop")
+//
 // Every subscription — chat rooms, presence watches, media channels,
 // raw session events — is a Stream[T]: one typed handle consumed with
 // Recv, All or Chan, closed with Close, and tuned per subscription with
@@ -47,6 +55,7 @@ package globalmmcs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -321,12 +330,10 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 }
 
-// Drain gracefully winds the node's broker down ahead of Stop: new
-// connections are refused, attached clients receive a reliable GOAWAY,
-// and the call waits until in-flight reliable traffic is acknowledged
-// or ctx expires. Wired to SIGTERM in cmd/gmmcs-server via
-// -drain-timeout.
-func (s *Server) Drain(ctx context.Context) error { return s.node.Drain(ctx) }
+// Broker returns the node's broker: its bound listener URLs (the URLs
+// Dial takes), mesh links, session count and Drain. Callers stop the
+// Server, not its Broker.
+func (s *Server) Broker() *Broker { return s.node }
 
 // WaitReady blocks until the node answers on its web listener, bounded
 // by ctx — the replacement for the startup sleeps examples used to need.
@@ -350,13 +357,16 @@ func (s *Server) WaitReady(ctx context.Context) error {
 
 // Client attaches an in-process collaboration client for a user.
 func (s *Server) Client(ctx context.Context, userID string) (*Client, error) {
+	if userID == "" {
+		return nil, tag(ErrInvalidRequest, errors.New("globalmmcs: empty user id"))
+	}
 	s.mu.Lock()
 	stopped := s.stopped
 	s.mu.Unlock()
 	if stopped {
 		return nil, ErrServerStopped
 	}
-	bc, err := s.node.b.LocalClient("user-"+userID, transport.LinkProfile{})
+	bc, err := s.node.b.LocalClient(brokerID(userID), transport.LinkProfile{})
 	if err != nil {
 		return nil, wrapErr(fmt.Errorf("globalmmcs: attaching client %s: %w", userID, err))
 	}

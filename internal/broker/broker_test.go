@@ -507,10 +507,15 @@ func TestSubscribeDuplicatePatternBothDeliver(t *testing.T) {
 	recvOne(t, s2, 2*time.Second)
 }
 
+// TestAttachEmptyIDRejected: an empty id is refused, and the conn it
+// came on is closed rather than leaked.
 func TestAttachEmptyIDRejected(t *testing.T) {
 	a, _ := transport.Pipe("x", "y")
 	if _, err := Attach(a, ""); err == nil {
 		t.Fatal("empty id accepted")
+	}
+	if err := a.Send(helloEvent("late")); err == nil {
+		t.Fatal("conn still open after a refused attach")
 	}
 }
 

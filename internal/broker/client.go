@@ -692,6 +692,7 @@ func Dial(url, id string) (*Client, error) {
 // Attach runs the client handshake over an established conn.
 func Attach(conn transport.Conn, id string) (*Client, error) {
 	if id == "" {
+		conn.Close()
 		return nil, errors.New("broker: client id must not be empty")
 	}
 	if err := conn.Send(helloEvent(id)); err != nil {
@@ -727,16 +728,8 @@ func newClient(id string, conn transport.Conn) *Client {
 // Reconnecting while their redial loop works.
 func (c *Client) ConnState() ConnState { return ConnState(c.connState.Load()) }
 
-// setState records a link-state transition and fires the resilient
-// OnState hook on edges.
-func (c *Client) setState(st ConnState) {
-	if ConnState(c.connState.Swap(int32(st))) == st {
-		return
-	}
-	if c.res != nil && c.res.cfg.OnState != nil {
-		c.res.cfg.OnState(st)
-	}
-}
+// setState records a link-state transition.
+func (c *Client) setState(st ConnState) { c.connState.Store(int32(st)) }
 
 // currentConn snapshots the live conn and its loss channel. The conn is
 // nil while a resilient client is between redials; the channel is

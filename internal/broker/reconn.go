@@ -24,26 +24,17 @@ type ResilientConfig struct {
 	// Defaults 100ms / 5s.
 	RedialMin time.Duration
 	RedialMax time.Duration
-	// PublishBuffer bounds how many publishes are buffered while the
-	// link is down, flushed in order after the reconnect. 0 defaults to
-	// 256; negative disables buffering — publishes during an outage then
-	// fail fast with ErrConnLost.
-	PublishBuffer int
-	// OnState, when non-nil, observes every connection-state edge. It is
-	// called from client goroutines and must not block.
-	OnState func(ConnState)
 	// Dial overrides the conn factory (fault-injection tests wrap conns
 	// here). Default transport.Dial.
 	Dial func(url string) (transport.Conn, error)
 }
 
+// publishBuffer bounds how many publishes a resilient client buffers
+// while its link is down, flushed in order after the reconnect; past it
+// a publish fails fast with ErrConnLost.
+const publishBuffer = 256
+
 func (cfg ResilientConfig) withDefaults() ResilientConfig {
-	if cfg.PublishBuffer == 0 {
-		cfg.PublishBuffer = 256
-	}
-	if cfg.PublishBuffer < 0 {
-		cfg.PublishBuffer = 0
-	}
 	if cfg.Dial == nil {
 		cfg.Dial = transport.Dial
 	}
@@ -63,14 +54,11 @@ type resilientState struct {
 }
 
 // buffer queues a publish for the post-reconnect flush, reporting false
-// when buffering is disabled or the bound is hit.
+// when the bound is hit.
 func (r *resilientState) buffer(e *event.Event) bool {
-	if r.cfg.PublishBuffer <= 0 {
-		return false
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.buf) >= r.cfg.PublishBuffer {
+	if len(r.buf) >= publishBuffer {
 		return false
 	}
 	r.buf = append(r.buf, e)

@@ -363,29 +363,23 @@ func TestDrainTimeout(t *testing.T) {
 	rc.conn.Close()
 }
 
-// TestConnLostFailFast: with outage buffering disabled, operations
+// TestConnLostFailFast: once the outage buffer is full, operations
 // against a down link fail fast with ErrConnLost — and work again once
 // the link is back.
 func TestConnLostFailFast(t *testing.T) {
 	b := newTestBrokerCfg(t, Config{ID: "cl", SessionLinger: 5 * time.Second})
 	seam := newSeam()
 	seam.set("u1", b)
-	c, err := DialResilient(ResilientConfig{
-		URLs:          []string{"u1"},
-		ID:            "cl-c",
-		RedialMin:     10 * time.Millisecond,
-		RedialMax:     50 * time.Millisecond,
-		PublishBuffer: -1, // fail fast instead of buffering
-		Dial:          seam.dial,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	c := resilientClient(t, seam, "cl-c", "u1")
 
 	seam.set("u1", nil) // redials fail until the broker is "back"
 	seam.killCurrent()
 	waitState(t, c, StateReconnecting)
+	for i := range publishBuffer {
+		if err := c.Publish("/cl/t", event.KindData, nil); err != nil {
+			t.Fatalf("publish %d within bound: %v", i, err)
+		}
+	}
 	if err := c.Publish("/cl/t", event.KindData, []byte("x")); !errors.Is(err, ErrConnLost) {
 		t.Fatalf("Publish during outage: %v, want ErrConnLost", err)
 	}
@@ -437,79 +431,34 @@ func TestOutagePublishBuffering(t *testing.T) {
 }
 
 // TestOutageBufferBound: the outage buffer is bounded; overflow fails
-// fast instead of growing without limit.
+// fast instead of growing without limit, and what the bound admitted is
+// flushed in order after the reconnect.
 func TestOutageBufferBound(t *testing.T) {
 	b := newTestBrokerCfg(t, Config{ID: "obb", SessionLinger: 5 * time.Second})
 	seam := newSeam()
 	seam.set("u1", b)
-	c, err := DialResilient(ResilientConfig{
-		URLs:          []string{"u1"},
-		ID:            "obb-c",
-		RedialMin:     10 * time.Millisecond,
-		PublishBuffer: 4,
-		Dial:          seam.dial,
-	})
+	watcher := localClient(t, b, "obb-watch")
+	wsub, err := watcher.Subscribe("/obb/t", 2*publishBuffer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
+	c := resilientClient(t, seam, "obb-c", "u1")
 	seam.set("u1", nil)
 	seam.killCurrent()
 	waitState(t, c, StateReconnecting)
-	for i := range 4 {
-		if err := c.Publish("/obb/t", event.KindData, nil); err != nil {
+	for i := range publishBuffer {
+		if err := c.Publish("/obb/t", event.KindData, []byte{byte(i)}); err != nil {
 			t.Fatalf("publish %d within bound: %v", i, err)
 		}
 	}
-	if err := c.Publish("/obb/t", event.KindData, nil); !errors.Is(err, ErrConnLost) {
+	if err := c.Publish("/obb/t", event.KindData, []byte("over")); !errors.Is(err, ErrConnLost) {
 		t.Fatalf("publish past bound: %v, want ErrConnLost", err)
 	}
 	seam.set("u1", b)
 	waitState(t, c, StateConnected)
-}
-
-// TestConnStateCallback: OnState observes the Connected → Reconnecting
-// → Connected → Closed edges in order.
-func TestConnStateCallback(t *testing.T) {
-	b := newTestBrokerCfg(t, Config{ID: "cb", SessionLinger: 5 * time.Second})
-	seam := newSeam()
-	seam.set("u1", b)
-	var mu sync.Mutex
-	var edges []ConnState
-	c, err := DialResilient(ResilientConfig{
-		URLs:      []string{"u1"},
-		ID:        "cb-c",
-		RedialMin: 10 * time.Millisecond,
-		Dial:      seam.dial,
-		OnState: func(st ConnState) {
-			mu.Lock()
-			edges = append(edges, st)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seam.set("u1", nil) // hold the outage so the Reconnecting edge is observable
-	seam.killCurrent()
-	waitState(t, c, StateReconnecting)
-	seam.set("u1", b)
-	waitState(t, c, StateConnected)
-	c.Close()
-	waitCondition(t, 5*time.Second, "closed edge", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(edges) > 0 && edges[len(edges)-1] == StateClosed
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	want := []ConnState{StateConnected, StateReconnecting, StateConnected, StateClosed}
-	if len(edges) != len(want) {
-		t.Fatalf("edges %v, want %v", edges, want)
-	}
-	for i := range want {
-		if edges[i] != want[i] {
-			t.Fatalf("edges %v, want %v", edges, want)
+	for i := range publishBuffer {
+		if e := recvOne(t, wsub, 5*time.Second); len(e.Payload) != 1 || e.Payload[0] != byte(i) {
+			t.Fatalf("flushed publish %d: payload %v", i, e.Payload)
 		}
 	}
 }

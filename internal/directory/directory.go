@@ -1,13 +1,11 @@
 // Package directory implements the XGSP naming and directory service of
 // §2.2: the directory of user accounts and media terminals (binding users
 // to the endpoints they attend with) and the directory of communities and
-// their collaboration servers. State can be exported to and imported from
-// XML, and the store is exposed as a WSDL-CI web service by the root
-// package's XGSP web server.
+// their collaboration servers. The root package's XGSP web server
+// exposes it as a WSDL-CI web service.
 package directory
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"sort"
@@ -29,38 +27,38 @@ const (
 
 // User is an account in the user directory.
 type User struct {
-	ID        string `xml:"id,attr"`
-	Name      string `xml:"name,attr"`
-	Community string `xml:"community,attr,omitempty"`
-	Email     string `xml:"email,attr,omitempty"`
+	ID        string
+	Name      string
+	Community string
+	Email     string
 	// AudioCapable/VideoCapable summarise the user's media capability
 	// preferences.
-	AudioCapable bool `xml:"audio,attr,omitempty"`
-	VideoCapable bool `xml:"video,attr,omitempty"`
+	AudioCapable bool
+	VideoCapable bool
 }
 
 // Terminal is a media endpoint bound to a user.
 type Terminal struct {
-	ID      string       `xml:"id,attr"`
-	UserID  string       `xml:"user,attr"`
-	Kind    TerminalKind `xml:"kind,attr"`
-	Address string       `xml:"address,attr"`
+	ID      string
+	UserID  string
+	Kind    TerminalKind
+	Address string
 	// Active marks the terminal the user is currently reachable on.
-	Active bool `xml:"active,attr,omitempty"`
+	Active bool
 	// RegisteredAt records the binding time.
-	RegisteredAt time.Time `xml:"registered,attr,omitempty"`
+	RegisteredAt time.Time
 }
 
 // Community is an autonomous collaboration area with its own control and
 // media servers.
 type Community struct {
-	Name string `xml:"name,attr"`
+	Name string
 	// ControlEndpoint is the community's WSDL-CI SOAP URL.
-	ControlEndpoint string `xml:"control,attr,omitempty"`
+	ControlEndpoint string
 	// MediaServers lists the community's media server addresses.
-	MediaServers []string `xml:"media-server,omitempty"`
+	MediaServers []string
 	// Description is free text.
-	Description string `xml:",chardata"`
+	Description string
 }
 
 // Store errors.
@@ -101,18 +99,6 @@ func (s *Store) AddUser(u User) error {
 	return nil
 }
 
-// UpdateUser replaces an existing user record.
-func (s *Store) UpdateUser(u User) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.init()
-	if _, ok := s.users[u.ID]; !ok {
-		return fmt.Errorf("%w: user %s", ErrNotFound, u.ID)
-	}
-	s.users[u.ID] = u
-	return nil
-}
-
 // User looks up a user by id.
 func (s *Store) User(id string) (User, error) {
 	s.mu.RLock()
@@ -122,34 +108,6 @@ func (s *Store) User(id string) (User, error) {
 		return User{}, fmt.Errorf("%w: user %s", ErrNotFound, id)
 	}
 	return u, nil
-}
-
-// RemoveUser deletes a user and all terminal bindings.
-func (s *Store) RemoveUser(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.users[id]; !ok {
-		return fmt.Errorf("%w: user %s", ErrNotFound, id)
-	}
-	delete(s.users, id)
-	for tid, t := range s.terminals {
-		if t.UserID == id {
-			delete(s.terminals, tid)
-		}
-	}
-	return nil
-}
-
-// Users lists all users sorted by id.
-func (s *Store) Users() []User {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]User, 0, len(s.users))
-	for _, u := range s.users {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // BindTerminal registers a terminal for an existing user. Marking it
@@ -191,43 +149,6 @@ func (s *Store) Terminal(id string) (Terminal, error) {
 	return t, nil
 }
 
-// ActiveTerminal returns the user's currently active terminal.
-func (s *Store) ActiveTerminal(userID string) (Terminal, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, t := range s.terminals {
-		if t.UserID == userID && t.Active {
-			return t, nil
-		}
-	}
-	return Terminal{}, fmt.Errorf("%w: no active terminal for %s", ErrNotFound, userID)
-}
-
-// UserTerminals lists a user's terminals sorted by id.
-func (s *Store) UserTerminals(userID string) []Terminal {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Terminal
-	for _, t := range s.terminals {
-		if t.UserID == userID {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// UnbindTerminal removes a terminal.
-func (s *Store) UnbindTerminal(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.terminals[id]; !ok {
-		return fmt.Errorf("%w: terminal %s", ErrNotFound, id)
-	}
-	delete(s.terminals, id)
-	return nil
-}
-
 // AddCommunity registers a community.
 func (s *Store) AddCommunity(c Community) error {
 	if c.Name == "" {
@@ -264,73 +185,4 @@ func (s *Store) Communities() []Community {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// RemoveCommunity deletes a community.
-func (s *Store) RemoveCommunity(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.communities[name]; !ok {
-		return fmt.Errorf("%w: community %s", ErrNotFound, name)
-	}
-	delete(s.communities, name)
-	return nil
-}
-
-// Snapshot is the XML import/export form of the directory.
-type Snapshot struct {
-	XMLName     xml.Name    `xml:"directory"`
-	Users       []User      `xml:"users>user"`
-	Terminals   []Terminal  `xml:"terminals>terminal"`
-	Communities []Community `xml:"communities>community"`
-}
-
-// Export serialises the directory to XML.
-func (s *Store) Export() ([]byte, error) {
-	snap := Snapshot{Users: s.Users(), Communities: s.Communities()}
-	s.mu.RLock()
-	for _, t := range s.terminals {
-		snap.Terminals = append(snap.Terminals, t)
-	}
-	s.mu.RUnlock()
-	sort.Slice(snap.Terminals, func(i, j int) bool { return snap.Terminals[i].ID < snap.Terminals[j].ID })
-	return xml.MarshalIndent(snap, "", "  ")
-}
-
-// Import merges an XML snapshot into the store, replacing records with
-// matching ids.
-func (s *Store) Import(b []byte) error {
-	var snap Snapshot
-	if err := xml.Unmarshal(b, &snap); err != nil {
-		return fmt.Errorf("directory: parsing snapshot: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.init()
-	for _, u := range snap.Users {
-		if u.ID == "" {
-			return errors.New("directory: snapshot user without id")
-		}
-		s.users[u.ID] = u
-	}
-	for _, t := range snap.Terminals {
-		if t.ID == "" {
-			return errors.New("directory: snapshot terminal without id")
-		}
-		s.terminals[t.ID] = t
-	}
-	for _, c := range snap.Communities {
-		if c.Name == "" {
-			return errors.New("directory: snapshot community without name")
-		}
-		s.communities[c.Name] = c
-	}
-	return nil
-}
-
-// Counts returns (users, terminals, communities) sizes.
-func (s *Store) Counts() (int, int, int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.users), len(s.terminals), len(s.communities)
 }

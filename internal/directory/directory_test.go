@@ -2,7 +2,6 @@ package directory
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -20,25 +19,8 @@ func TestUserCRUD(t *testing.T) {
 	if err != nil || got.Name != "Alice" {
 		t.Fatalf("lookup = %+v, %v", got, err)
 	}
-	u.Name = "Alice L"
-	if err := s.UpdateUser(u); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = s.User("alice")
-	if got.Name != "Alice L" {
-		t.Fatal("update lost")
-	}
-	if err := s.UpdateUser(User{ID: "ghost"}); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("update missing = %v", err)
-	}
 	if _, err := s.User("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("lookup missing = %v", err)
-	}
-	if err := s.RemoveUser("alice"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveUser("alice"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double remove = %v", err)
 	}
 	if err := s.AddUser(User{}); err == nil {
 		t.Fatal("empty id accepted")
@@ -60,32 +42,19 @@ func TestTerminalBindingAndActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only one active terminal.
-	active, err := s.ActiveTerminal("bob")
-	if err != nil || active.ID != "t2" {
-		t.Fatalf("active = %+v, %v", active, err)
+	t1, err := s.Terminal("t1")
+	if err != nil || t1.Active {
+		t.Fatalf("t1 should be inactive: %+v, %v", t1, err)
 	}
-	terms := s.UserTerminals("bob")
-	if len(terms) != 2 {
-		t.Fatalf("terminals = %v", terms)
-	}
-	if terms[0].ID != "t1" || terms[0].Active {
-		t.Fatalf("t1 should be inactive: %+v", terms[0])
-	}
-	if terms[0].RegisteredAt.IsZero() {
+	if t1.RegisteredAt.IsZero() {
 		t.Fatal("RegisteredAt not stamped")
 	}
-	if err := s.UnbindTerminal("t1"); err != nil {
-		t.Fatal(err)
+	t2, err := s.Terminal("t2")
+	if err != nil || !t2.Active {
+		t.Fatalf("t2 should be active: %+v, %v", t2, err)
 	}
-	if err := s.UnbindTerminal("t1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double unbind = %v", err)
-	}
-	// Removing the user removes bindings.
-	if err := s.RemoveUser("bob"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Terminal("t2"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("terminal survived user removal")
+	if _, err := s.Terminal("ghost"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("lookup missing = %v", err)
 	}
 }
 
@@ -105,75 +74,21 @@ func TestCommunityCRUD(t *testing.T) {
 	if err := s.AddCommunity(Community{}); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if err := s.RemoveCommunity("admire"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveCommunity("admire"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double remove = %v", err)
+	if _, err := s.Community("ghost"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("lookup missing = %v", err)
 	}
 }
 
 func TestListsSorted(t *testing.T) {
 	var s Store
-	for _, id := range []string{"zed", "ann", "mid"} {
-		if err := s.AddUser(User{ID: id}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	users := s.Users()
-	if users[0].ID != "ann" || users[2].ID != "zed" {
-		t.Fatalf("users = %v", users)
-	}
-	for _, n := range []string{"z-comm", "a-comm"} {
+	for _, n := range []string{"z-comm", "a-comm", "m-comm"} {
 		if err := s.AddCommunity(Community{Name: n}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	comms := s.Communities()
-	if comms[0].Name != "a-comm" {
+	if comms[0].Name != "a-comm" || comms[2].Name != "z-comm" {
 		t.Fatalf("communities = %v", comms)
-	}
-}
-
-func TestExportImportRoundtrip(t *testing.T) {
-	var s Store
-	if err := s.AddUser(User{ID: "alice", Name: "Alice", VideoCapable: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.BindTerminal(Terminal{ID: "t1", UserID: "alice", Kind: TerminalPlayer, Address: "rtsp://x", Active: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddCommunity(Community{Name: "accessgrid", Description: "AG venues"}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), "alice") {
-		t.Fatalf("export missing data:\n%s", b)
-	}
-	var s2 Store
-	if err := s2.Import(b); err != nil {
-		t.Fatal(err)
-	}
-	u, tm, c := s2.Counts()
-	if u != 1 || tm != 1 || c != 1 {
-		t.Fatalf("counts = %d %d %d", u, tm, c)
-	}
-	term, err := s2.ActiveTerminal("alice")
-	if err != nil || term.Kind != TerminalPlayer {
-		t.Fatalf("terminal = %+v, %v", term, err)
-	}
-}
-
-func TestImportRejectsBadData(t *testing.T) {
-	var s Store
-	if err := s.Import([]byte("<<<")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if err := s.Import([]byte(`<directory><users><user name="no-id"/></users></directory>`)); err == nil {
-		t.Fatal("user without id accepted")
 	}
 }
 
@@ -188,7 +103,8 @@ func TestStoreConcurrentAccess(t *testing.T) {
 				id := string(rune('a'+g)) + string(rune('0'+i%10))
 				_ = s.AddUser(User{ID: id})
 				_, _ = s.User(id)
-				s.Users()
+				_ = s.BindTerminal(Terminal{ID: "t-" + id, UserID: id, Active: true})
+				_, _ = s.Terminal("t-" + id)
 			}
 		}()
 	}

@@ -100,9 +100,9 @@ func WithPeerToPeer() Option {
 
 // WithSessionLinger retains a client session whose conn died — its
 // subscriptions, reliable window and ack floor — for d, awaiting a
-// resume from a reconnecting client (see DialBroker with
-// WithReconnect). 0, the default, disables parking: a dead conn tears
-// the session down immediately.
+// resume from a reconnecting client (see Dial). 0, the default,
+// disables parking: a dead conn tears the session down immediately,
+// and a reconnecting client re-subscribes on a fresh one.
 func WithSessionLinger(d time.Duration) Option {
 	return func(c *config) { c.broker.SessionLinger = d }
 }

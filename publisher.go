@@ -78,10 +78,11 @@ func eventKindOf(kind MediaKind) event.Kind {
 }
 
 // Publish sends one payload (for Audio/Video channels, RTP wire bytes).
-// A session's publisher is in-process: the event reaches the broker and
-// every in-process subscriber by reference, so the payload belongs to
-// them from here on — do not write to it after Publish, pass a fresh
-// slice per call. (Only a wire transport copies it, into the frame.)
+// The payload belongs to the system from here on — do not write to it
+// after Publish, pass a fresh slice per call. An in-process client's
+// event reaches the broker and every in-process subscriber by
+// reference; a dialed client may hold it in its outage buffer until
+// the link is back.
 func (p *Publisher) Publish(payload []byte) error {
 	e := event.New(p.topic, p.kind, payload)
 	e.Reliable = p.reliable

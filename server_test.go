@@ -428,13 +428,14 @@ func TestRegistrationsPopulateDirectory(t *testing.T) {
 	if err := sipEP.Register(s.SIPDomain(), time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	term, err := s.directory.ActiveTerminal("wenjun")
+	term, err := s.directory.Terminal("sip:wenjun")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if term.Kind != directory.TerminalSIP || !term.Active {
+	if term.Kind != directory.TerminalSIP || term.UserID != "wenjun" || !term.Active {
 		t.Fatalf("terminal = %+v", term)
 	}
+	first := term.Address
 	user, err := s.directory.User("wenjun")
 	if err != nil || user.Community != "sip" {
 		t.Fatalf("user = %+v, %v", user, err)
@@ -452,11 +453,11 @@ func TestRegistrationsPopulateDirectory(t *testing.T) {
 	if err := h323EP.Register(); err != nil {
 		t.Fatal(err)
 	}
-	term, err = s.directory.ActiveTerminal("auyar")
+	term, err = s.directory.Terminal("h323:auyar")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if term.Kind != directory.TerminalH323 {
+	if term.Kind != directory.TerminalH323 || term.UserID != "auyar" || !term.Active {
 		t.Fatalf("terminal = %+v", term)
 	}
 	if _, _, err := net.SplitHostPort(term.Address); err != nil {
@@ -472,18 +473,12 @@ func TestRegistrationsPopulateDirectory(t *testing.T) {
 	if err := sipEP2.Register(s.SIPDomain(), time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	terms := s.directory.UserTerminals("wenjun")
-	if len(terms) == 0 {
-		t.Fatal("no terminals recorded")
+	term, err = s.directory.Terminal("sip:wenjun")
+	if err != nil {
+		t.Fatal(err)
 	}
-	active := 0
-	for _, tm := range terms {
-		if tm.Active {
-			active++
-		}
-	}
-	if active != 1 {
-		t.Fatalf("active terminals = %d, want exactly 1", active)
+	if !term.Active || term.Address == first {
+		t.Fatalf("terminal = %+v, want the active binding moved off %s", term, first)
 	}
 }
 

@@ -1,6 +1,7 @@
-// The SDK rung of the measurement ladder: what one event costs from an
-// in-process Publisher.Publish to Stream[*MediaPacket].Recv, and a gate
-// that Recv itself allocates nothing beyond what its decode does.
+// The SDK rung of the measurement ladder: what one event costs from
+// Publisher.Publish to Stream[*MediaPacket].Recv, in-process and over
+// loopback TCP, and a gate that Recv itself allocates nothing beyond
+// what its decode does.
 package globalmmcs_test
 
 import (
@@ -10,18 +11,28 @@ import (
 	"github.com/globalmmcs/globalmmcs"
 )
 
-// mediaPipe opens one in-process video publisher (reliable or not) and
-// one video stream on a fresh node.
-func mediaPipe(tb testing.TB, reliable bool, opts ...globalmmcs.StreamOption) (*globalmmcs.Publisher, *globalmmcs.MediaSubscription) {
+// mediaPipe opens one video publisher (reliable or not) and one video
+// stream on a fresh node, through an in-process client or, with
+// overTCP, a client dialed to the node's loopback TCP listener.
+func mediaPipe(tb testing.TB, overTCP, reliable bool, opts ...globalmmcs.StreamOption) (*globalmmcs.Publisher, *globalmmcs.MediaSubscription) {
 	tb.Helper()
 	ctx := context.Background()
-	srv, err := globalmmcs.Start(ctx, globalmmcs.WithoutSIP(), globalmmcs.WithoutH323(),
-		globalmmcs.WithoutRTSP(), globalmmcs.WithoutIM())
+	nodeOpts := []globalmmcs.Option{globalmmcs.WithoutSIP(), globalmmcs.WithoutH323(),
+		globalmmcs.WithoutRTSP(), globalmmcs.WithoutIM()}
+	if overTCP {
+		nodeOpts = append(nodeOpts, globalmmcs.WithBrokerListen("tcp://127.0.0.1:0"))
+	}
+	srv, err := globalmmcs.Start(ctx, nodeOpts...)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(srv.Stop)
-	c, err := srv.Client(ctx, "bench")
+	var c *globalmmcs.Client
+	if overTCP {
+		c, err = globalmmcs.Dial(ctx, "bench", srv.Broker().Addrs())
+	} else {
+		c, err = srv.Client(ctx, "bench")
+	}
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -49,9 +60,16 @@ func mediaPipe(tb testing.TB, reliable bool, opts ...globalmmcs.StreamOption) (*
 // BenchmarkStreamRecv: one op is one 1200-byte packet published
 // in-process, routed, and received through Stream.Recv, in windows of
 // 128 so the stream sees the bursts a loaded conference produces.
-func BenchmarkStreamRecv(b *testing.B) {
+func BenchmarkStreamRecv(b *testing.B) { benchStreamRecv(b, false) }
+
+// BenchmarkStreamRecvTCP is BenchmarkStreamRecv for a client dialed
+// over loopback TCP: each packet crosses the wire to the broker and
+// back.
+func BenchmarkStreamRecvTCP(b *testing.B) { benchStreamRecv(b, true) }
+
+func benchStreamRecv(b *testing.B, overTCP bool) {
 	const window = 128
-	pub, st := mediaPipe(b, false, globalmmcs.WithBuffer(1024), globalmmcs.WithDropPolicy(globalmmcs.Block))
+	pub, st := mediaPipe(b, overTCP, false, globalmmcs.WithBuffer(1024), globalmmcs.WithDropPolicy(globalmmcs.Block))
 	payload := make([]byte, 1200)
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -82,7 +100,7 @@ func TestStreamRecvAllocs(t *testing.T) {
 	// AllocsPerRun calls Recv runs+1 times. One packet more than the
 	// buffer holds is shed, which shows that every packet has arrived;
 	// they are published reliable so that none is shed on the way.
-	pub, st := mediaPipe(t, true, globalmmcs.WithBuffer(runs+1), globalmmcs.WithDropPolicy(globalmmcs.DropNewest))
+	pub, st := mediaPipe(t, false, true, globalmmcs.WithBuffer(runs+1), globalmmcs.WithDropPolicy(globalmmcs.DropNewest))
 	payload := make([]byte, 1200)
 	for i := 0; i < runs+2; i++ {
 		if err := pub.Publish(payload); err != nil {

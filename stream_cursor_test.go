@@ -213,8 +213,8 @@ func TestStreamChanMidLife(t *testing.T) {
 	}
 }
 
-// TestBrokerSubscriptionRecvAfterCancel: Recv on a cancelled
-// subscription first returns what was buffered, then ErrStreamClosed.
+// TestBrokerSubscriptionRecvAfterCancel: Recv on a subscription whose
+// client closed first returns what was buffered, then ErrStreamClosed.
 func TestBrokerSubscriptionRecvAfterCancel(t *testing.T) {
 	_, addr := startResilientBroker(t, "fac-cancel")
 	ctx := context.Background()
@@ -239,7 +239,7 @@ func TestBrokerSubscriptionRecvAfterCancel(t *testing.T) {
 			t.Fatal("events never arrived")
 		}
 	}
-	if err := sub.Cancel(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 2; i <= 3; i++ {
