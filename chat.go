@@ -60,22 +60,22 @@ const defaultChatBuffer = 64
 // Session.Chat. Consume with Recv, All or Chan; Close leaves the room.
 type ChatRoom = Stream[ChatMessage]
 
-func newChatRoom(sub *broker.Subscription, reg *metrics.Registry, name string, opts []StreamOption) *ChatRoom {
-	return newStream(sub, reg, name, defaultChatBuffer, func(e *event.Event) (ChatMessage, bool) {
+func newChatRoom(sub *broker.Subscription, reg *metrics.Registry, name string, cfg streamConfig) *ChatRoom {
+	return newStream(sub, reg, name, cfg, func(e *event.Event) (ChatMessage, bool) {
 		m, err := im.ParseChat(e)
 		if err != nil {
 			return ChatMessage{}, false
 		}
 		return chatFromInternal(m), true
-	}, nil, opts)
+	})
 }
 
 // PresenceWatch is a Stream of a community's presence updates, returned
 // by Client.WatchPresence.
 type PresenceWatch = Stream[Presence]
 
-func newPresenceWatch(sub *broker.Subscription, reg *metrics.Registry, name string, opts []StreamOption) *PresenceWatch {
-	return newStream(sub, reg, name, defaultChatBuffer, func(e *event.Event) (Presence, bool) {
+func newPresenceWatch(sub *broker.Subscription, reg *metrics.Registry, name string, cfg streamConfig) *PresenceWatch {
+	return newStream(sub, reg, name, cfg, func(e *event.Event) (Presence, bool) {
 		p, err := im.ParsePresence(e)
 		if err != nil {
 			return Presence{}, false
@@ -87,5 +87,5 @@ func newPresenceWatch(sub *broker.Subscription, reg *metrics.Registry, name stri
 			Note:      p.Note,
 			At:        time.Unix(0, p.At),
 		}, true
-	}, nil, opts)
+	})
 }

@@ -184,12 +184,16 @@ func (c *Client) SetPresence(ctx context.Context, community string, status Prese
 // WatchPresence streams every presence update of a community. Delivery
 // QoS is set with StreamOptions.
 func (c *Client) WatchPresence(ctx context.Context, community string, opts ...StreamOption) (*PresenceWatch, error) {
-	sub, err := c.chat.WatchCommunity(ctx, community, ringDepth[Presence](defaultChatBuffer, false, opts))
+	cfg, err := resolveStreamConfig(defaultChatBuffer, opts)
+	if err != nil {
+		return nil, err
+	}
+	sub, err := c.chat.WatchCommunity(ctx, community, cfg.buffer)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
 	name := c.userID + ".presence." + community
-	return newPresenceWatch(sub, c.reg, name, opts), nil
+	return newPresenceWatch(sub, c.reg, name, cfg), nil
 }
 
 type errSessionID string

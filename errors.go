@@ -38,8 +38,9 @@ var (
 	// ErrSessionNotActive reports a join on a scheduled session outside
 	// its active window.
 	ErrSessionNotActive = errors.New("globalmmcs: session not active")
-	// ErrInvalidRequest reports a request the session server rejected as
-	// malformed.
+	// ErrInvalidRequest reports a malformed request: one the session
+	// server rejected, or an option value outside its range, refused
+	// before anything was subscribed or sent.
 	ErrInvalidRequest = errors.New("globalmmcs: invalid request")
 	// ErrConflict reports an operation conflicting with current state
 	// (e.g. releasing a floor the user does not hold).

@@ -5,10 +5,9 @@
 // Every subscription in the SDK is a Stream: chat rooms, presence
 // watches and media subscriptions all deliver through the same typed
 // handle, consumed with Recv (blocking, context-aware), All (a Go
-// iterator) or Chan (select-based). Per-stream QoS — buffer depth, the
-// full-buffer drop policy, SSRC conflation, lag callbacks — is chosen
-// with options at subscribe time instead of being baked into each
-// feature.
+// iterator) or Chan (select-based). Per-stream QoS — buffer depth and
+// the full-buffer drop policy — is chosen with options at subscribe
+// time instead of being baked into each feature.
 //
 // Run with:
 //

@@ -36,9 +36,9 @@
 // Every subscription — chat rooms, presence watches, media channels,
 // raw session events — is a Stream[T]: one typed handle consumed with
 // Recv, All or Chan, closed with Close, and tuned per subscription with
-// QoS options (WithBuffer, WithDropPolicy, WithConflation,
-// WithLagNotify). The send side mirrors it with Session.Publisher and
-// per-handle options (WithReliable, WithTTL):
+// QoS options (WithBuffer, WithDropPolicy, WithReplayFrom). The send
+// side mirrors it with Session.Publisher and per-handle options
+// (WithReliable, WithTTL):
 //
 //	room, err := session.Chat(ctx, globalmmcs.WithBuffer(128))
 //	if err != nil { ... }

@@ -32,9 +32,6 @@ type Conference struct {
 	members map[string]struct{}
 }
 
-// Bus exposes the conference's multicast group (diagnostics and tests).
-func (c *Conference) Bus() *mcast.Bus { return c.bus }
-
 // Server is the Admire community server.
 type Server struct {
 	mu          sync.Mutex

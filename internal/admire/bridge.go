@@ -25,7 +25,6 @@ type Bridge struct {
 	audioTop  string
 	videoTop  string
 	sessionID string
-	confID    string
 
 	probeAck  chan struct{}
 	probeOnce sync.Once
@@ -54,7 +53,6 @@ func NewBridge(bc *broker.Client, session *xgsp.SessionInfo, confID string, admi
 		pc:        pc,
 		rendAddr:  ua,
 		sessionID: session.ID,
-		confID:    confID,
 		probeAck:  make(chan struct{}),
 	}
 	for _, m := range session.Media {
@@ -112,9 +110,6 @@ func (b *Bridge) probeRendezvous() error {
 	}
 	return fmt.Errorf("admire: rendezvous %s never acknowledged probe", b.rendAddr)
 }
-
-// ConferenceID returns the bridged Admire conference.
-func (b *Bridge) ConferenceID() string { return b.confID }
 
 // SessionID returns the bridged Global-MMCS session.
 func (b *Bridge) SessionID() string { return b.sessionID }

@@ -288,13 +288,6 @@ func (s *Subscription) signalSpace() {
 // Cancel, by a failure (Err) or with its client.
 func (s *Subscription) Done() <-chan struct{} { return s.closedSig }
 
-// Wake returns the channel carrying the subscription's single wakeup
-// token, for consumers that multiplex ring draining against their own
-// delivery (select-based pumps). After receiving, call TryRecvBatch —
-// it re-arms the token when events remain buffered. Spurious wakeups
-// are possible and must be tolerated.
-func (s *Subscription) Wake() <-chan struct{} { return s.notify }
-
 // deliverBatch appends a whole burst to the ring under one lock hold
 // and issues one consumer wakeup. Best-effort overflow evicts the
 // oldest buffered best-effort events in bulk (counted as drops,

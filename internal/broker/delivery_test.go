@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/event"
+	"github.com/globalmmcs/globalmmcs/internal/testutil"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 )
 
@@ -869,5 +870,75 @@ func TestRecvBatchContext(t *testing.T) {
 	sub.closeRing()
 	if err := <-errc; err != ErrSubscriptionClosed {
 		t.Fatalf("blocked recv on close = %v", err)
+	}
+}
+
+// overloadRig is a subscription under steady overload: a 64-deep ring,
+// already full, that takes 32-event bursts while its consumer drains
+// only 16 per step, so every burst meets a full ring and sheds.
+type overloadRig struct {
+	sub   *Subscription
+	burst []*event.Event
+	buf   []*event.Event
+}
+
+func newOverloadRig(mode OverflowMode) *overloadRig {
+	const depth, burst, drain = 64, 32, 16
+	r := &overloadRig{
+		sub:   newSubscription(nil, "/ovl/t", depth),
+		burst: make([]*event.Event, burst),
+		buf:   make([]*event.Event, 0, drain),
+	}
+	r.sub.SetOverflow(mode, nil)
+	for i := range r.burst {
+		r.burst[i] = deliveryEvent(uint64(i+1), "/ovl/t", false)
+	}
+	r.sub.deliverBatch(r.burst, nil)
+	r.sub.deliverBatch(r.burst, nil) // full: depth events buffered
+	return r
+}
+
+// step delivers one burst and drains one consumer step.
+func (r *overloadRig) step() {
+	r.sub.deliverBatch(r.burst, nil)
+	r.buf, _ = r.sub.TryRecvBatch(r.buf[:0], cap(r.buf))
+	clear(r.buf)
+}
+
+var overflowModes = []struct {
+	name string
+	mode OverflowMode
+}{
+	{"lanes", OverflowLanes},
+	{"drop-oldest", OverflowDropOldest},
+	{"drop-newest", OverflowDropNewest},
+}
+
+// TestDeliverBatchAllocs gates the ring's allocation budget: a burst
+// that meets a full ring sheds in place, whatever the overflow mode,
+// so delivery under overload allocates nothing.
+func TestDeliverBatchAllocs(t *testing.T) {
+	testutil.SkipAllocGateUnderRace(t)
+	for _, m := range overflowModes {
+		r := newOverloadRig(m.mode)
+		if got := testing.AllocsPerRun(200, r.step); got != 0 {
+			t.Errorf("%s: deliverBatch allocated %.2f times per %d-event burst into a full ring, want 0", m.name, got, len(r.burst))
+		}
+		if r.sub.Drops() == 0 {
+			t.Errorf("%s: the ring never overflowed", m.name)
+		}
+	}
+}
+
+func BenchmarkSubscriptionDeliverBatch(b *testing.B) {
+	for _, m := range overflowModes {
+		b.Run(m.name, func(b *testing.B) {
+			r := newOverloadRig(m.mode)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for b.Loop() {
+				r.step()
+			}
+		})
 	}
 }

@@ -17,22 +17,23 @@ var ErrPublisherClosed = errors.New("broker: publisher closed")
 // linger in the client-side batcher before it is forced onto the wire.
 const DefaultPublishFlushInterval = time.Millisecond
 
-// PublisherConfig tunes a client-side publisher.
+// PublisherConfig tunes a client-side publisher. The unexported field
+// is fixed in production and exists only so this package's tests can
+// stretch it.
 type PublisherConfig struct {
 	// Batching aggregates encoded events into one write system call per
-	// batch (the mirror of the broker's outbound session batching, for
-	// the client→broker direction). It only takes effect on framed wire
-	// conns (tcp, udp); in-process pipes move decoded events by pointer
-	// and fall back to per-event sends.
+	// batch of at most transport.DefaultMaxBatchBytes (the mirror of the
+	// broker's outbound session batching, for the client→broker
+	// direction). It only takes effect on framed wire conns (tcp, udp);
+	// in-process pipes move decoded events by pointer and fall back to
+	// per-event sends.
 	Batching bool
-	// MaxBatchBytes bounds the encoded bytes aggregated before a forced
-	// flush (<= 0: transport.DefaultMaxBatchBytes).
-	MaxBatchBytes int
-	// FlushInterval bounds how long a non-full batch may linger before
+
+	// flushInterval bounds how long a non-full batch may linger before
 	// it is flushed by a background timer (<= 0:
 	// DefaultPublishFlushInterval). Reliable events always flush
 	// immediately regardless.
-	FlushInterval time.Duration
+	flushInterval time.Duration
 }
 
 // Publisher is a client-side publish handle. With batching enabled it
@@ -53,7 +54,7 @@ type Publisher struct {
 
 // Publisher creates a publish handle over this client's connection.
 func (c *Client) Publisher(cfg PublisherConfig) *Publisher {
-	p := &Publisher{c: c, flushInterval: cfg.FlushInterval}
+	p := &Publisher{c: c, flushInterval: cfg.flushInterval}
 	if p.flushInterval <= 0 {
 		p.flushInterval = DefaultPublishFlushInterval
 	}
@@ -65,15 +66,11 @@ func (c *Client) Publisher(cfg PublisherConfig) *Publisher {
 		conn := c.conn
 		c.connMu.RUnlock()
 		if fc, ok := conn.(transport.FrameConn); ok {
-			p.bw = transport.NewBatcher(fc, cfg.MaxBatchBytes)
+			p.bw = transport.NewBatcher(fc, 0)
 		}
 	}
 	return p
 }
-
-// Batched reports whether this publisher aggregates writes (false on
-// in-process conns even when batching was requested).
-func (p *Publisher) Batched() bool { return p.bw != nil }
 
 // Publish stamps identity onto e and sends it, batched when enabled.
 // The event must not be mutated afterwards. Whether its payload may be

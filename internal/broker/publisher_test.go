@@ -39,8 +39,8 @@ func dialTCPPair(t *testing.T) (*Broker, *Client, *Subscription) {
 // linger still hit the wire once the batch fills or Flush runs.
 func TestPublisherBatchedDelivery(t *testing.T) {
 	_, c, sub := dialTCPPair(t)
-	p := c.Publisher(PublisherConfig{Batching: true, FlushInterval: time.Hour})
-	if !p.Batched() {
+	p := c.Publisher(PublisherConfig{Batching: true, flushInterval: time.Hour})
+	if p.bw == nil {
 		t.Fatal("tcp publisher not batched")
 	}
 	if err := p.Publish(event.New("/pub/a", event.KindData, []byte("one"))); err != nil {
@@ -69,7 +69,7 @@ func TestPublisherBatchedDelivery(t *testing.T) {
 // immediately, even under an arbitrarily long linger.
 func TestPublisherReliableFlushes(t *testing.T) {
 	_, c, sub := dialTCPPair(t)
-	p := c.Publisher(PublisherConfig{Batching: true, FlushInterval: time.Hour})
+	p := c.Publisher(PublisherConfig{Batching: true, flushInterval: time.Hour})
 	if err := p.Publish(event.New("/pub/media", event.KindRTP, []byte("best-effort"))); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPublisherReliableFlushes(t *testing.T) {
 // background timer without any further publishes.
 func TestPublisherLingerTimer(t *testing.T) {
 	_, c, sub := dialTCPPair(t)
-	p := c.Publisher(PublisherConfig{Batching: true, FlushInterval: 2 * time.Millisecond})
+	p := c.Publisher(PublisherConfig{Batching: true, flushInterval: 2 * time.Millisecond})
 	if err := p.Publish(event.New("/pub/a", event.KindData, []byte("tail"))); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestPublisherMemFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := c.Publisher(PublisherConfig{Batching: true})
-	if p.Batched() {
+	if p.bw != nil {
 		t.Fatal("mem publisher claims batching")
 	}
 	if err := p.Publish(event.New("/pub/a", event.KindData, []byte("direct"))); err != nil {

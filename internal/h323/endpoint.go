@@ -226,13 +226,6 @@ func (e *Endpoint) PlaceCall(sessionID string, localRTP map[string]string) (*Cal
 	return c, nil
 }
 
-// MediaAddr returns the gateway RTP address for the first channel of a
-// media kind established during PlaceCall.
-func (c *Call) MediaAddr(channel uint32) (string, bool) {
-	addr, ok := c.Channels[channel]
-	return addr, ok
-}
-
 // Hangup ends the call with H.245 EndSession and RAS disengage.
 func (c *Call) Hangup() error {
 	defer c.conn.Close()

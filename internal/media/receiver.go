@@ -25,18 +25,13 @@ type ReceiverConfig struct {
 	DelayHistogram *metrics.Histogram
 	// VerifyPayloads enables integrity checking of fillPayload content.
 	VerifyPayloads bool
-	// ReorderDepth, when positive, re-sequences out-of-order arrivals
-	// through a playout jitter buffer of that capacity before statistics
-	// run. Buffered packets deep-copy their payloads: a decoded event
-	// from the transport receive path aliases a shared arena chunk, and
-	// a packet parked in the jitter buffer would otherwise pin the whole
-	// chunk (up to 256 KiB) for as long as it waits.
-	ReorderDepth int
 }
 
 // Receiver consumes wrapped RTP events and accumulates reception
-// statistics. HandleEvent may be called from one goroutine at a time;
-// snapshot accessors are safe to call concurrently.
+// statistics over packets in arrival order: a packet is measured when
+// it is handled and retained by nothing afterwards. HandleEvent may be
+// called from one goroutine at a time; snapshot accessors are safe to
+// call concurrently.
 type Receiver struct {
 	cfg ReceiverConfig
 
@@ -49,29 +44,12 @@ type Receiver struct {
 	corrupted  uint64
 	delay      metrics.Welford
 	lastActive time.Time
-
-	// Reorder state (ReorderDepth > 0): the playout jitter buffer plus
-	// per-packet arrival metadata keyed by sequence number.
-	jb      *rtp.JitterBuffer
-	pending map[uint16]arrival
-}
-
-// arrival is the reception metadata of a packet parked in the reorder
-// buffer, so statistics computed after re-sequencing still reflect the
-// true arrival instant.
-type arrival struct {
-	sentAt  int64
-	arrived time.Time
 }
 
 // NewReceiver creates a measuring receiver.
 func NewReceiver(cfg ReceiverConfig) *Receiver {
 	r := &Receiver{cfg: cfg}
 	r.stats.ClockRate = cfg.ClockRate
-	if cfg.ReorderDepth > 0 {
-		r.jb = rtp.NewJitterBuffer(cfg.ReorderDepth)
-		r.pending = make(map[uint16]arrival, cfg.ReorderDepth)
-	}
 	return r
 }
 
@@ -91,52 +69,10 @@ func (r *Receiver) HandleEvent(e *event.Event) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.jb == nil {
-		r.processLocked(&p, e.Timestamp, now)
-		return
-	}
-	if r.jb.Push(&p) {
-		r.pending[p.SequenceNumber] = arrival{sentAt: e.Timestamp, arrived: now}
-	}
-	for {
-		q := r.jb.Pop()
-		if q == nil {
-			break
-		}
-		meta := r.pending[q.SequenceNumber]
-		delete(r.pending, q.SequenceNumber)
-		r.processLocked(q, meta.sentAt, meta.arrived)
-	}
-	// Detach any packet that stays parked behind a gap: its payload
-	// aliases e.Payload, which may alias a transport arena chunk shared
-	// with hundreds of other events, and a parked packet would pin the
-	// whole chunk. Packets processed above were consumed synchronously,
-	// so the common in-order case pays no copy.
-	if _, parked := r.pending[p.SequenceNumber]; parked {
-		p.Payload = append([]byte(nil), p.Payload...)
-	}
+	r.processLocked(&p, e.Timestamp, now)
 }
 
-// Flush drains any packets still parked in the reorder buffer (gaps
-// that will never fill once the stream ends). No-op without reordering.
-func (r *Receiver) Flush() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.jb == nil {
-		return
-	}
-	for {
-		q := r.jb.Drain()
-		if q == nil {
-			return
-		}
-		meta := r.pending[q.SequenceNumber]
-		delete(r.pending, q.SequenceNumber)
-		r.processLocked(q, meta.sentAt, meta.arrived)
-	}
-}
-
-// processLocked runs the measurement pipeline for one in-order packet.
+// processLocked runs the measurement pipeline for one packet.
 // sentAt is the publish timestamp, arrived the reception instant.
 func (r *Receiver) processLocked(p *rtp.Packet, sentAt int64, arrived time.Time) {
 	delayMs := float64(arrived.UnixNano()-sentAt) / 1e6

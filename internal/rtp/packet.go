@@ -23,8 +23,6 @@ const (
 	PayloadPCMU = 0
 	// PayloadH261 is H.261 video (type 31, 90 kHz).
 	PayloadH261 = 31
-	// PayloadDynamic is the first dynamic payload type.
-	PayloadDynamic = 96
 )
 
 // Clock rates for the payload types above, in Hz.
@@ -160,10 +158,4 @@ func (p *Packet) Unmarshal(b []byte) error {
 func (p *Packet) String() string {
 	return fmt.Sprintf("rtp{pt=%d seq=%d ts=%d ssrc=%08x m=%t %dB}",
 		p.PayloadType, p.SequenceNumber, p.Timestamp, p.SSRC, p.Marker, len(p.Payload))
-}
-
-// SeqLess reports whether sequence number a is before b in RFC 1982
-// serial-number arithmetic (handles wraparound).
-func SeqLess(a, b uint16) bool {
-	return a != b && b-a < 1<<15
 }

@@ -160,26 +160,6 @@ func TestPacketUnmarshalFuzzNoPanic(t *testing.T) {
 	}
 }
 
-func TestSeqLess(t *testing.T) {
-	cases := []struct {
-		a, b uint16
-		want bool
-	}{
-		{1, 2, true},
-		{2, 1, false},
-		{1, 1, false},
-		{65535, 0, true}, // wraparound
-		{0, 65535, false},
-		{0, 32767, true},
-		{0, 32769, false},
-	}
-	for _, tc := range cases {
-		if got := SeqLess(tc.a, tc.b); got != tc.want {
-			t.Errorf("SeqLess(%d,%d) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
 func TestSourceStatsInOrder(t *testing.T) {
 	s := &SourceStats{ClockRate: AudioClockRate}
 	base := time.Unix(1000, 0)
@@ -265,101 +245,6 @@ func TestSourceStatsResyncAfterBigJump(t *testing.T) {
 	s.Update(40000, 160000, base.Add(40*time.Millisecond))
 	if s.ExpectedPackets() != 1 {
 		t.Errorf("expected after resync = %d, want 1", s.ExpectedPackets())
-	}
-}
-
-func TestJitterBufferInOrder(t *testing.T) {
-	j := NewJitterBuffer(8)
-	for i := range 5 {
-		j.Push(&Packet{SequenceNumber: uint16(i)})
-	}
-	for i := range 5 {
-		p := j.Pop()
-		if p == nil || p.SequenceNumber != uint16(i) {
-			t.Fatalf("pop %d = %v", i, p)
-		}
-	}
-	if j.Pop() != nil {
-		t.Fatal("empty buffer returned a packet")
-	}
-}
-
-func TestJitterBufferReorders(t *testing.T) {
-	j := NewJitterBuffer(8)
-	j.Push(&Packet{SequenceNumber: 10})
-	j.Push(&Packet{SequenceNumber: 12})
-	j.Push(&Packet{SequenceNumber: 11})
-	for _, want := range []uint16{10, 11, 12} {
-		p := j.Pop()
-		if p == nil || p.SequenceNumber != want {
-			t.Fatalf("pop = %v, want seq %d", p, want)
-		}
-	}
-}
-
-func TestJitterBufferWaitsOnGap(t *testing.T) {
-	j := NewJitterBuffer(8)
-	j.Push(&Packet{SequenceNumber: 0})
-	j.Push(&Packet{SequenceNumber: 2}) // gap at 1
-	if p := j.Pop(); p == nil || p.SequenceNumber != 0 {
-		t.Fatalf("pop = %v", p)
-	}
-	if p := j.Pop(); p != nil {
-		t.Fatalf("pop across unfilled gap = %v, want nil", p)
-	}
-	j.Push(&Packet{SequenceNumber: 1})
-	if p := j.Pop(); p == nil || p.SequenceNumber != 1 {
-		t.Fatalf("pop = %v", p)
-	}
-}
-
-func TestJitterBufferSkipsGapWhenFull(t *testing.T) {
-	j := NewJitterBuffer(3)
-	j.Push(&Packet{SequenceNumber: 1}) // 0 missing
-	j.Push(&Packet{SequenceNumber: 2})
-	j.Push(&Packet{SequenceNumber: 3})
-	// next expected is 1 (first push started at 1)... push an earlier gap:
-	j2 := NewJitterBuffer(3)
-	j2.Push(&Packet{SequenceNumber: 100})
-	if p := j2.Pop(); p == nil || p.SequenceNumber != 100 {
-		t.Fatalf("pop = %v", p)
-	}
-	// Now create a gap at 101 and fill the buffer beyond capacity.
-	j2.Push(&Packet{SequenceNumber: 102})
-	j2.Push(&Packet{SequenceNumber: 103})
-	j2.Push(&Packet{SequenceNumber: 104})
-	p := j2.Pop()
-	if p == nil || p.SequenceNumber != 102 {
-		t.Fatalf("pop after forced skip = %v, want 102", p)
-	}
-}
-
-func TestJitterBufferRejectsLateAndDuplicate(t *testing.T) {
-	j := NewJitterBuffer(8)
-	j.Push(&Packet{SequenceNumber: 5})
-	if p := j.Pop(); p.SequenceNumber != 5 {
-		t.Fatal("setup")
-	}
-	if j.Push(&Packet{SequenceNumber: 4}) {
-		t.Error("late packet accepted")
-	}
-	j.Push(&Packet{SequenceNumber: 7})
-	if j.Push(&Packet{SequenceNumber: 7}) {
-		t.Error("duplicate accepted")
-	}
-}
-
-func TestJitterBufferWrapAround(t *testing.T) {
-	j := NewJitterBuffer(8)
-	j.Push(&Packet{SequenceNumber: 65534})
-	j.Push(&Packet{SequenceNumber: 65535})
-	j.Push(&Packet{SequenceNumber: 0})
-	j.Push(&Packet{SequenceNumber: 1})
-	for _, want := range []uint16{65534, 65535, 0, 1} {
-		p := j.Pop()
-		if p == nil || p.SequenceNumber != want {
-			t.Fatalf("pop = %v, want %d", p, want)
-		}
 	}
 }
 

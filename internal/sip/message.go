@@ -20,7 +20,6 @@ const (
 	MethodInvite    = "INVITE"
 	MethodAck       = "ACK"
 	MethodBye       = "BYE"
-	MethodCancel    = "CANCEL"
 	MethodOptions   = "OPTIONS"
 	MethodMessage   = "MESSAGE"
 	MethodSubscribe = "SUBSCRIBE"

@@ -54,9 +54,8 @@ type Producer struct {
 
 // Output is one delivery target: RTP datagrams written to a UDP address.
 type Output struct {
-	pc      net.PacketConn
-	addr    net.Addr
-	packets metrics.Counter
+	pc   net.PacketConn
+	addr net.Addr
 
 	mu     sync.Mutex
 	paused bool
@@ -76,9 +75,6 @@ func (o *Output) Resume() {
 	o.paused = false
 }
 
-// Sent returns delivered packet count.
-func (o *Output) Sent() uint64 { return o.packets.Value() }
-
 func (o *Output) deliver(b []byte) {
 	o.mu.Lock()
 	paused := o.paused
@@ -86,9 +82,9 @@ func (o *Output) deliver(b []byte) {
 	if paused {
 		return
 	}
-	if _, err := o.pc.WriteTo(b, o.addr); err == nil {
-		o.packets.Inc()
-	}
+	// Best effort, as RTP over UDP is: a failed write is a lost
+	// datagram, which the player's loss statistics account for.
+	_, _ = o.pc.WriteTo(b, o.addr)
 }
 
 // NewProducer subscribes a producer to the session's audio and video
@@ -171,17 +167,6 @@ func (p *Producer) Detach(trackID int, o *Output) {
 	if outs, ok := p.outputs[trackID]; ok {
 		delete(outs, o)
 	}
-}
-
-// OutputCount returns attached outputs across tracks.
-func (p *Producer) OutputCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, outs := range p.outputs {
-		n += len(outs)
-	}
-	return n
 }
 
 // Stop halts consumption.

@@ -71,10 +71,6 @@ func (l *Log) containingLocked(seq uint64) *segment {
 	return nil
 }
 
-// Pos returns the sequence the cursor will read next. Like Next, it
-// belongs to the cursor's reading goroutine.
-func (c *Cursor) Pos() uint64 { return c.next }
-
 // Next appends up to max records to buf and returns it. An unchanged
 // buf with a nil error means the cursor is at the committed tail. If
 // retention reaped past the cursor's position while it idled at the

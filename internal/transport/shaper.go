@@ -66,16 +66,6 @@ func (l *SharedLimiter) reserve(now time.Time, size int) time.Time {
 	return l.nextFree
 }
 
-// Backlog reports how far into the future the link is booked.
-func (l *SharedLimiter) Backlog(now time.Time) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.nextFree.Before(now) {
-		return 0
-	}
-	return l.nextFree.Sub(now)
-}
-
 // SendBlocker marks conns whose Send/SendEvents deliberately block the
 // calling goroutine (spin-wait host-cost emulation). The broker drains
 // such conns through a private writer pool of their own instead of a

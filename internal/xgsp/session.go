@@ -163,9 +163,6 @@ func (s *Session) releaseFloor(userID string, media MediaType) bool {
 	return true
 }
 
-// FloorHolder returns the current holder of a media floor ("" if free).
-func (s *Session) FloorHolder(media MediaType) string { return s.floor[media] }
-
 func sortStrings(s []string) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {

@@ -2,7 +2,6 @@ package globalmmcs
 
 import (
 	"context"
-	"encoding/binary"
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/broker"
@@ -90,27 +89,13 @@ const defaultMediaBuffer = 256
 // MediaSubscription is a Stream of one session channel's media packets,
 // returned by Session.Subscribe. The default QoS drops the oldest
 // buffered packet when the consumer lags, matching the broker's
-// best-effort media lane; tune with WithBuffer, WithDropPolicy,
-// WithConflation (keyed by SSRC) and WithLagNotify.
+// best-effort media lane; tune with WithBuffer and WithDropPolicy.
 type MediaSubscription = Stream[*MediaPacket]
 
-// mediaConflationKey keys media conflation by the RTP SSRC, read
-// directly from the wire header so the hot path needs no full parse. A
-// WithConflationKey option overrides it per stream. The key is a bare
-// uint64 so the default conflating path stores it unboxed — no
-// per-packet allocation, unlike an `any`-keyed pending set.
-func mediaConflationKey(p *MediaPacket) (uint64, bool) {
-	pl := p.e.Payload
-	if p.e.Kind != event.KindRTP || len(pl) < rtp.HeaderLen {
-		return 0, false
-	}
-	return uint64(binary.BigEndian.Uint32(pl[8:12])), true
-}
-
-func newMediaSubscription(sub *broker.Subscription, reg *metrics.Registry, name string, opts []StreamOption) *MediaSubscription {
-	return newStream(sub, reg, name, defaultMediaBuffer, func(e *event.Event) (*MediaPacket, bool) {
+func newMediaSubscription(sub *broker.Subscription, reg *metrics.Registry, name string, cfg streamConfig) *MediaSubscription {
+	return newStream(sub, reg, name, cfg, func(e *event.Event) (*MediaPacket, bool) {
 		return &MediaPacket{e: e}, true
-	}, mediaConflationKey, opts)
+	})
 }
 
 // MediaSender paces a media source onto one session channel in real
@@ -217,7 +202,8 @@ type MediaStats struct {
 
 // MediaReceiver consumes media packets and accumulates one-way delay,
 // RFC 3550 jitter and loss statistics — what Figure 3 of the paper
-// plots.
+// plots. It measures packets in arrival order, as the receiver sees
+// them.
 type MediaReceiver struct {
 	r *media.Receiver
 }
@@ -225,37 +211,19 @@ type MediaReceiver struct {
 // NewMediaReceiver creates a measuring receiver for a channel kind
 // (Audio or Video select the matching RTP clock rate).
 func NewMediaReceiver(kind MediaKind) *MediaReceiver {
-	return NewReorderingMediaReceiver(kind, 0)
-}
-
-// NewReorderingMediaReceiver creates a measuring receiver that first
-// re-sequences out-of-order packets through a playout jitter buffer of
-// the given depth (0 disables reordering). Parked packets detach from
-// the broker's receive buffers, so a lossy stream never pins receive
-// chunks while gaps wait to fill. Call Flush when the stream ends to
-// account packets still parked behind gaps that will never fill.
-func NewReorderingMediaReceiver(kind MediaKind, depth int) *MediaReceiver {
 	clockRate := rtp.AudioClockRate
 	if kind == Video {
 		clockRate = rtp.VideoClockRate
 	}
-	return &MediaReceiver{r: media.NewReceiver(media.ReceiverConfig{
-		ClockRate:    clockRate,
-		ReorderDepth: depth,
-	})}
+	return &MediaReceiver{r: media.NewReceiver(media.ReceiverConfig{ClockRate: clockRate})}
 }
 
 // Handle processes one received packet.
 func (r *MediaReceiver) Handle(p *MediaPacket) { r.r.HandleEvent(p.e) }
 
-// Flush drains any packets parked in the reorder buffer into the
-// statistics. No-op for receivers without reordering.
-func (r *MediaReceiver) Flush() { r.r.Flush() }
-
 // Drain consumes packets from sub until the subscription closes or ctx
-// is cancelled, then flushes the reorder buffer.
+// is cancelled.
 func (r *MediaReceiver) Drain(ctx context.Context, sub *MediaSubscription) {
-	defer r.Flush()
 	for {
 		p, err := sub.Recv(ctx)
 		if err != nil {

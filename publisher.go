@@ -1,6 +1,8 @@
 package globalmmcs
 
 import (
+	"fmt"
+
 	"github.com/globalmmcs/globalmmcs/internal/broker"
 	"github.com/globalmmcs/globalmmcs/internal/event"
 )
@@ -21,7 +23,8 @@ func WithReliable() PublishOption {
 
 // WithTTL bounds the broker-hop budget of every published event
 // (default 16). Lower it to keep flooded events local in peer-to-peer
-// broker networks.
+// broker networks. hops must lie in 1..255; Session.Publisher rejects
+// any other value with ErrInvalidRequest.
 func WithTTL(hops int) PublishOption {
 	return func(c *publishConfig) { c.ttl = hops }
 }
@@ -46,22 +49,22 @@ func (s *Session) Publisher(kind MediaKind, opts ...PublishOption) (*Publisher, 
 	if !ok {
 		return nil, tag(ErrNoSuchMedia, errMediaKind(kind))
 	}
-	var cfg publishConfig
+	cfg := publishConfig{ttl: int(event.DefaultTTL)}
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&cfg)
 		}
 	}
-	p := &Publisher{
+	if cfg.ttl < 1 || cfg.ttl > 255 {
+		return nil, tag(ErrInvalidRequest, fmt.Errorf("globalmmcs: TTL %d outside 1..255", cfg.ttl))
+	}
+	return &Publisher{
 		p:        s.c.bc.Publisher(broker.PublisherConfig{}),
 		topic:    stream.Topic,
 		kind:     eventKindOf(kind),
 		reliable: cfg.reliable,
-	}
-	if cfg.ttl > 0 && cfg.ttl <= 255 {
-		p.ttl = uint8(cfg.ttl)
-	}
-	return p, nil
+		ttl:      uint8(cfg.ttl),
+	}, nil
 }
 
 func eventKindOf(kind MediaKind) event.Kind {
@@ -86,15 +89,10 @@ func eventKindOf(kind MediaKind) event.Kind {
 func (p *Publisher) Publish(payload []byte) error {
 	e := event.New(p.topic, p.kind, payload)
 	e.Reliable = p.reliable
-	if p.ttl > 0 {
-		e.TTL = p.ttl
-	}
+	e.TTL = p.ttl
 	return wrapErr(p.p.Publish(e))
 }
 
-// Flush forces any pending batch onto the wire.
-func (p *Publisher) Flush() error { return wrapErr(p.p.Flush()) }
-
-// Close flushes and retires the handle; the client connection stays
-// open. Idempotent.
+// Close retires the handle; the client connection stays open.
+// Idempotent.
 func (p *Publisher) Close() error { return wrapErr(p.p.Close()) }

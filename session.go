@@ -157,11 +157,15 @@ func (s *Session) Send(ctx context.Context, body string) error {
 // Chat joins the session's chat room and streams its messages until
 // the room is closed. Delivery QoS is set with StreamOptions.
 func (s *Session) Chat(ctx context.Context, opts ...StreamOption) (*ChatRoom, error) {
-	sub, err := s.c.chat.JoinRoom(ctx, s.ID(), ringDepth[ChatMessage](defaultChatBuffer, false, opts))
+	cfg, err := resolveStreamConfig(defaultChatBuffer, opts)
+	if err != nil {
+		return nil, err
+	}
+	sub, err := s.c.chat.JoinRoom(ctx, s.ID(), cfg.buffer)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return newChatRoom(sub, s.c.reg, s.streamName("chat"), opts), nil
+	return newChatRoom(sub, s.c.reg, s.streamName("chat"), cfg), nil
 }
 
 // streamName builds the per-stream metrics identity
@@ -181,30 +185,33 @@ func (s *Session) Sender(kind MediaKind) (*MediaSender, error) {
 }
 
 // Subscribe streams the session's media packets on one channel kind.
-// Delivery QoS — buffer depth, drop policy, conflation (keyed by SSRC
-// by default), lag notification — is set with StreamOptions.
+// Delivery QoS — buffer depth, drop policy, replay — is set with
+// StreamOptions.
 func (s *Session) Subscribe(ctx context.Context, kind MediaKind, opts ...StreamOption) (*MediaSubscription, error) {
 	stream, ok := s.stream(kind)
 	if !ok {
 		return nil, tag(ErrNoSuchMedia, errMediaKind(kind))
 	}
-	sub, err := s.subscribeStream(ctx, stream.Topic, ringDepth[*MediaPacket](defaultMediaBuffer, true, opts), opts)
+	cfg, err := resolveStreamConfig(defaultMediaBuffer, opts)
+	if err != nil {
+		return nil, err
+	}
+	sub, err := s.subscribeStream(ctx, stream.Topic, cfg)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return newMediaSubscription(sub, s.c.reg, s.streamName("media."+string(kind)), opts), nil
+	return newMediaSubscription(sub, s.c.reg, s.streamName("media."+string(kind)), cfg), nil
 }
 
-// subscribeStream opens the broker subscription behind a stream, depth
-// deep (see ringDepth), switching to a replay subscription when the
-// options ask for one. Replay requires the node to record exactly the
-// subscribed pattern (see WithRecording).
-func (s *Session) subscribeStream(ctx context.Context, pattern string, depth int, opts []StreamOption) (*broker.Subscription, error) {
-	cfg := resolveStreamConfig(defaultMediaBuffer, opts)
+// subscribeStream opens the broker subscription behind a stream,
+// cfg.buffer deep, switching to a replay subscription when cfg asks for
+// one. Replay requires the node to record exactly the subscribed
+// pattern (see WithRecording).
+func (s *Session) subscribeStream(ctx context.Context, pattern string, cfg streamConfig) (*broker.Subscription, error) {
 	if cfg.replay {
-		return s.c.bc.SubscribeReplay(ctx, pattern, cfg.replayFrom, depth)
+		return s.c.bc.SubscribeReplay(ctx, pattern, cfg.replayFrom, cfg.buffer)
 	}
-	return s.c.bc.SubscribeContext(ctx, pattern, depth)
+	return s.c.bc.SubscribeContext(ctx, pattern, cfg.buffer)
 }
 
 // Events streams every raw broker event published on this session's
@@ -218,12 +225,15 @@ func (s *Session) subscribeStream(ctx context.Context, pattern string, depth int
 // topic pattern ("/xgsp/session/<id>/#" — see WithRecording), and
 // Stream.CaughtUp signals when history is drained.
 func (s *Session) Events(ctx context.Context, opts ...StreamOption) (*Stream[Event], error) {
-	pattern := xgsp.SessionTopic(s.ID(), "#")
-	sub, err := s.subscribeStream(ctx, pattern, ringDepth[Event](defaultMediaBuffer, false, opts), opts)
+	cfg, err := resolveStreamConfig(defaultMediaBuffer, opts)
+	if err != nil {
+		return nil, err
+	}
+	sub, err := s.subscribeStream(ctx, xgsp.SessionTopic(s.ID(), "#"), cfg)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return newStream(sub, s.c.reg, s.streamName("events"), defaultMediaBuffer, rawFromInternal, nil, opts), nil
+	return newStream(sub, s.c.reg, s.streamName("events"), cfg, rawFromInternal), nil
 }
 
 func (s *Session) stream(kind MediaKind) (MediaStream, bool) {

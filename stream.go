@@ -2,6 +2,7 @@ package globalmmcs
 
 import (
 	"context"
+	"fmt"
 	"iter"
 	"sync"
 	"sync/atomic"
@@ -49,9 +50,6 @@ type streamConfig struct {
 	buffer    int
 	policy    DropPolicy
 	policySet bool
-	conflate  bool
-	keyFn     any // func(T) any when set via WithConflationKey[T]
-	lagNotify func(dropped uint64)
 
 	replay     bool
 	replayFrom uint64
@@ -62,15 +60,17 @@ type streamConfig struct {
 // receiver has already taken out to decode) before the drop policy
 // applies; under Block, reliable events may fill it to 2n before the
 // connection stops reading. The buffer is the client-side subscription
-// ring itself, not a queue behind it. Conflating streams and Chan add a
-// channel of the same depth in front of it. n <= 0 keeps the stream's
-// default (64 for chat and presence, 256 for media and raw events).
+// ring itself, not a queue behind it; Chan adds a channel of the same
+// depth in front of it. n <= 0 keeps the stream's default (64 for chat
+// and presence, 256 for media and raw events).
 func WithBuffer(n int) StreamOption {
 	return func(c *streamConfig) { c.buffer = n }
 }
 
 // WithDropPolicy selects the stream's full-buffer policy. The default
-// is DropOldest (Block for replay streams).
+// is DropOldest (Block for replay streams). A value other than the
+// three DropPolicy constants makes the subscribe call fail with
+// ErrInvalidRequest.
 func WithDropPolicy(p DropPolicy) StreamOption {
 	return func(c *streamConfig) { c.policy = p; c.policySet = true }
 }
@@ -94,72 +94,25 @@ func WithReplayFrom(seq uint64) StreamOption {
 	return func(c *streamConfig) { c.replay = true; c.replayFrom = seq }
 }
 
-// WithConflation merges queued events that supersede each other while
-// the consumer lags: for media streams, a newer packet from an SSRC
-// replaces the queued one from the same SSRC, so a slow consumer skips
-// ahead instead of replaying a backlog. Each merge counts as a drop.
-// Conflation is itself a full-buffer policy and takes precedence over
-// WithDropPolicy: merging is inherently lossy, so Block's
-// nothing-dropped guarantee does not compose with it, and events
-// without a conflation key (non-RTP traffic on a media topic) fall
-// back to drop-oldest. Streams whose events carry no conflation key at
-// all (chat, presence, raw events) ignore the option unless a key is
-// supplied with WithConflationKey.
-func WithConflation() StreamOption {
-	return func(c *streamConfig) { c.conflate = true }
-}
-
-// WithConflationKey enables conflation keyed by fn, overriding the
-// stream's built-in key (SSRC for media streams; none elsewhere): while
-// the consumer lags, a newer event replaces the queued event with the
-// same key. This is what generalizes conflation beyond media — e.g. a
-// presence watch keyed by user delivers only each user's latest state
-// to a lagging consumer:
-//
-//	watch, _ := client.WatchPresence(ctx, community,
-//	    globalmmcs.WithConflationKey(func(p globalmmcs.Presence) any { return p.User }))
-//
-// The returned key must be comparable; returning nil exempts that event
-// from conflation (it is delivered drop-oldest). The type parameter
-// must match the stream's event type — a key function of any other type
-// is ignored.
-func WithConflationKey[T any](fn func(T) any) StreamOption {
-	return func(c *streamConfig) {
-		c.conflate = true
-		c.keyFn = fn
-	}
-}
-
-// WithLagNotify registers a callback fired whenever the stream discards
-// or conflates an event, with the cumulative number dropped so far. It
-// runs on the client's read loop (on the stream's own goroutine for a
-// conflating stream), where every stream of that client waits for it:
-// it must not block; hand off to your own goroutine for anything slow.
-func WithLagNotify(fn func(dropped uint64)) StreamOption {
-	return func(c *streamConfig) { c.lagNotify = fn }
-}
-
 // Stream is the uniform subscription handle of the SDK: every
 // subscribe-shaped API (chat rooms, presence watches, media
 // subscriptions, raw session events) returns a Stream of its typed
 // events. Consume with Recv, range over All, or select on Chan; Close
 // releases the subscription and ends delivery. Delivery QoS — buffer
-// depth, full-buffer policy, conflation, lag notification — is set per
-// stream with StreamOptions at creation.
+// depth, full-buffer policy, replay — is set per stream with
+// StreamOptions at creation.
 //
 // A Stream is a typed cursor over its subscription's ring: Recv pops
 // events straight out of the buffer the client's read loop filled, so
-// an open stream costs no goroutine and no channel. Two kinds of
-// stream own a goroutine, one each: a conflating stream (merging has to
-// go on while the consumer is away) and a stream whose Chan has been
-// called (something has to feed the channel). One goroutine at a time
-// may receive from a stream — Recv, All and the first call of Chan share
-// the cursor without a lock; Close and Drops are safe from anywhere.
+// an open stream costs no goroutine and no channel. Only a stream whose
+// Chan has been called owns a goroutine, the one that feeds the
+// channel. One goroutine at a time may receive from a stream — Recv,
+// All and the first call of Chan share the cursor without a lock; Close
+// and Drops are safe from anywhere.
 //
-// Events discarded because the consumer lags are counted (Drops), fire
-// the WithLagNotify callback, and surface as a
-// "stream.<user>.<name>.queue_drops" gauge in the server's metrics
-// registry when the node runs WithMetrics.
+// Events discarded because the consumer lags are counted (Drops) and
+// surface as a "stream.<user>.<name>.queue_drops" gauge in the server's
+// metrics registry when the node runs WithMetrics.
 type Stream[T any] struct {
 	sub    *broker.Subscription
 	decode func(*event.Event) (T, bool)
@@ -171,16 +124,13 @@ type Stream[T any] struct {
 	pos    int
 	buffer int // the resolved WithBuffer
 
-	// ch is nil while the stream is consumed in place. A conflating stream
-	// makes it at open and Chan on first call; from then on Recv reads it.
-	// mu orders the forwarder's start against Close.
+	// ch is nil while the stream is consumed in place. Chan makes it on
+	// first call; from then on Recv reads it. mu orders the forwarder's
+	// start against Close.
 	mu     sync.Mutex
 	ch     chan T
 	closed bool
-	wg     sync.WaitGroup // the stream's one goroutine, if it has one
-
-	pending   conflatePending[T] // non-nil when the stream conflates
-	lagNotify func(uint64)
+	wg     sync.WaitGroup // the Chan forwarder, if there is one
 
 	gauge      *metrics.Gauge
 	unregister func()
@@ -190,94 +140,22 @@ type Stream[T any] struct {
 	closeErr error
 }
 
-// conflatePending is the keyed pending set behind a conflating stream:
-// while the consumer lags, a newer event replaces the queued event with
-// the same key. Two instantiations exist — K = uint64 for the built-in
-// media SSRC key, so the default conflating hot path stores keys
-// unboxed and allocation-free, and K = any for custom WithConflationKey
-// functions.
-type conflatePending[T any] interface {
-	// admit inserts v, merging over a queued value with the same key. It
-	// reports whether v carried a key (unkeyed events bypass conflation)
-	// and whether it superseded a queued value (counted as a drop).
-	admit(v T) (keyed, merged bool)
-	empty() bool
-	head() T
-	pop()
-}
-
-type pendingSet[T any, K comparable] struct {
-	keyOf func(T) (K, bool)
-	order []K
-	vals  map[K]T
-}
-
-func newPendingSet[T any, K comparable](keyOf func(T) (K, bool)) *pendingSet[T, K] {
-	return &pendingSet[T, K]{keyOf: keyOf, vals: make(map[K]T)}
-}
-
-func (p *pendingSet[T, K]) admit(v T) (keyed, merged bool) {
-	k, ok := p.keyOf(v)
-	if !ok {
-		return false, false
-	}
-	if _, exists := p.vals[k]; exists {
-		p.vals[k] = v
-		return true, true
-	}
-	p.vals[k] = v
-	p.order = append(p.order, k)
-	return true, false
-}
-
-func (p *pendingSet[T, K]) empty() bool { return len(p.order) == 0 }
-func (p *pendingSet[T, K]) head() T     { return p.vals[p.order[0]] }
-func (p *pendingSet[T, K]) pop() {
-	delete(p.vals, p.order[0])
-	p.order = p.order[1:]
-}
-
-// newStream opens a typed stream over a broker subscription. decode
-// maps wire events to T (false skips malformed events); builtinKey, when
-// non-nil, supplies the stream's built-in conflation key (the media
-// SSRC — a uint64, kept unboxed on the conflating fast path), used when
-// WithConflation is set without a custom WithConflationKey of the
-// matching type. reg/name register the per-stream drop gauge when the
-// node has a registry. sub must have been sized with ringDepth for the
-// same T, builtinKey and opts.
-func newStream[T any](sub *broker.Subscription, reg *metrics.Registry, name string, defaultBuffer int, decode func(*event.Event) (T, bool), builtinKey func(T) (uint64, bool), opts []StreamOption) *Stream[T] {
-	cfg := resolveStreamConfig(defaultBuffer, opts)
-	if cfg.replay && !cfg.policySet {
-		// History must survive a lagging consumer: backpressure the
-		// broker's replay pump instead of dropping.
-		cfg.policy = Block
-	}
+// newStream opens a typed stream over a broker subscription that was
+// sized with cfg.buffer. decode maps wire events to T (false skips
+// malformed events); reg/name register the per-stream drop gauge when
+// the node has a registry.
+func newStream[T any](sub *broker.Subscription, reg *metrics.Registry, name string, cfg streamConfig, decode func(*event.Event) (T, bool)) *Stream[T] {
 	s := &Stream[T]{
-		sub:       sub,
-		decode:    decode,
-		buffer:    cfg.buffer,
-		lagNotify: cfg.lagNotify,
+		sub:    sub,
+		decode: decode,
+		buf:    make([]*event.Event, 0, min(cfg.buffer, streamDrainBurst)),
+		buffer: cfg.buffer,
 	}
 	if reg != nil && name != "" {
 		gname := "stream." + name + ".queue_drops"
 		s.gauge = reg.Gauge(gname)
 		s.unregister = acquireGauge(reg, gname)
 	}
-	if conflates[T](&cfg, builtinKey != nil) {
-		if fn, ok := cfg.keyFn.(func(T) any); ok {
-			s.pending = newPendingSet[T, any](func(v T) (any, bool) {
-				k := fn(v)
-				return k, k != nil
-			})
-		} else {
-			s.pending = newPendingSet[T, uint64](builtinKey)
-		}
-		s.ch = make(chan T, cfg.buffer) // the consumer-facing WithBuffer; the ring behind it is intake
-		s.wg.Add(1)
-		go s.pumpConflating()
-		return s
-	}
-	s.buf = make([]*event.Event, 0, min(cfg.buffer, streamDrainBurst))
 	switch cfg.policy {
 	case DropOldest:
 		sub.SetOverflow(broker.OverflowDropOldest, s.noteDrops)
@@ -285,35 +163,6 @@ func newStream[T any](sub *broker.Subscription, reg *metrics.Registry, name stri
 		sub.SetOverflow(broker.OverflowDropNewest, s.noteDrops)
 	}
 	return s
-}
-
-// conflates reports whether a stream of T opened with cfg merges queued
-// events: conflation was asked for and there is a key to merge by, a
-// custom one of the matching type or the stream's built-in one.
-func conflates[T any](cfg *streamConfig, builtinKey bool) bool {
-	if !cfg.conflate {
-		return false
-	}
-	_, custom := cfg.keyFn.(func(T) any)
-	return custom || builtinKey
-}
-
-// conflateIntake is the least ring a conflating stream gets. Its pump
-// empties the ring into the keyed pending set, where a lagging
-// consumer's backlog collapses; a ring as small as WithBuffer(1) would
-// instead shed a burst, last-update-per-key included, before the pump
-// saw it.
-const conflateIntake = 64
-
-// ringDepth sizes the broker subscription behind a stream of T: exactly
-// the stream's buffer, because the ring is that buffer — except under a
-// conflating stream (see conflateIntake).
-func ringDepth[T any](defaultBuffer int, builtinKey bool, opts []StreamOption) int {
-	cfg := resolveStreamConfig(defaultBuffer, opts)
-	if conflates[T](&cfg, builtinKey) && cfg.buffer < conflateIntake {
-		return conflateIntake
-	}
-	return cfg.buffer
 }
 
 // gaugeRefs refcounts per-stream gauges across streams that resolve to
@@ -356,8 +205,9 @@ func acquireGauge(reg *metrics.Registry, name string) func() {
 	}
 }
 
-// resolveStreamConfig folds the options over the defaults.
-func resolveStreamConfig(defaultBuffer int, opts []StreamOption) streamConfig {
+// resolveStreamConfig folds the options over the defaults, once per
+// subscribe call, before anything is subscribed.
+func resolveStreamConfig(defaultBuffer int, opts []StreamOption) (streamConfig, error) {
 	cfg := streamConfig{buffer: defaultBuffer, policy: DropOldest}
 	for _, opt := range opts {
 		if opt != nil {
@@ -367,7 +217,15 @@ func resolveStreamConfig(defaultBuffer int, opts []StreamOption) streamConfig {
 	if cfg.buffer <= 0 {
 		cfg.buffer = defaultBuffer
 	}
-	return cfg
+	if cfg.replay && !cfg.policySet {
+		// History must survive a lagging consumer: backpressure the
+		// broker's replay pump instead of dropping.
+		cfg.policy = Block
+	}
+	if cfg.policy < DropOldest || cfg.policy > Block {
+		return cfg, tag(ErrInvalidRequest, fmt.Errorf("globalmmcs: undefined drop policy %d", cfg.policy))
+	}
+	return cfg, nil
 }
 
 // streamDrainBurst bounds how many events a receiver pops from the ring
@@ -480,8 +338,7 @@ func (s *Stream[T]) All(ctx context.Context) iter.Seq2[T, error] {
 // stream's one goroutine, which moves events from the buffer into a
 // channel as deep as WithBuffer — so the stream then holds up to twice
 // WithBuffer before the drop policy applies — and every later Recv
-// reads that channel. Nothing is lost or repeated across the switch. A
-// conflating stream has had its channel since it was opened.
+// reads that channel. Nothing is lost or repeated across the switch.
 func (s *Stream[T]) Chan() <-chan T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -544,10 +401,10 @@ func (s *Stream[T]) forward() {
 // streams it returns nil (a nil channel never becomes ready).
 func (s *Stream[T]) CaughtUp() <-chan struct{} { return s.sub.CaughtUp() }
 
-// Drops reports how many events this stream discarded or conflated
-// locally because the consumer lagged. (The broker additionally sheds
-// best-effort traffic upstream under overload; see the broker
-// queue_drops counters.)
+// Drops reports how many events this stream discarded locally because
+// the consumer lagged. (The broker additionally sheds best-effort
+// traffic upstream under overload; see the broker queue_drops
+// counters.)
 func (s *Stream[T]) Drops() uint64 { return s.drops.Load() }
 
 // Close cancels the subscription; a Recv blocked on the stream returns,
@@ -569,117 +426,11 @@ func (s *Stream[T]) Close() error {
 }
 
 // noteDrops counts n discarded events and publishes the new total. It is
-// the subscription's drop hook (called on the client's read loop) and
-// the conflating pump's own accounting.
+// the subscription's drop hook, called on the client's read loop.
 func (s *Stream[T]) noteDrops(n uint64) {
 	total := s.drops.Add(n)
 	if s.gauge != nil {
 		s.gauge.Set(int64(total))
-	}
-	if s.lagNotify != nil {
-		s.lagNotify(total)
-	}
-}
-
-// sendDropOldest puts v on the conflating stream's channel without ever
-// blocking, displacing the oldest buffered event when full; every
-// displacement is counted and reported.
-func (s *Stream[T]) sendDropOldest(v T) {
-	for {
-		select {
-		case s.ch <- v:
-			return
-		default:
-		}
-		select {
-		case <-s.ch:
-			s.noteDrops(1)
-		default:
-		}
-	}
-}
-
-// pumpConflating drains the subscription ring eagerly into the keyed
-// pending set: while the consumer lags, a newer event replaces the
-// queued event with the same key instead of queueing behind it. Pending
-// events feed the delivery channel in arrival order of their keys.
-// Unkeyed events bypass conflation and are delivered drop-oldest.
-func (s *Stream[T]) pumpConflating() {
-	defer s.wg.Done()
-	defer close(s.ch)
-	buf := make([]*event.Event, 0, streamDrainBurst)
-	admit := func(events []*event.Event) {
-		for _, e := range events {
-			v, ok := s.decode(e)
-			if !ok {
-				continue
-			}
-			keyed, merged := s.pending.admit(v)
-			switch {
-			case !keyed:
-				s.sendDropOldest(v)
-			case merged:
-				s.noteDrops(1) // conflated: the queued event was superseded
-			}
-		}
-	}
-	// handover delivers everything pending without blocking, for when
-	// the input has ended (the consumer may be gone).
-	handover := func() {
-		for !s.pending.empty() {
-			s.sendDropOldest(s.pending.head())
-			s.pending.pop()
-		}
-	}
-
-	for {
-		if s.pending.empty() {
-			var ok bool
-			buf, ok = s.sub.RecvBatch(buf[:0], streamDrainBurst)
-			admit(buf)
-			clear(buf)
-			if !ok {
-				handover()
-				return
-			}
-			continue
-		}
-		// Pending events exist: drain whatever already arrived (one ring
-		// lock for the run) and push pending heads while the consumer
-		// keeps up, then block multiplexing input against delivery.
-		var ok bool
-		buf, ok = s.sub.TryRecvBatch(buf[:0], streamDrainBurst)
-		got := len(buf)
-		admit(buf)
-		clear(buf)
-		if !ok {
-			handover()
-			return
-		}
-		progressed := false
-		for !s.pending.empty() {
-			select {
-			case s.ch <- s.pending.head():
-				s.pending.pop()
-				progressed = true
-				continue
-			default:
-			}
-			break
-		}
-		if got > 0 || progressed {
-			continue
-		}
-		select {
-		case s.ch <- s.pending.head():
-			s.pending.pop()
-		case <-s.sub.Wake():
-			// More input may be buffered; the next TryRecvBatch re-arms
-			// the token if it leaves events behind.
-		case <-s.sub.Done():
-			// Closed: the next TryRecvBatch reports it once the ring is
-			// empty, and what is pending is handed over.
-		}
 	}
 }
 

@@ -1,19 +1,20 @@
 // Black-box tests of the unified Stream/Publisher surface: delivery
-// QoS (drop policies, conflation, lag observability), Recv context
-// handling, iterator termination, and the deprecated shims.
+// QoS (drop policies, drop observability), Recv context handling and
+// iterator termination.
 package globalmmcs_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"regexp"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/globalmmcs/globalmmcs"
+	"github.com/globalmmcs/globalmmcs/internal/testutil"
 )
 
 // chatFixture starts a node, creates a session alice and bob both join,
@@ -126,20 +127,13 @@ func TestStreamBlock(t *testing.T) {
 }
 
 // TestStreamLagNotifyAndGauge is the pumpSend silent-loss regression:
-// full-buffer drops must fire the WithLagNotify callback with the
-// cumulative count AND surface as a per-stream queue_drops gauge in the
-// node's registry — and the gauge must unregister on Close.
+// full-buffer drops must surface as a per-stream queue_drops gauge in
+// the node's registry — and the gauge must unregister on Close.
 func TestStreamLagNotifyAndGauge(t *testing.T) {
 	m := globalmmcs.NewMetrics()
-	var lastLag atomic.Uint64
-	session, room := chatFixture(t, m,
-		globalmmcs.WithBuffer(1),
-		globalmmcs.WithLagNotify(func(dropped uint64) { lastLag.Store(dropped) }))
+	session, room := chatFixture(t, m, globalmmcs.WithBuffer(1))
 	sendN(t, session, 5)
 	waitDrops(t, room, 4)
-	if got := lastLag.Load(); got != 4 {
-		t.Fatalf("lag notify saw %d, want 4", got)
-	}
 	gauge := regexp.MustCompile(`gauge\s+stream\.bob\.chat\.\S+\.queue_drops\s+4\b`)
 	if report := m.Report(); !gauge.MatchString(report) {
 		t.Fatalf("queue_drops gauge missing from report:\n%s", report)
@@ -166,84 +160,13 @@ func TestStreamLagNotifyAndGauge(t *testing.T) {
 	}
 }
 
-// TestStreamConflation: a slow consumer of a media stream with SSRC
-// conflation skips ahead — it sees the final packet without wading
-// through the backlog, and the merges are counted as drops.
-func TestStreamConflation(t *testing.T) {
-	ctx := context.Background()
-	srv := startNode(t)
-	alice := newClient(t, srv, "alice")
-	session, err := alice.CreateSession(ctx, "conflate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := session.Subscribe(ctx, globalmmcs.Audio,
-		globalmmcs.WithBuffer(1), globalmmcs.WithConflation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	pub, err := session.Publisher(globalmmcs.Audio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := globalmmcs.NewAudioSource(globalmmcs.AudioConfig{SSRC: 7})
-	const total = 40
-	var lastSeq uint16
-	for i := 0; i < total; i++ {
-		raw, err := src.NextPacket()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := globalmmcs.ParseRTP(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastSeq = p.SequenceNumber
-		if err := pub.Publish(raw); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	recvCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	received := 0
-	for {
-		pkt, err := sub.Recv(recvCtx)
-		if err != nil {
-			t.Fatalf("final packet never arrived after %d receives: %v", received, err)
-		}
-		received++
-		p, err := pkt.RTP()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.SSRC != 7 {
-			t.Fatalf("ssrc = %d", p.SSRC)
-		}
-		if p.SequenceNumber == lastSeq {
-			break
-		}
-	}
-	if received == total {
-		t.Fatalf("conflation delivered all %d packets to a slow consumer", total)
-	}
-	if sub.Drops() == 0 {
-		t.Fatal("conflation merges not counted as drops")
-	}
-}
-
 // TestStreamDropTotalsUnderOverload: the batched pump's drop accounting
 // is exact under sustained overload — flooding through a 1-deep buffer
-// in chunks, the cumulative Drops() and the lag-notify value equal the
-// pre-refactor per-event totals (everything sent minus the one buffered
-// survivor), and the survivor is always the newest message.
+// in chunks, the cumulative Drops() equals the pre-refactor per-event
+// total (everything sent minus the one buffered survivor), and the
+// survivor is always the newest message.
 func TestStreamDropTotalsUnderOverload(t *testing.T) {
-	var lastLag atomic.Uint64
-	session, room := chatFixture(t, nil,
-		globalmmcs.WithBuffer(1),
-		globalmmcs.WithLagNotify(func(dropped uint64) { lastLag.Store(dropped) }))
+	session, room := chatFixture(t, nil, globalmmcs.WithBuffer(1))
 
 	const chunks, chunkSize = 3, 32
 	sent := 0
@@ -261,9 +184,6 @@ func TestStreamDropTotalsUnderOverload(t *testing.T) {
 		if got := room.Drops(); got != uint64(sent-1) {
 			t.Fatalf("after %d sent: drops = %d, want %d", sent, got, sent-1)
 		}
-	}
-	if got := lastLag.Load(); got != uint64(sent-1) {
-		t.Fatalf("lag notify saw %d, want %d", got, sent-1)
 	}
 	msg, err := room.Recv(context.Background())
 	if err != nil {
@@ -349,8 +269,8 @@ func TestStreamIteratorYieldsContextError(t *testing.T) {
 }
 
 // TestPublisherBatchingFacade: a publisher over the in-process transport
-// delivers every event, and Flush and Close succeed on it — asserted end
-// to end through a subscribed stream.
+// delivers every event, and Close succeeds on it — asserted end to end
+// through a subscribed stream.
 func TestPublisherBatchingFacade(t *testing.T) {
 	ctx := context.Background()
 	srv := startNode(t)
@@ -378,9 +298,6 @@ func TestPublisherBatchingFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := pub.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	recvCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	for i := 0; i < 10; i++ {
@@ -393,68 +310,45 @@ func TestPublisherBatchingFacade(t *testing.T) {
 	}
 }
 
-// TestConflationKeyPresence: WithConflationKey generalizes conflation
-// beyond media — a presence watch keyed by user delivers only each
-// user's latest state to a lagging consumer, with the merges counted as
-// drops.
-func TestConflationKeyPresence(t *testing.T) {
+// TestOutOfRangeOptionsRejected: an option value outside its range is
+// refused with ErrInvalidRequest before anything is subscribed or
+// opened, instead of silently becoming a default — a TTL outside
+// 1..255 at Session.Publisher, an undefined DropPolicy at every
+// subscribe-shaped entry point — and the refused call leaks nothing.
+func TestOutOfRangeOptionsRejected(t *testing.T) {
 	ctx := context.Background()
 	srv := startNode(t)
-	watcher := newClient(t, srv, "watcher")
 	alice := newClient(t, srv, "alice")
-	bob := newClient(t, srv, "bob")
-
-	watch, err := watcher.WatchPresence(ctx, "conf-room",
-		globalmmcs.WithBuffer(1),
-		globalmmcs.WithConflationKey(func(p globalmmcs.Presence) any { return p.User }))
+	session, err := alice.CreateSession(ctx, "ranges")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer watch.Close()
-
-	// Flood updates for two users while the watcher reads nothing: the
-	// keyed pending set must collapse each user's backlog to one entry.
-	const updates = 10
-	for i := 0; i < updates; i++ {
-		status := globalmmcs.StatusOnline
-		if i == updates-1 {
-			status = globalmmcs.StatusBusy
-		}
-		if err := alice.SetPresence(ctx, "conf-room", status, "a"); err != nil {
-			t.Fatal(err)
-		}
-		status = globalmmcs.StatusOnline
-		if i == updates-1 {
-			status = globalmmcs.StatusAway
-		}
-		if err := bob.SetPresence(ctx, "conf-room", status, "b"); err != nil {
-			t.Fatal(err)
-		}
+	undefined := globalmmcs.WithDropPolicy(globalmmcs.DropPolicy(9))
+	for name, open := range map[string]func() (io.Closer, error){
+		"Publisher TTL 0":   func() (io.Closer, error) { return session.Publisher(globalmmcs.Audio, globalmmcs.WithTTL(0)) },
+		"Publisher TTL 256": func() (io.Closer, error) { return session.Publisher(globalmmcs.Audio, globalmmcs.WithTTL(256)) },
+		"Chat":              func() (io.Closer, error) { return session.Chat(ctx, undefined) },
+		"Subscribe":         func() (io.Closer, error) { return session.Subscribe(ctx, globalmmcs.Audio, undefined) },
+		"Events":            func() (io.Closer, error) { return session.Events(ctx, undefined) },
+		"WatchPresence":     func() (io.Closer, error) { return alice.WatchPresence(ctx, "ranges", undefined) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			c, err := open()
+			if err == nil {
+				c.Close()
+			}
+			if !errors.Is(err, globalmmcs.ErrInvalidRequest) {
+				t.Fatalf("err = %v, want ErrInvalidRequest", err)
+			}
+		})
 	}
-
-	// Wait until the pump has conflated a meaningful share of the flood.
-	deadline := time.Now().Add(5 * time.Second)
-	for watch.Drops() < updates && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if watch.Drops() < updates {
-		t.Fatalf("only %d conflation drops for %d superseded updates", watch.Drops(), 2*updates-4)
-	}
-
-	// Drain: the last state seen per user must be the final one.
-	last := make(map[string]globalmmcs.PresenceStatus)
-	received := 0
-	recvCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	for len(last) < 2 || last["alice"] != globalmmcs.StatusBusy || last["bob"] != globalmmcs.StatusAway {
-		p, err := watch.Recv(recvCtx)
+	// The bounds themselves are accepted.
+	for _, hops := range []int{1, 255} {
+		pub, err := session.Publisher(globalmmcs.Audio, globalmmcs.WithTTL(hops))
 		if err != nil {
-			t.Fatalf("final states never arrived (saw %v after %d events): %v", last, received, err)
+			t.Fatalf("WithTTL(%d): %v", hops, err)
 		}
-		last[p.User] = p.Status
-		received++
-	}
-	if received >= 2*updates {
-		t.Fatalf("received %d of %d published updates; conflation delivered no win", received, 2*updates)
+		pub.Close()
 	}
 }
