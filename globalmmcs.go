@@ -335,9 +335,14 @@ func (s *Server) Stop() {
 // Server, not its Broker.
 func (s *Server) Broker() *Broker { return s.node }
 
+// readyPoll is how often WaitReady retries the web listener.
+const readyPoll = 10 * time.Millisecond
+
 // WaitReady blocks until the node answers on its web listener, bounded
 // by ctx — the replacement for the startup sleeps examples used to need.
 func (s *Server) WaitReady(ctx context.Context) error {
+	poll := time.NewTimer(readyPoll)
+	defer poll.Stop()
 	for {
 		if err := ctx.Err(); err != nil {
 			return wrapErr(err)
@@ -347,10 +352,11 @@ func (s *Server) WaitReady(ctx context.Context) error {
 			conn.Close()
 			return nil
 		}
+		poll.Reset(readyPoll)
 		select {
 		case <-ctx.Done():
 			return wrapErr(ctx.Err())
-		case <-time.After(10 * time.Millisecond):
+		case <-poll.C:
 		}
 	}
 }

@@ -14,6 +14,13 @@ import (
 	"github.com/globalmmcs/globalmmcs/internal/xgsp"
 )
 
+// The rendezvous registration probe is retried probeAttempts times,
+// probeRetry apart, before the bridge gives up.
+const (
+	probeAttempts = 20
+	probeRetry    = 100 * time.Millisecond
+)
+
 // Bridge connects one Global-MMCS session to one Admire conference: it
 // asks the Admire web service for the rendezvous point, then runs an RTP
 // agent that relays session topics ↔ rendezvous UDP. Inbound packets are
@@ -96,16 +103,20 @@ func NewBridge(bc *broker.Client, session *xgsp.SessionInfo, confID string, admi
 	return b, nil
 }
 
-// probeRendezvous retries the registration probe until acknowledged.
+// probeRendezvous retries the registration probe until acknowledged,
+// probeAttempts times probeRetry apart.
 func (b *Bridge) probeRendezvous() error {
-	for range 20 {
+	retry := time.NewTimer(probeRetry)
+	defer retry.Stop()
+	for range probeAttempts {
 		if _, err := b.pc.WriteTo(probeMagic, b.rendAddr); err != nil {
 			return fmt.Errorf("admire: probing rendezvous: %w", err)
 		}
+		retry.Reset(probeRetry)
 		select {
 		case <-b.probeAck:
 			return nil
-		case <-time.After(100 * time.Millisecond):
+		case <-retry.C:
 		}
 	}
 	return fmt.Errorf("admire: rendezvous %s never acknowledged probe", b.rendAddr)

@@ -102,7 +102,7 @@ type Config struct {
 	Metrics *metrics.Registry
 
 	// reliableWindow bounds unacked reliable events per session before the
-	// broker disconnects the laggard. Default 4096.
+	// broker disconnects the laggard. Default defaultReliableWindow.
 	reliableWindow int
 	// retransmitInterval is the reliable-delivery RTO. Default 200ms.
 	retransmitInterval time.Duration
@@ -143,7 +143,7 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	if c.reliableWindow <= 0 {
-		c.reliableWindow = 4096
+		c.reliableWindow = defaultReliableWindow
 	}
 	if c.retransmitInterval <= 0 {
 		c.retransmitInterval = 200 * time.Millisecond

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/event"
+	"github.com/globalmmcs/globalmmcs/internal/testutil"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 )
 
@@ -372,6 +373,35 @@ func TestHandleAckFloor(t *testing.T) {
 	s.handleAck(11)
 	if s.unackedLen() != 0 {
 		t.Fatalf("post-floor ack failed: %d", s.unackedLen())
+	}
+}
+
+// TestReliableSendAckAllocs gates one framed reliable round trip: a
+// sendReliable, the writer's pop and the cumulative ack that releases
+// it cost the encoded frame's buffer and its Frame, and nothing for the
+// window slot, the send-order slot or the queue slot, which are reused
+// once the rings have grown.
+func TestReliableSendAckAllocs(t *testing.T) {
+	testutil.SkipAllocGateUnderRace(t)
+	b := New(Config{ID: "rel-allocs"})
+	defer b.Stop()
+	s := newSession(b, newCaptureConn(), "rel-allocs-sub", false)
+	if !s.framed {
+		t.Fatal("setup: capture conn session is not framed")
+	}
+	e := event.New("/rel/allocs", event.KindControl, []byte("payload"))
+	e.Reliable = true
+	buf := make([]outItem, 0, 1)
+	got := testing.AllocsPerRun(100, func() {
+		s.sendReliable(e)
+		var st popState
+		if buf, st = s.queue.popBatch(buf[:0], 1); st != popOK {
+			t.Fatal("reliable item not queued")
+		}
+		s.handleAck(s.nextRSeq)
+	})
+	if got > 2 {
+		t.Fatalf("one reliable send/ack cycle allocated %.0f times, want <= 2 (buffer, Frame)", got)
 	}
 }
 

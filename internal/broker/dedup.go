@@ -66,8 +66,7 @@ type dedupShard struct {
 	// maps sized to capacity up front are megabytes of pointer-dense
 	// buckets for every GC cycle to mark.
 	sources map[string]*sourceWindow
-	fifo    []dedupRef
-	head    int
+	fifo    ring[dedupRef]
 }
 
 // sourceWindow is one source's replay window: a circular bitmap over
@@ -164,7 +163,7 @@ func (d *dedupCache) seen(k event.Key) bool {
 		sh.sources = make(map[string]*sourceWindow)
 	}
 	sh.sources[k.Source] = w
-	sh.fifo = append(sh.fifo, dedupRef{src: k.Source, stamp: sh.stamp})
+	sh.fifo.push(dedupRef{src: k.Source, stamp: sh.stamp})
 	sh.stamp++
 	return false
 }
@@ -172,19 +171,18 @@ func (d *dedupCache) seen(k event.Key) bool {
 // evictOneLocked removes the oldest still-live source in FIFO order,
 // skipping refs orphaned by sweepIdle pruning. Callers hold sh.mu.
 func (sh *dedupShard) evictOneLocked() {
-	for sh.head < len(sh.fifo) {
-		ref := sh.fifo[sh.head]
-		sh.fifo[sh.head] = dedupRef{}
-		sh.head++
-		if sh.head == len(sh.fifo) {
-			sh.fifo = sh.fifo[:0]
-			sh.head = 0
-		}
-		if w, ok := sh.sources[ref.src]; ok && w.stamp == ref.stamp {
+	for sh.fifo.len() > 0 {
+		if ref := sh.fifo.pop(); sh.live(ref) {
 			delete(sh.sources, ref.src)
 			return
 		}
 	}
+}
+
+// live reports whether ref still names the window it was queued for.
+func (sh *dedupShard) live(ref dedupRef) bool {
+	w, ok := sh.sources[ref.src]
+	return ok && w.stamp == ref.stamp
 }
 
 // sweepIdle advances the cache generation and prunes every source not
@@ -205,21 +203,15 @@ func (d *dedupCache) sweepIdle(gens int) int {
 				removed = true
 			}
 		}
-		if removed || sh.head > 0 {
+		if removed {
 			// Compact the FIFO in place, dropping refs whose window was
-			// pruned (or superseded) so stale strings don't accumulate
-			// between evictions.
-			kept := sh.fifo[:0]
-			for _, ref := range sh.fifo[sh.head:] {
-				if w, ok := sh.sources[ref.src]; ok && w.stamp == ref.stamp {
-					kept = append(kept, ref)
+			// pruned so stale strings don't accumulate between evictions:
+			// one lap pops every ref and re-pushes the live ones, in order.
+			for range sh.fifo.len() {
+				if ref := sh.fifo.pop(); sh.live(ref) {
+					sh.fifo.push(ref)
 				}
 			}
-			for j := len(kept); j < len(sh.fifo); j++ {
-				sh.fifo[j] = dedupRef{}
-			}
-			sh.fifo = kept
-			sh.head = 0
 		}
 		sh.mu.Unlock()
 	}

@@ -134,34 +134,3 @@ func TestPublisherMemFallback(t *testing.T) {
 		t.Fatalf("publish after close = %v", err)
 	}
 }
-
-// TestSeqRingOrder exercises the retransmit ring: FIFO order, lazy
-// reaping interleave, growth across wraparound.
-func TestSeqRingOrder(t *testing.T) {
-	var r seqRing
-	if _, ok := r.peek(); ok {
-		t.Fatal("empty ring peeked a value")
-	}
-	for i := uint64(1); i <= 40; i++ {
-		r.push(i)
-	}
-	for i := uint64(1); i <= 20; i++ {
-		v, ok := r.pop()
-		if !ok || v != i {
-			t.Fatalf("pop = %d,%v want %d", v, ok, i)
-		}
-	}
-	// Wrap: push more than the freed space to force growth mid-ring.
-	for i := uint64(41); i <= 100; i++ {
-		r.push(i)
-	}
-	for i := uint64(21); i <= 100; i++ {
-		v, ok := r.pop()
-		if !ok || v != i {
-			t.Fatalf("pop = %d,%v want %d", v, ok, i)
-		}
-	}
-	if _, ok := r.pop(); ok {
-		t.Fatal("drained ring popped a value")
-	}
-}

@@ -46,15 +46,12 @@ const (
 // and the close signal the session's writer pool through onSignal, and
 // the pool drains it.
 type sendQueue struct {
-	mu      sync.Mutex
-	rel     []outItem // ring storage, doubled when full
-	relHead int
-	relLen  int
-	be      []outItem // ring storage
-	beHead  int
-	beLen   int
-	closed  bool
-	drops   uint64
+	mu     sync.Mutex
+	rel    ring[outItem]
+	be     ring[outItem]
+	beMax  int // best-effort lane bound
+	closed bool
+	drops  uint64
 
 	// The pending-cumulative ack slot: the reverse path of hop-by-hop
 	// reliability queues at most one ack here, and later acks overwrite
@@ -103,7 +100,7 @@ func newSendQueue(bestEffortDepth int) *sendQueue {
 	if bestEffortDepth <= 0 {
 		bestEffortDepth = 1
 	}
-	return &sendQueue{be: make([]outItem, bestEffortDepth)}
+	return &sendQueue{beMax: bestEffortDepth}
 }
 
 func (q *sendQueue) signal() {
@@ -132,19 +129,15 @@ func (q *sendQueue) pushBestEffort(e *event.Event, frame *event.Frame) bool {
 // displacing the oldest entry when full. It reports whether an entry was
 // dropped. Callers hold q.mu.
 func (q *sendQueue) appendBestEffortLocked(it outItem) (dropped bool) {
-	if q.beLen == len(q.be) {
+	if q.be.len() == q.beMax {
 		// Drop oldest.
-		if old := q.be[q.beHead]; old.e != nil && !isControlTopic(old.e.Topic) {
+		if old := q.be.pop(); old.e != nil && !isControlTopic(old.e.Topic) {
 			q.beDataEvicted.Add(1)
 		}
-		q.be[q.beHead] = outItem{}
-		q.beHead = (q.beHead + 1) % len(q.be)
-		q.beLen--
 		q.drops++
 		dropped = true
 	}
-	q.be[(q.beHead+q.beLen)%len(q.be)] = it
-	q.beLen++
+	q.be.push(it)
 	return dropped
 }
 
@@ -242,33 +235,9 @@ func (q *sendQueue) pushItem(it outItem) {
 		q.mu.Unlock()
 		return
 	}
-	q.appendReliableLocked(it)
+	q.rel.push(it)
 	q.mu.Unlock()
 	q.signal()
-}
-
-// appendReliableLocked inserts one item at the tail of the reliable
-// ring, doubling the storage when it is full: the lane is never shed,
-// and the reliable window bounds how far it grows. Callers hold q.mu.
-func (q *sendQueue) appendReliableLocked(it outItem) {
-	if q.relLen == len(q.rel) {
-		grown := make([]outItem, max(8, 2*len(q.rel)))
-		n := copy(grown, q.rel[q.relHead:])
-		copy(grown[n:], q.rel[:q.relHead])
-		q.rel, q.relHead = grown, 0
-	}
-	q.rel[(q.relHead+q.relLen)%len(q.rel)] = it
-	q.relLen++
-}
-
-// popReliableLocked removes the head of the reliable ring. Callers hold
-// q.mu and have checked q.relLen > 0.
-func (q *sendQueue) popReliableLocked() outItem {
-	it := q.rel[q.relHead]
-	q.rel[q.relHead] = outItem{}
-	q.relHead = (q.relHead + 1) % len(q.rel)
-	q.relLen--
-	return it
 }
 
 // popBatch appends up to max queued items to buf under one lock
@@ -287,15 +256,12 @@ func (q *sendQueue) popBatch(buf []outItem, max int) ([]outItem, popState) {
 		buf = append(buf, q.takeCreditLocked())
 		n++
 	}
-	for n < max && q.relLen > 0 {
-		buf = append(buf, q.popReliableLocked())
+	for n < max && q.rel.len() > 0 {
+		buf = append(buf, q.rel.pop())
 		n++
 	}
-	for n < max && q.beLen > 0 {
-		buf = append(buf, q.be[q.beHead])
-		q.be[q.beHead] = outItem{}
-		q.beHead = (q.beHead + 1) % len(q.be)
-		q.beLen--
+	for n < max && q.be.len() > 0 {
+		buf = append(buf, q.be.pop())
 		n++
 	}
 	if n > 0 {
@@ -348,5 +314,5 @@ func (q *sendQueue) dataEvictedCount() uint64 { return q.beDataEvicted.Load() }
 func (q *sendQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.relLen + q.beLen
+	return q.rel.len() + q.be.len()
 }

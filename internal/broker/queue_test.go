@@ -161,6 +161,41 @@ func TestSendQueueConcurrentProducersConsumer(t *testing.T) {
 	}
 }
 
+// BenchmarkSendQueue is the send queue's rung of the benchmark ladder,
+// one sub-benchmark per lane. best-effort: a 256- and a 128-item burst
+// into the default 512-deep lane, drained by two maxBurst popBatch
+// calls, so successive ops wrap the ring. reliable: 64 pushItem calls
+// drained by one popBatch.
+func BenchmarkSendQueue(b *testing.B) {
+	b.Run("best-effort", func(b *testing.B) {
+		q := newSendQueue(512)
+		items := make([]outItem, 256)
+		for i := range items {
+			items[i] = outItem{e: burstEvent(uint64(i+1), "/be/bench")}
+		}
+		buf := make([]outItem, 0, maxBurst)
+		b.ReportAllocs()
+		for b.Loop() {
+			q.pushBatch(items)
+			q.pushBatch(items[:128])
+			buf, _ = q.popBatch(buf[:0], maxBurst)
+			buf, _ = q.popBatch(buf[:0], maxBurst)
+		}
+	})
+	b.Run("reliable", func(b *testing.B) {
+		q := newSendQueue(512)
+		it := outItem{e: burstEvent(1, "/rel/bench"), reliable: true}
+		buf := make([]outItem, 0, 64)
+		b.ReportAllocs()
+		for b.Loop() {
+			for range 64 {
+				q.pushItem(it)
+			}
+			buf, _ = q.popBatch(buf[:0], 64)
+		}
+	})
+}
+
 func TestDedupCache(t *testing.T) {
 	d := newDedupCache(3)
 	k := func(s string, i uint64) event.Key { return event.Key{Source: s, ID: i} }

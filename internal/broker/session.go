@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,64 +9,6 @@ import (
 	"github.com/globalmmcs/globalmmcs/internal/metrics"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 )
-
-// relEntry tracks one reliable event awaiting acknowledgement. Exactly
-// one of e/frame is set: non-framed sessions retransmit the decoded
-// rseq-tagged event, framed sessions retransmit the rseq-patched frame
-// (the encoding is never redone after the initial send).
-type relEntry struct {
-	e        *event.Event
-	frame    *event.Frame
-	lastSend time.Time
-	attempts int
-}
-
-// item returns the queue item that (re)sends this entry.
-func (r *relEntry) item() outItem {
-	return outItem{e: r.e, frame: r.frame, reliable: true}
-}
-
-// seqRing is a FIFO ring of reliable sequence numbers ordered by last
-// send time: sends append at the tail, and a retransmission re-appends
-// with a fresh lastSend, so the head is always the entry that has waited
-// longest. Acked entries are not removed eagerly — they are reaped
-// lazily when they surface at the head (mirroring the ack floor on the
-// receive side).
-type seqRing struct {
-	buf  []uint64
-	head int
-	n    int
-}
-
-func (r *seqRing) push(v uint64) {
-	if r.n == len(r.buf) {
-		grown := make([]uint64, max(16, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf = grown
-		r.head = 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
-	r.n++
-}
-
-func (r *seqRing) peek() (uint64, bool) {
-	if r.n == 0 {
-		return 0, false
-	}
-	return r.buf[r.head], true
-}
-
-func (r *seqRing) pop() (uint64, bool) {
-	v, ok := r.peek()
-	if !ok {
-		return 0, false
-	}
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return v, true
-}
 
 // session is the broker-side state for one attached remote: either a
 // client or a peer broker link.
@@ -128,15 +69,15 @@ type session struct {
 	// acks; the housekeeping loop retransmits stragglers.
 	relMu    sync.Mutex
 	nextRSeq uint64
-	// ackFloor is the highest cumulative ack applied; every rseq in
-	// (ackFloor, nextRSeq] is present in unacked, which lets handleAck
-	// delete exactly the newly-acked range instead of sweeping the whole
-	// window.
+	// ackFloor is the highest cumulative ack applied. Every rseq in
+	// (ackFloor, nextRSeq] is unacked, so the window holds rseq r at
+	// index r-ackFloor-1: handleAck pops the acked prefix and retransmit
+	// indexes an entry directly.
 	ackFloor uint64
-	unacked  map[uint64]*relEntry
+	window   ring[relEntry]
 	// relOrder holds the unacked rseqs in lastSend order so retransmit
 	// scans only the expired prefix instead of sweeping the whole window.
-	relOrder seqRing
+	relOrder ring[uint64]
 
 	// recv deduplicates and cumulatively acknowledges the rseq-tagged
 	// events arriving on this session.
@@ -207,7 +148,6 @@ func newSession(b *Broker, conn transport.Conn, id string, isPeer bool) *session
 		framed:         framed,
 		queue:          newSendQueue(b.cfg.QueueDepth),
 		closedCh:       make(chan struct{}),
-		unacked:        make(map[uint64]*relEntry),
 		remotePatterns: make(map[string]map[string]advEntry),
 		routedPatterns: make(map[string]struct{}),
 		localPatterns:  make(map[string]struct{}),
@@ -288,242 +228,6 @@ func (s *session) start() {
 		s.wg.Add(1)
 		go s.pool.run(&s.wg)
 	}
-}
-
-// sendReliable tags e with this session's next rseq and enqueues it on
-// the never-dropped lane.
-func (s *session) sendReliable(e *event.Event) {
-	s.enqueueReliable(e, nil, nil, 0)
-}
-
-// sendReliableFrom is sendReliable with an optional shared frame source.
-func (s *session) sendReliableFrom(e *event.Event, fs *frameSource) {
-	s.enqueueReliable(e, fs, nil, 0)
-}
-
-// enqueueReliable is the one reliable send: take the next rseq (or
-// re-use at, for a resumed window), build the entry that goes out now
-// and retransmits later, and push it on the never-dropped lane. On
-// framed sessions the entry is a frame whose trailing rseq slot carries
-// the tag, so nothing is re-encoded and no receive arena is pinned: a
-// frame shared across a fan-out (fs) is tagged on a copy, one memmove
-// per target; a frame only this send holds — owned (the replay lane
-// built it and gives it up), or e encoded here — is stamped in place.
-// Non-framed (in-process) sessions keep a deep copy of e, which also
-// detaches the entry from whatever buffer e's payload aliases.
-func (s *session) enqueueReliable(e *event.Event, fs *frameSource, owned *event.Frame, at uint64) {
-	s.relMu.Lock()
-	rseq := at
-	if at == 0 {
-		if len(s.unacked) >= s.b.cfg.reliableWindow {
-			// The remote stopped acking; disconnecting is the only safe move
-			// that doesn't grow memory without bound.
-			s.relMu.Unlock()
-			s.b.Metrics().Counter("broker.reliable_overflow").Inc()
-			s.close()
-			return
-		}
-		s.nextRSeq++
-		rseq = s.nextRSeq
-	}
-	entry := &relEntry{lastSend: time.Now(), attempts: 1}
-	switch {
-	case !s.framed:
-		entry.e = e.Clone()
-		entry.e.RSeq = rseq
-	case fs != nil:
-		entry.frame = fs.reliableFrame().WithRSeq(rseq)
-	default:
-		if owned == nil {
-			owned = event.NewFrameWithRSeqSlot(e)
-		}
-		owned.StampRSeq(rseq)
-		entry.frame = owned
-	}
-	s.unacked[rseq] = entry
-	s.relOrder.push(rseq)
-	s.relMu.Unlock()
-	s.queue.pushItem(entry.item())
-}
-
-// handleAck applies a cumulative acknowledgement. Cost is proportional
-// to the number of newly acknowledged events, not the window size: every
-// rseq between the previous floor and cum is deleted directly.
-func (s *session) handleAck(cum uint64) {
-	s.relMu.Lock()
-	defer s.relMu.Unlock()
-	if cum > s.nextRSeq {
-		cum = s.nextRSeq
-	}
-	for rseq := s.ackFloor + 1; rseq <= cum; rseq++ {
-		delete(s.unacked, rseq)
-	}
-	if cum > s.ackFloor {
-		s.ackFloor = cum
-	}
-}
-
-// unackedLen reports the reliable-window occupancy.
-func (s *session) unackedLen() int {
-	s.relMu.Lock()
-	defer s.relMu.Unlock()
-	return len(s.unacked)
-}
-
-// retransmit re-enqueues unacked reliable events older than rto. It
-// reports whether the session should be closed (too many attempts).
-// Cost is proportional to the expired prefix of the send-order ring
-// (plus lazily reaped acked entries), not the window size, so large
-// reliable windows stay cheap on the housekeeping timer path.
-func (s *session) retransmit(now time.Time, rto time.Duration, maxAttempts int) bool {
-	s.relMu.Lock()
-	defer s.relMu.Unlock()
-	for {
-		rseq, ok := s.relOrder.peek()
-		if !ok {
-			return false
-		}
-		entry, live := s.unacked[rseq]
-		if !live {
-			s.relOrder.pop() // acked since its last send; reap
-			continue
-		}
-		if now.Sub(entry.lastSend) < rto {
-			// The ring is ordered by lastSend: everything behind the head
-			// is younger still.
-			return false
-		}
-		if entry.attempts >= maxAttempts {
-			return true
-		}
-		s.relOrder.pop()
-		entry.attempts++
-		entry.lastSend = now
-		s.relOrder.push(rseq)
-		// Retransmission reuses the stored form — the rseq-patched frame on
-		// framed sessions — so a retry never re-encodes.
-		s.queue.pushItem(entry.item())
-		s.b.ctr.retransmits.Inc()
-	}
-}
-
-// parkedEvent is one salvaged reliable event, kept with its original
-// per-hop sequence so a resumed session can re-send it under the same
-// rseq (exactly-once across the reconnect).
-type parkedEvent struct {
-	rseq uint64
-	e    *event.Event
-}
-
-// reliableState is a session's reliable window as it outlives the
-// session: the send counters, the receive floor and the unacknowledged
-// events in rseq order.
-type reliableState struct {
-	nextRSeq, ackFloor, recvCum uint64
-	unacked                     []parkedEvent
-}
-
-// salvageReliable snapshots the reliable window of a dying session,
-// under one lock hold so nextRSeq covers every salvaged rseq and
-// ackFloor is below it. Frame-backed entries are decoded once here (link
-// death is rare) and the stored events' tags are stripped; the rseq
-// travels alongside.
-func (s *session) salvageReliable() reliableState {
-	s.relMu.Lock()
-	defer s.relMu.Unlock()
-	st := reliableState{nextRSeq: s.nextRSeq, ackFloor: s.ackFloor, recvCum: s.recv.floor()}
-	rseqs := make([]uint64, 0, len(s.unacked))
-	for r := range s.unacked {
-		rseqs = append(rseqs, r)
-	}
-	sort.Slice(rseqs, func(i, j int) bool { return rseqs[i] < rseqs[j] })
-	for _, r := range rseqs {
-		ent := s.unacked[r]
-		e := ent.e
-		if e == nil && ent.frame != nil {
-			dec, err := ent.frame.Decode()
-			if err != nil {
-				continue
-			}
-			e = dec
-		}
-		if e == nil {
-			continue
-		}
-		st.unacked = append(st.unacked, parkedEvent{rseq: r, e: stripRSeq(e)})
-	}
-	return st
-}
-
-// resumeReliable continues a parked window on its resumed successor:
-// the counters are seeded and every unacked event is requeued under its
-// ORIGINAL rseq, so it slots back into the window exactly where it was
-// and the client's cumulative dedup delivers it at most once even when
-// the ack for the first delivery was lost in the disconnect. Must run
-// before the session is registered (no concurrent senders yet).
-func (s *session) resumeReliable(st reliableState) {
-	s.nextRSeq, s.ackFloor = st.nextRSeq, st.ackFloor
-	s.recv.reset(st.recvCum)
-	for _, pe := range st.unacked {
-		s.enqueueReliable(pe.e, nil, nil, pe.rseq)
-	}
-}
-
-// recvWindow is the receive half of hop-by-hop reliability, shared by
-// broker sessions and clients: it deduplicates rseq-tagged events and
-// tracks the cumulative floor to acknowledge. The zero value is ready.
-type recvWindow struct {
-	mu    sync.Mutex
-	cum   uint64              // highest contiguous rseq delivered
-	ahead map[uint64]struct{} // delivered above the contiguous point
-}
-
-// accept returns the cumulative ack to send for an rseq-tagged event
-// and whether the event is new.
-func (w *recvWindow) accept(rseq uint64) (cum uint64, fresh bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if rseq <= w.cum {
-		return w.cum, false
-	}
-	if _, dup := w.ahead[rseq]; dup {
-		return w.cum, false
-	}
-	if w.ahead == nil {
-		w.ahead = make(map[uint64]struct{})
-	}
-	w.ahead[rseq] = struct{}{}
-	for {
-		if _, ok := w.ahead[w.cum+1]; !ok {
-			break
-		}
-		delete(w.ahead, w.cum+1)
-		w.cum++
-	}
-	return w.cum, true
-}
-
-// floor returns the highest contiguous rseq delivered.
-func (w *recvWindow) floor() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cum
-}
-
-// reset restarts the window at floor cum, forgetting everything ahead.
-func (w *recvWindow) reset(cum uint64) {
-	w.mu.Lock()
-	w.cum = cum
-	clear(w.ahead)
-	w.mu.Unlock()
-}
-
-// stripRSeq returns e without its per-hop sequence tag (a shallow
-// copy), never mutating the original, which other sessions may share.
-func stripRSeq(e *event.Event) *event.Event {
-	c := *e
-	c.RSeq = 0
-	return &c
 }
 
 // readLoop ingests burst by burst: decode everything one read delivered
@@ -607,6 +311,9 @@ func (s *session) ingestPrepare(e *event.Event, ack *ackState) (*event.Event, bo
 		cum, fresh := s.recv.accept(e.RSeq)
 		ack.due, ack.cum = true, cum
 		if !fresh {
+			if e.RSeq > cum+defaultReliableWindow {
+				s.b.ctr.invalid.Inc() // beyond any sender's window
+			}
 			return nil, false
 		}
 		// Strip the per-hop sequence before re-routing.

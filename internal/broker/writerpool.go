@@ -38,7 +38,7 @@ type writerPool struct {
 	done chan struct{}
 
 	mu    sync.Mutex
-	ready []*session // FIFO of armed sessions awaiting service
+	ready ring[*session] // armed sessions awaiting service
 
 	// drain is the pool's reusable popBatch buffer.
 	drain []outItem
@@ -86,7 +86,7 @@ func (wp *writerPool) wake(s *session) bool {
 		return false // already armed; an earlier wakeup covers this push
 	}
 	wp.mu.Lock()
-	wp.ready = append(wp.ready, s)
+	wp.ready.push(s)
 	wp.mu.Unlock()
 	select {
 	case wp.notify <- struct{}{}:
@@ -99,13 +99,10 @@ func (wp *writerPool) wake(s *session) bool {
 func (wp *writerPool) next() *session {
 	wp.mu.Lock()
 	defer wp.mu.Unlock()
-	if len(wp.ready) == 0 {
+	if wp.ready.len() == 0 {
 		return nil
 	}
-	s := wp.ready[0]
-	wp.ready[0] = nil
-	wp.ready = wp.ready[1:]
-	return s
+	return wp.ready.pop()
 }
 
 // run is the pool goroutine: service ready sessions, linger over

@@ -116,12 +116,6 @@ type Key struct {
 // Key returns the event's global identity.
 func (e *Event) Key() Key { return Key{Source: e.Source, ID: e.ID} }
 
-// Age returns the time elapsed since the event was published, relative
-// to now (in nanoseconds since the Unix epoch).
-func (e *Event) Age(nowNanos int64) time.Duration {
-	return time.Duration(nowNanos - e.Timestamp)
-}
-
 // Clone returns a deep copy; brokers forward events by reference, so an
 // edge that must mutate (e.g. a gateway rewriting headers) clones first.
 func (e *Event) Clone() *Event {

@@ -247,13 +247,6 @@ func TestKeyIdentity(t *testing.T) {
 	}
 }
 
-func TestAge(t *testing.T) {
-	e := &Event{Timestamp: 1000}
-	if got := e.Age(3000); got != 2000 {
-		t.Fatalf("Age = %v, want 2000ns", got)
-	}
-}
-
 func TestStringContainsEssentials(t *testing.T) {
 	s := sample().String()
 	for _, want := range []string{"client-7", "#42", "rtp", "/xgsp/session/9/video"} {

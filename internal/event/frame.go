@@ -25,10 +25,6 @@ func NewFrame(e *Event) *Frame {
 	return &Frame{b: Marshal(e)}
 }
 
-// FrameFromBytes wraps an already-encoded event. The caller must not
-// mutate b afterwards.
-func FrameFromBytes(b []byte) *Frame { return &Frame{b: b} }
-
 // Bytes returns the encoded event. Callers must treat it as read-only.
 func (f *Frame) Bytes() []byte { return f.b }
 

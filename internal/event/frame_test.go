@@ -126,18 +126,6 @@ func TestRSeqTruncatedTail(t *testing.T) {
 	}
 }
 
-func TestFrameFromBytes(t *testing.T) {
-	e := frameEvent()
-	raw := Marshal(e)
-	f := FrameFromBytes(raw)
-	if !bytes.Equal(f.Bytes(), raw) {
-		t.Fatal("FrameFromBytes must wrap the given bytes")
-	}
-	if f.TTL() != e.TTL {
-		t.Fatalf("TTL = %d, want %d", f.TTL(), e.TTL)
-	}
-}
-
 func TestMaskWireRoundTrip(t *testing.T) {
 	e := frameEvent()
 	e.Mask = 0x8000000000000001

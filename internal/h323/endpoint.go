@@ -43,9 +43,6 @@ func NewEndpoint(alias, gatekeeperAddr string) (*Endpoint, error) {
 // Close releases the endpoint's RAS socket.
 func (e *Endpoint) Close() { e.ras.Close() }
 
-// Alias returns the endpoint alias.
-func (e *Endpoint) Alias() string { return e.alias }
-
 // rasTransact sends one RAS message and waits for the reply.
 func (e *Endpoint) rasTransact(req *Message) (*Message, error) {
 	b, err := req.Marshal()

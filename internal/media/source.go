@@ -86,9 +86,6 @@ func NewVideoSource(cfg VideoConfig) *VideoSource {
 // Config returns the effective configuration.
 func (v *VideoSource) Config() VideoConfig { return v.cfg }
 
-// ClockRate returns the RTP timestamp rate.
-func (v *VideoSource) ClockRate() int { return rtp.VideoClockRate }
-
 // PacketsPerSecond estimates the mean packet rate of the stream.
 func (v *VideoSource) PacketsPerSecond() float64 {
 	perGOP := 0
@@ -181,9 +178,6 @@ func NewAudioSource(cfg AudioConfig) *AudioSource {
 
 // Config returns the effective configuration.
 func (a *AudioSource) Config() AudioConfig { return a.cfg }
-
-// ClockRate returns the RTP timestamp rate.
-func (a *AudioSource) ClockRate() int { return rtp.AudioClockRate }
 
 // PacketsPerSecond returns the packet rate.
 func (a *AudioSource) PacketsPerSecond() float64 {

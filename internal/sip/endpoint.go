@@ -134,7 +134,8 @@ func (e *Endpoint) transact(req *Message) (*Message, error) {
 	if _, err := e.pc.WriteTo(req.Marshal(), e.serverAddr); err != nil {
 		return nil, fmt.Errorf("sip: sending %s: %w", req.Method, err)
 	}
-	deadline := time.After(responseTimeout)
+	deadline := time.NewTimer(responseTimeout)
+	defer deadline.Stop()
 	for {
 		select {
 		case resp := <-ch:
@@ -142,7 +143,7 @@ func (e *Endpoint) transact(req *Message) (*Message, error) {
 				return resp, nil
 			}
 			// Provisional (100/180); keep waiting.
-		case <-deadline:
+		case <-deadline.C:
 			return nil, fmt.Errorf("sip: %s timed out", req.Method)
 		case <-e.done:
 			return nil, errors.New("sip: endpoint closed")

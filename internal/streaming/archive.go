@@ -29,6 +29,10 @@ type Archiver struct{}
 // length-framed events with no sequence numbers or checksums.
 var ErrLegacyArchive = errors.New("streaming: legacy archive format (4-byte length framing)")
 
+// maxPaceGap bounds the inter-event gap a paced replay reproduces;
+// a longer one (a recorder paused, or a clock step) is replayed at once.
+const maxPaceGap = 10 * time.Second
+
 // WriteFrame writes one archived event as a topiclog record: the
 // encoded event is the record payload, stamped with seq and a CRC-32C.
 // Sequence numbers in one archive must be contiguous and ascending
@@ -87,6 +91,8 @@ func (Archiver) Replay(ctx context.Context, r io.Reader, pub Publisher, pace boo
 	}
 	count := 0
 	var prevTS int64
+	pacer := time.NewTimer(maxPaceGap) // reset for every paced gap, stopped on return
+	defer pacer.Stop()
 	for {
 		if err := ctx.Err(); err != nil {
 			return count, err
@@ -103,9 +109,10 @@ func (Archiver) Replay(ctx context.Context, r io.Reader, pub Publisher, pace boo
 			return count, fmt.Errorf("streaming: decoding archived event: %w", err)
 		}
 		if pace && prevTS != 0 {
-			if gap := time.Duration(e.Timestamp - prevTS); gap > 0 && gap < 10*time.Second {
+			if gap := time.Duration(e.Timestamp - prevTS); gap > 0 && gap < maxPaceGap {
+				pacer.Reset(gap)
 				select {
-				case <-time.After(gap):
+				case <-pacer.C:
 				case <-ctx.Done():
 					return count, ctx.Err()
 				}

@@ -164,7 +164,9 @@ func (c *Client) Request(ctx context.Context, msg *Message) (*Response, error) {
 	// deadline of its own; a nil channel never fires.
 	var timeout <-chan time.Time
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		timeout = time.After(RequestTimeout)
+		t := time.NewTimer(RequestTimeout)
+		defer t.Stop()
+		timeout = t.C
 	}
 	select {
 	case resp := <-ch:
