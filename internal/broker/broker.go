@@ -264,7 +264,7 @@ type Broker struct {
 	poolNext atomic.Uint64
 
 	// handshakeTimeout is handshakeDeadline; a field only so a test can
-	// shorten it before Serve or ConnectPeer.
+	// shorten it before Serve or ConnectPeerConn.
 	handshakeTimeout time.Duration
 
 	wg   sync.WaitGroup
@@ -284,6 +284,7 @@ type brokerCounters struct {
 	retransmits *metrics.Counter
 	acksIn      *metrics.Counter
 	oversized   *metrics.Counter // recorded events too large for a replay envelope
+	recycled    *metrics.Counter // replay envelope buffers handleAck returned to the pool
 }
 
 func resolveCounters(reg *metrics.Registry) brokerCounters {
@@ -298,6 +299,7 @@ func resolveCounters(reg *metrics.Registry) brokerCounters {
 		retransmits: reg.Counter("broker.retransmits"),
 		acksIn:      reg.Counter("broker.acks_in"),
 		oversized:   reg.Counter("broker.replay_oversized"),
+		recycled:    reg.Counter("broker.replay_recycled"),
 	}
 }
 
@@ -1330,15 +1332,6 @@ func (b *Broker) Publish(e *event.Event) error {
 // hello). It returns once the session is attached or rejected.
 func (b *Broker) AcceptConn(conn transport.Conn) {
 	b.handshake(conn)
-}
-
-// ConnectPeer dials url and links this broker to the remote broker.
-func (b *Broker) ConnectPeer(url string) error {
-	conn, err := transport.Dial(url)
-	if err != nil {
-		return err
-	}
-	return b.ConnectPeerConn(conn)
 }
 
 // ConnectPeerConn links this broker to a remote broker over an

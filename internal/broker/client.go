@@ -627,11 +627,13 @@ type Client struct {
 	// the conn the current read loop serves (reverse-path acks must go
 	// out on the conn the traffic arrived on, never a replacement);
 	// rlGoaway defers the goaway-triggered close until after the burst's
-	// ack is flushed. Only one read loop runs at a time: a resilient
-	// client starts the next one strictly after the previous one's exit
-	// handshake, so these need no lock.
+	// ack is flushed; rlOrdered is the scratch for the reliable events
+	// one arrival releases in rseq order. Only one read loop runs at a
+	// time: a resilient client starts the next one strictly after the
+	// previous one's exit handshake, so these need no lock.
 	rlConn      transport.Conn
 	rlGoaway    bool
+	rlOrdered   []*event.Event
 	routeCache  map[string][]*Subscription
 	cacheEpoch  uint64
 	lastTopic   string
@@ -1178,33 +1180,45 @@ func (c *Client) connDone(conn transport.Conn) {
 // subscription and handed over as one batch each, and the reliable
 // reverse path sending ONE cumulative ack for the whole burst instead of
 // one per rseq-tagged event.
+//
+// The reliable lane is taken in rseq order: an event that overtook a
+// lost predecessor waits in the receive window for the retransmission.
+// A replay envelope in particular must never overtake the one before
+// it — the stream's sequence filter would drop the late envelope's
+// records as already delivered, a silent gap.
 func (c *Client) processBurst(events []*event.Event) {
 	ackDue := false
 	var ackCum uint64
 	for _, e := range events {
-		if e.RSeq != 0 {
-			cum, fresh := c.recv.accept(e.RSeq)
-			ackDue, ackCum = true, cum
-			if !fresh {
-				continue
-			}
-			e = stripRSeq(e)
-		}
-		if isControlTopic(e.Topic) {
-			// Deliver staged data first so control effects (fence echoes)
-			// are observed in arrival order relative to the data around
-			// them.
-			c.flushStaged()
-			c.handleControl(e)
+		if e.RSeq == 0 {
+			c.processEvent(e)
 			continue
 		}
-		c.stageEvent(e)
+		ackDue = true
+		ackCum, c.rlOrdered = c.recv.acceptInOrder(e, c.rlOrdered[:0])
+		for _, r := range c.rlOrdered {
+			c.processEvent(stripRSeq(r))
+		}
+		clear(c.rlOrdered) // never pin delivered events in the reused buffer
 	}
 	c.flushStaged()
 	if ackDue {
 		c.acksSent.Add(1)
 		_ = c.rlConn.Send(ackEvent(ackCum))
 	}
+}
+
+// processEvent hands one event on: a control event to handleControl,
+// after the data staged ahead of it so control effects (fence echoes)
+// are observed in arrival order relative to the data around them, and
+// a data event to its subscriptions' stage.
+func (c *Client) processEvent(e *event.Event) {
+	if isControlTopic(e.Topic) {
+		c.flushStaged()
+		c.handleControl(e)
+		return
+	}
+	c.stageEvent(e)
 }
 
 // handleControl applies one control event: the ping echo that releases
@@ -1327,6 +1341,11 @@ func (c *Client) handleReplayData(e *event.Event) {
 		seq, rec, n, perr := topiclog.ParseRecord(payload)
 		if perr != nil {
 			bad = perr
+			if !errors.Is(perr, topiclog.ErrCorrupt) {
+				// An envelope carries whole records only: a torn one is
+				// damage too.
+				bad = fmt.Errorf("%w: %v", topiclog.ErrCorrupt, perr)
+			}
 			break
 		}
 		payload = payload[n:]

@@ -110,7 +110,9 @@ func beItem(id uint64, payload int) (*event.Event, *event.Frame) {
 	e := event.New("/dp/t", event.KindRTP, make([]byte, payload))
 	e.Source = "dp"
 	e.ID = id
-	return e, event.NewFrame(e)
+	var arena event.FrameArena
+	f := arena.NewFrame(e)
+	return e, &f
 }
 
 func waitFor(t *testing.T, within time.Duration, cond func() bool, msg string) {

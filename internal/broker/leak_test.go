@@ -259,7 +259,14 @@ func TestConnectPeerSilentDeadline(t *testing.T) {
 	b.handshakeTimeout = 50 * time.Millisecond
 	url, accepted := silentPeer(t)
 	done := make(chan error, 1)
-	go func() { done <- b.ConnectPeer(url) }()
+	go func() {
+		conn, err := transport.Dial(url)
+		if err != nil {
+			done <- err
+			return
+		}
+		done <- b.ConnectPeerConn(conn)
+	}()
 	awaitHello(t, accepted)
 	select {
 	case err := <-done:
@@ -267,6 +274,6 @@ func TestConnectPeerSilentDeadline(t *testing.T) {
 			t.Fatal("linked to a peer that never replied")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ConnectPeer waited past the handshake deadline")
+		t.Fatal("ConnectPeerConn waited past the handshake deadline")
 	}
 }

@@ -305,7 +305,11 @@ func TestConnectPeerOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b1.ConnectPeer(l.Addr()); err != nil {
+	conn, err := transport.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b1.ConnectPeerConn(conn); err != nil {
 		t.Fatal(err)
 	}
 	sub := localClient(t, b2, "sub")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/event"
@@ -24,15 +25,16 @@ import (
 // broker-side: from the page cache into the buffer that is the wire
 // frame. The on-disk record framing (seq|len|crc|payload) is already
 // the data envelope's payload framing, so a session's replay pump
-// preads whole records into the payload region of a fresh frame buffer
+// preads whole records into the payload region of a pooled frame buffer
 // (Cursor.ReadFramed, one CRC verify per record), event.NewFrameAround
 // writes the envelope header into the headroom before them and the
 // rseq slot after, and the session stamps the rseq in place. Per
 // envelope: three copies (page cache → frame → conn write buffer →
 // socket), two CRC passes (this one and the client's end-to-end one)
-// and one allocation, the frame buffer, which the reliable window owns
-// from enqueue until the cumulative ack and nobody recycles after (the
-// send queue or a fault conn may still hold the frame; DESIGN.md §5.3).
+// and one allocation, the Frame. The reliable window owns the buffer
+// from enqueue until the cumulative ack, and handleAck gives it back to
+// envelopePool only once it was sent exactly once and the writer has
+// flushed it (DESIGN.md §5.3 states the rule).
 // History is never shed broker-side and stays FIFO with the repLive
 // handoff marker. When the cursor reaches the committed tail the pump
 // attaches it as a log tailer under the log's append lock: every
@@ -182,8 +184,8 @@ func (b *Broker) TopicLog(pattern string) *topiclog.Log {
 // ---- Session-side replay streams ----
 
 // replayEnvelopeTarget is the size of the frame buffer a pump reads
-// history into (headroom, records, rseq slot: one 64 KiB allocation per
-// envelope); replayEnvelopeMax is the hard cap on an envelope's records
+// history into (headroom, records, rseq slot: one pooled 64 KiB buffer
+// per envelope); replayEnvelopeMax is the hard cap on an envelope's records
 // (the wire payload limit), reached only by a buffer grown for a single
 // record larger than the target. replayHeadroom holds the envelope's
 // header, whose shape is fixed and under 80 bytes.
@@ -205,6 +207,17 @@ const (
 	replayMaxInflight    = 32
 	replayBackoff        = time.Millisecond
 )
+
+// envelopeBuf is a replay pump's regular frame buffer. Only buffers of
+// exactly this size are pooled: a buffer grown for one oversized record
+// and deliverTail's exact-size copies are left to the collector.
+type envelopeBuf [replayEnvelopeTarget]byte
+
+// envelopePool recycles pump buffers across every session and broker in
+// the process. A buffer goes in only when no reader is left: unused by
+// its pump, or acknowledged under handleAck's rule. Its stale bytes are
+// never sent — a frame covers only what the pump wrote into it.
+var envelopePool = sync.Pool{New: func() any { return new(envelopeBuf) }}
 
 // sessionReplay is one client replay stream on a session.
 type sessionReplay struct {
@@ -383,13 +396,13 @@ func (s *session) replayPump(sr *sessionReplay) {
 }
 
 // pumpHistory is one pump step: read the next run of history into buf
-// (allocated here when nil) and send it as one envelope. It returns the
-// buffer for the next step (nil once the reliable window owns this one)
-// and whether it made progress; none, with a nil error, means the
-// cursor is at the committed tail.
+// (taken from envelopePool when nil) and send it as one envelope. It
+// returns the buffer for the next step (nil once the reliable window
+// owns this one) and whether it made progress; none, with a nil error,
+// means the cursor is at the committed tail.
 func (s *session) pumpHistory(sr *sessionReplay, buf []byte) (next []byte, progressed bool, err error) {
 	if buf == nil {
-		buf = make([]byte, replayEnvelopeTarget)
+		buf = envelopePool.Get().(*envelopeBuf)[:]
 	}
 	n, _, _, err := sr.cur.ReadFramed(buf[replayHeadroom : len(buf)-event.RSeqSlotLen])
 	switch {
@@ -399,6 +412,9 @@ func (s *session) pumpHistory(sr *sessionReplay, buf []byte) (next []byte, progr
 			s.b.ctr.oversized.Inc()
 			sr.cur.Skip()
 			return buf, true, nil
+		}
+		if len(buf) == replayEnvelopeTarget {
+			envelopePool.Put((*envelopeBuf)(buf)) // nothing was read into it
 		}
 		return make([]byte, replayHeadroom+n+event.RSeqSlotLen), true, nil
 	case err != nil || n == 0:
@@ -415,9 +431,11 @@ func (s *session) pumpHistory(sr *sessionReplay, buf []byte) (next []byte, progr
 // non-nil buf already holds the run at replayHeadroom (the pump read it
 // there); a borrowed run (tail delivery) is copied into a buffer of its
 // own. The frame is wrapped around the bytes where they lie and the
-// buffer passes to the reliable window. Unframed sessions take the
-// event path with the payload aliasing run; its deep copy is what the
-// window keeps, and buf stays the caller's.
+// buffer passes to the reliable window — marked recyclable when it is a
+// pooled pump buffer (only those are exactly replayEnvelopeTarget long;
+// a pump buffer grown for one record is longer). Unframed sessions take
+// the event path with the payload aliasing run; its deep copy is what
+// the window keeps, and buf stays the caller's.
 func (s *session) sendRun(sr *sessionReplay, run, buf []byte) {
 	if !s.framed {
 		e := *sr.env
@@ -425,11 +443,15 @@ func (s *session) sendRun(sr *sessionReplay, run, buf []byte) {
 		s.sendReliable(&e)
 		return
 	}
-	if buf == nil {
+	var env *envelopeBuf
+	switch {
+	case buf == nil:
 		buf = make([]byte, replayHeadroom+len(run)+event.RSeqSlotLen)
 		copy(buf[replayHeadroom:], run)
+	case len(buf) == replayEnvelopeTarget:
+		env = (*envelopeBuf)(buf)
 	}
-	s.enqueueReliable(nil, nil, event.NewFrameAround(buf, replayHeadroom, len(run), sr.env), 0)
+	s.enqueueReliable(nil, nil, event.NewFrameAround(buf, replayHeadroom, len(run), sr.env), env, 0)
 }
 
 // deliverTail forwards one appended batch to the session as a data

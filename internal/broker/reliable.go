@@ -19,10 +19,13 @@ const defaultReliableWindow = 4096
 // rseq-tagged event, framed sessions retransmit the rseq-patched frame
 // (the encoding is never redone after the initial send). An entry with
 // neither stands for an rseq this session never sent itself (see
-// padWindow); it is never retransmitted or salvaged.
+// padWindow); it is never retransmitted or salvaged. env is set only
+// for a replay envelope whose frame a pump built in a pooled buffer;
+// handleAck decides whether the buffer goes back to envelopePool.
 type relEntry struct {
 	e        *event.Event
 	frame    *event.Frame
+	env      *envelopeBuf
 	lastSend time.Time
 	attempts int
 }
@@ -35,12 +38,12 @@ func (r *relEntry) item() outItem {
 // sendReliable tags e with this session's next rseq and enqueues it on
 // the never-dropped lane.
 func (s *session) sendReliable(e *event.Event) {
-	s.enqueueReliable(e, nil, nil, 0)
+	s.enqueueReliable(e, nil, nil, nil, 0)
 }
 
 // sendReliableFrom is sendReliable with an optional shared frame source.
 func (s *session) sendReliableFrom(e *event.Event, fs *frameSource) {
-	s.enqueueReliable(e, fs, nil, 0)
+	s.enqueueReliable(e, fs, nil, nil, 0)
 }
 
 // enqueueReliable is the one reliable send: take the next rseq (or
@@ -50,10 +53,16 @@ func (s *session) sendReliableFrom(e *event.Event, fs *frameSource) {
 // the tag, so nothing is re-encoded and no receive arena is pinned: a
 // frame shared across a fan-out (fs) is tagged on a copy, one memmove
 // per target; a frame only this send holds — owned (the replay lane
-// built it and gives it up), or e encoded here — is stamped in place.
-// Non-framed (in-process) sessions keep a deep copy of e, which also
-// detaches the entry from whatever buffer e's payload aliases.
-func (s *session) enqueueReliable(e *event.Event, fs *frameSource, owned *event.Frame, at uint64) {
+// built it and gives it up, with env when its buffer is a pooled one),
+// or e encoded here — is stamped in place. Non-framed (in-process)
+// sessions keep a deep copy of e, which also detaches the entry from
+// whatever buffer e's payload aliases.
+//
+// The push happens under relMu, so first sends reach the reliable lane
+// in rseq order — the order the writer flushes them in, which is what
+// lets one high-water mark (relFlushed) say every first send at or
+// below it is off the wire.
+func (s *session) enqueueReliable(e *event.Event, fs *frameSource, owned *event.Frame, env *envelopeBuf, at uint64) {
 	s.relMu.Lock()
 	rseq := at
 	if at == 0 {
@@ -68,7 +77,7 @@ func (s *session) enqueueReliable(e *event.Event, fs *frameSource, owned *event.
 		s.nextRSeq++
 		rseq = s.nextRSeq
 	}
-	entry := relEntry{lastSend: time.Now(), attempts: 1}
+	entry := relEntry{env: env, lastSend: time.Now(), attempts: 1}
 	switch {
 	case !s.framed:
 		entry.e = e.Clone()
@@ -85,8 +94,8 @@ func (s *session) enqueueReliable(e *event.Event, fs *frameSource, owned *event.
 	s.padWindow(rseq - 1)
 	s.window.push(entry)
 	s.relOrder.push(rseq)
-	s.relMu.Unlock()
 	s.queue.pushItem(entry.item())
+	s.relMu.Unlock()
 }
 
 // padWindow extends the window with empty entries until it covers every
@@ -102,12 +111,34 @@ func (s *session) padWindow(upTo uint64) {
 
 // handleAck applies a cumulative acknowledgement by popping the newly
 // acknowledged prefix of the window: cost is proportional to the events
-// acked, not the window size.
+// acked, not the window size. A popped replay envelope's buffer goes
+// back to the pool when nothing can read it any more: it was sent once
+// (attempts == 1 — no retransmission ever queued a second reference)
+// and the writer has flushed its rseq. The ack alone proves neither: it
+// is clamped only to nextRSeq, so a remote may ack what it never got.
 func (s *session) handleAck(cum uint64) {
 	s.relMu.Lock()
 	defer s.relMu.Unlock()
+	flushed := s.relFlushed.Load()
+	recycled := 0
 	for cum = min(cum, s.nextRSeq); s.ackFloor < cum; s.ackFloor++ {
-		s.window.pop()
+		if ent := s.window.pop(); ent.env != nil && ent.attempts == 1 && s.ackFloor < flushed {
+			envelopePool.Put(ent.env)
+			recycled++
+		}
+	}
+	if recycled > 0 {
+		s.b.ctr.recycled.Add(uint64(recycled))
+	}
+}
+
+// noteFlushed advances the session's flushed high-water mark to rseq.
+// Only the session's writer pool goroutine calls it, after a reliable
+// item's flush returned without error: FrameConn retains no frame past
+// SendFrames, so every first send at or below the mark is no longer read.
+func (s *session) noteFlushed(rseq uint64) {
+	if rseq > s.relFlushed.Load() {
+		s.relFlushed.Store(rseq)
 	}
 }
 
@@ -205,7 +236,7 @@ func (s *session) resumeReliable(st reliableState) {
 	s.nextRSeq, s.ackFloor = st.nextRSeq, st.ackFloor
 	s.recv.reset(st.recvCum)
 	for _, pe := range st.unacked {
-		s.enqueueReliable(pe.e, nil, nil, pe.rseq)
+		s.enqueueReliable(pe.e, nil, nil, nil, pe.rseq)
 	}
 	s.padWindow(s.nextRSeq)
 }
@@ -214,36 +245,68 @@ func (s *session) resumeReliable(st reliableState) {
 // broker sessions and clients: it deduplicates rseq-tagged events and
 // tracks the cumulative floor to acknowledge. The zero value is ready.
 type recvWindow struct {
-	mu    sync.Mutex
-	cum   uint64              // highest contiguous rseq delivered
-	ahead map[uint64]struct{} // delivered above the contiguous point
+	mu  sync.Mutex
+	cum uint64 // highest contiguous rseq delivered
+	// ahead holds the rseqs accepted above the contiguous point: with
+	// their events when the receiver delivers in rseq order
+	// (acceptInOrder), nil when it delivers on arrival (accept).
+	ahead map[uint64]*event.Event
 }
 
 // accept returns the cumulative ack to send for an rseq-tagged event
-// and whether the event is new. An rseq more than defaultReliableWindow
-// above the floor is one no legitimate sender tags; it is refused like
-// a duplicate, so ahead never holds more than the window.
+// and whether the event is new, to be delivered on arrival.
 func (w *recvWindow) accept(rseq uint64) (cum uint64, fresh bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	_, fresh = w.insertLocked(rseq, nil, nil)
+	return w.cum, fresh
+}
+
+// acceptInOrder is accept for a receiver that takes the reliable lane in
+// rseq order: a fresh event above a gap (its predecessor was lost and
+// awaits retransmission) is held, and the event that fills the gap
+// comes back followed by every held event it releases, appended to out
+// in rseq order. A duplicate or refused rseq appends nothing.
+func (w *recvWindow) acceptInOrder(e *event.Event, out []*event.Event) (uint64, []*event.Event) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out, _ = w.insertLocked(e.RSeq, e, out)
+	return w.cum, out
+}
+
+// insertLocked records rseq, carrying e (nil for accept), and reports
+// whether it was fresh. An rseq more than defaultReliableWindow above
+// the floor is one no legitimate sender tags; it is refused like a
+// duplicate, so ahead never holds more than the window. A fresh rseq
+// above a gap waits in ahead; the next contiguous one moves the floor
+// over itself and every rseq waiting behind it, appending their events
+// to out in order.
+func (w *recvWindow) insertLocked(rseq uint64, e *event.Event, out []*event.Event) (_ []*event.Event, fresh bool) {
 	if rseq <= w.cum || rseq > w.cum+defaultReliableWindow {
-		return w.cum, false
+		return out, false
 	}
 	if _, dup := w.ahead[rseq]; dup {
-		return w.cum, false
+		return out, false
 	}
-	if w.ahead == nil {
-		w.ahead = make(map[uint64]struct{})
+	if rseq != w.cum+1 {
+		if w.ahead == nil {
+			w.ahead = make(map[uint64]*event.Event)
+		}
+		w.ahead[rseq] = e
+		return out, true
 	}
-	w.ahead[rseq] = struct{}{}
 	for {
-		if _, ok := w.ahead[w.cum+1]; !ok {
-			break
+		w.cum++
+		if e != nil {
+			out = append(out, e)
+		}
+		next, ok := w.ahead[w.cum+1]
+		if !ok {
+			return out, true
 		}
 		delete(w.ahead, w.cum+1)
-		w.cum++
+		e = next
 	}
-	return w.cum, true
 }
 
 // floor returns the highest contiguous rseq delivered.

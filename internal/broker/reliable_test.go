@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -88,4 +89,36 @@ func TestRecvWindowBound(t *testing.T) {
 	if got, want := routed(), uint64(defaultReliableWindow); got != want {
 		t.Fatalf("routed %d events after the gap filled, want %d", got, want)
 	}
+}
+
+// TestRecvWindowInOrder: the client's half of the window holds an event
+// that overtook a gap and releases it behind the event that fills the
+// gap, in rseq order; duplicates and rseqs beyond the window release
+// nothing, and the cumulative ack never moves past the gap.
+func TestRecvWindowInOrder(t *testing.T) {
+	var w recvWindow
+	tagged := func(rseq uint64) *event.Event {
+		e := event.New("/w/t", event.KindData, nil)
+		e.RSeq = rseq
+		return e
+	}
+	step := func(rseq uint64, wantCum uint64, want string) {
+		t.Helper()
+		cum, out := w.acceptInOrder(tagged(rseq), nil)
+		got := make([]uint64, len(out))
+		for i, e := range out {
+			got[i] = e.RSeq
+		}
+		if cum != wantCum || fmt.Sprint(got) != want {
+			t.Fatalf("rseq %d: cum %d released %v, want cum %d released %s", rseq, cum, got, wantCum, want)
+		}
+	}
+	step(1, 1, "[1]")
+	step(3, 1, "[]")
+	step(5, 1, "[]")
+	step(4, 1, "[]")
+	step(3, 1, "[]") // a retransmitted copy of a held event
+	step(1+defaultReliableWindow+1, 1, "[]")
+	step(2, 5, "[2 3 4 5]")
+	step(6, 6, "[6]")
 }

@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/event"
+	"github.com/globalmmcs/globalmmcs/internal/testutil"
 	"github.com/globalmmcs/globalmmcs/internal/topiclog"
+	"github.com/globalmmcs/globalmmcs/internal/transport"
 )
 
 // replayRig is a framed session (hand-attached, no goroutines) with a
@@ -353,19 +356,340 @@ func TestClientReplayCorruptEnvelope(t *testing.T) {
 	}
 }
 
+// replayEnvelopeSeeds are FuzzReplayEnvelope's starting points, one per
+// shape the client's end-to-end check must tell apart: a valid run, a
+// flipped payload byte, a torn tail, records at or below the stream's
+// last delivered sequence, a record that passes its CRC but does not
+// decode, and an empty envelope.
+func replayEnvelopeSeeds() (runs [][]byte, lasts []uint64) {
+	record := func(run []byte, seq uint64) []byte {
+		e := event.New("/rec/a", event.KindData, counterPayload(int(seq)))
+		e.Source, e.ID = "fuzz-pub", seq
+		return topiclog.AppendRecord(run, seq, event.Marshal(e))
+	}
+	var valid []byte
+	for seq := uint64(1); seq <= 3; seq++ {
+		valid = record(valid, seq)
+	}
+	flipped := bytes.Clone(valid)
+	flipped[topiclog.FramedLen(valid)+topiclog.HeaderLen+30] ^= 0x01
+	backwards := record(record(record(nil, 5), 3), 6)
+	undecodable := topiclog.AppendRecord(bytes.Clone(valid), 4, []byte("not an event"))
+	runs = [][]byte{valid, flipped, valid[:len(valid)-5], valid, backwards, undecodable, nil}
+	lasts = []uint64{0, 0, 0, 2, 0, 0, 0}
+	return runs, lasts
+}
+
+// FuzzReplayEnvelope drives Client.handleReplayData, the end-to-end check
+// that catches a replay frame whose bytes changed on the way (a buffer
+// recycled too early among them), with arbitrary envelope payloads on a
+// stream whose last delivered sequence is last. It must never panic; it
+// must deliver exactly the longest prefix of records that parse and
+// decode, skipping those at or below the last delivered sequence, in
+// order; and it must end the subscription with ErrCorrupt exactly when
+// damaged bytes remain.
+func FuzzReplayEnvelope(f *testing.F) {
+	runs, lasts := replayEnvelopeSeeds()
+	for i := range runs {
+		f.Add(runs[i], lasts[i])
+	}
+	b := New(Config{ID: "fuzz-replay"})
+	f.Cleanup(b.Stop)
+	c, err := b.LocalClient("fuzz-sub", transport.LinkProfile{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { c.Close() })
+	f.Fuzz(func(t *testing.T, run []byte, last uint64) {
+		var want []*event.Event
+		damaged := false
+		var in event.Interner
+		for p, seen := run, last; len(p) > 0; {
+			seq, rec, n, err := topiclog.ParseRecord(p)
+			if err != nil {
+				damaged = true
+				break
+			}
+			p = p[n:]
+			if seq <= seen {
+				continue
+			}
+			ev, err := event.UnmarshalIntern(rec, &in)
+			if err != nil {
+				damaged = true
+				break
+			}
+			seen = seq
+			want = append(want, ev)
+		}
+
+		// A replay subscription as SubscribeReplay registers one, without
+		// the broker-side stream: the envelope is handed to the handler
+		// directly, as the read loop would.
+		id := c.nextToken.Add(1)
+		sub := newSubscription(c, "/rec/#", len(run)/topiclog.HeaderLen+1)
+		sub.replay = &replayState{id: id, pattern: "/rec/#", live: make(chan struct{})}
+		sub.replay.lastSeq.Store(last)
+		c.mu.Lock()
+		c.subSet[sub] = struct{}{}
+		c.replays[id] = sub
+		c.mu.Unlock()
+		defer func() { _ = c.Unsubscribe(sub) }()
+		corrupt := c.ReplayCorrupt()
+		c.handleReplayData(replayDataEvent(id, run))
+
+		got, _ := sub.TryRecvBatch(nil, len(want)+1)
+		if len(got) != len(want) {
+			t.Fatalf("delivered %d records, want %d", len(got), len(want))
+		}
+		for i, e := range got {
+			if e.ID != want[i].ID || e.Topic != want[i].Topic || !bytes.Equal(e.Payload, want[i].Payload) {
+				t.Fatalf("record %d: delivered id %d topic %q, want id %d topic %q", i, e.ID, e.Topic, want[i].ID, want[i].Topic)
+			}
+		}
+		if ended := errors.Is(sub.Err(), topiclog.ErrCorrupt); ended != damaged {
+			t.Fatalf("damaged %v but the subscription ended with %v", damaged, sub.Err())
+		}
+		if d := c.ReplayCorrupt() - corrupt; (d == 1) != damaged || d > 1 {
+			t.Fatalf("damaged %v but client.replay_corrupt moved by %d", damaged, d)
+		}
+	})
+}
+
+// frameCounter is a FrameConn that keeps nothing it is handed (the
+// FrameConn contract): it counts frames and bytes and drops them.
+type frameCounter struct {
+	*captureConn
+	frames, bytes int
+}
+
+func (c *frameCounter) SendFrames(frames [][]byte) error {
+	c.frames += len(frames)
+	for _, f := range frames {
+		c.bytes += len(f)
+	}
+	return nil
+}
+
+// rigWriter gives a rig session a frame sink over a frameCounter and
+// returns a writer pool to drain it with: wp.service(s, nil) is one
+// writer service, flushing each reliable item and advancing the
+// session's flushed mark as the pool goroutine does.
+func rigWriter(s *session) (*writerPool, *frameCounter) {
+	fc := &frameCounter{captureConn: newCaptureConn()}
+	s.sink = &frameSink{bw: transport.NewBatcher(fc, 0)}
+	return newWriterPool(s.b), fc
+}
+
+// pumpOne sends the rig's next history envelope, in a buffer of its own.
+func pumpOne(tb testing.TB, s *session, sr *sessionReplay) {
+	tb.Helper()
+	if _, progressed, err := s.pumpHistory(sr, nil); err != nil || !progressed {
+		tb.Fatalf("pump step: progressed %v err %v", progressed, err)
+	}
+}
+
+// TestEnvelopeRecycleNeedsOneSend: an acknowledged envelope that was
+// retransmitted keeps its buffer out of the pool — the retransmission
+// put a second reference to its frame on the send queue — while one
+// sent once and flushed, acknowledged by the same ack, goes back.
+func TestEnvelopeRecycleNeedsOneSend(t *testing.T) {
+	s, sr := replayRig(t, 2_000, 1200)
+	wp, fc := rigWriter(s)
+	pumpOne(t, s, sr) // rseq 1
+	if s.retransmit(time.Now().Add(time.Hour), time.Second, 8) {
+		t.Fatal("retransmit asked to close the session on a first retry")
+	}
+	if got := s.window.at(0).attempts; got != 2 {
+		t.Fatalf("rseq 1 has %d attempts after a retransmit, want 2", got)
+	}
+	pumpOne(t, s, sr) // rseq 2
+	wp.service(s, nil)
+	if fc.frames != 3 || s.relFlushed.Load() != 2 {
+		t.Fatalf("writer flushed %d frames up to rseq %d, want 3 up to 2", fc.frames, s.relFlushed.Load())
+	}
+	before := s.b.ctr.recycled.Value()
+	s.handleAck(2)
+	if d := s.b.ctr.recycled.Value() - before; d != 1 {
+		t.Fatalf("acking a retransmitted and a once-sent envelope recycled %d buffers, want 1", d)
+	}
+}
+
+// TestEnvelopeRecycleNeedsFlush: the cumulative ack is clamped only to
+// nextRSeq, so a remote may ack an envelope the writer never flushed;
+// that buffer stays out of the pool. The rig's session has no running
+// writer until one is given to it, and then only what it flushed goes
+// back.
+func TestEnvelopeRecycleNeedsFlush(t *testing.T) {
+	s, sr := replayRig(t, 2_000, 1200)
+	pumpOne(t, s, sr) // rseq 1, queued and never flushed
+	s.handleAck(s.nextRSeq)
+	if n := s.b.ctr.recycled.Value(); n != 0 {
+		t.Fatalf("an ack for an unflushed envelope recycled %d buffers", n)
+	}
+	wp, _ := rigWriter(s)
+	pumpOne(t, s, sr) // rseq 2
+	wp.service(s, nil)
+	pumpOne(t, s, sr) // rseq 3, queued behind the flush
+	s.handleAck(s.nextRSeq)
+	if n := s.b.ctr.recycled.Value(); n != 1 || s.relFlushed.Load() != 2 {
+		t.Fatalf("recycled %d buffers with rseqs up to %d flushed, want 1 (rseq 2)", n, s.relFlushed.Load())
+	}
+}
+
+// TestReliableFirstSendsQueueInRSeqOrder: two replay streams on one
+// session pump concurrently while control replies race them; every
+// first send reaches the reliable lane in rseq order. That order is
+// what makes the writer's flushed high-water mark exact.
+func TestReliableFirstSendsQueueInRSeqOrder(t *testing.T) {
+	s, sr := replayRig(t, 8_000, 1200)
+	sr2 := &sessionReplay{id: 8, cur: s.b.TopicLog("/rec/#").NewCursor(0), env: replayDataEvent(8, nil), stop: make(chan struct{})}
+	t.Cleanup(sr2.cur.Close)
+	var wg sync.WaitGroup
+	for _, r := range []*sessionReplay{sr, sr2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				_, progressed, err := s.pumpHistory(r, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !progressed {
+					return
+				}
+			}
+		}()
+	}
+	const repliers, replies = 4, 250
+	for range repliers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range replies {
+				s.sendReliable(replayReplyEvent(repOK, 9, ""))
+			}
+		}()
+	}
+	wg.Wait()
+	var last uint64
+	for s.queue.depth() > 0 {
+		it, st := popOne(s.queue)
+		if st != popOK || it.frame == nil {
+			t.Fatalf("after rseq %d: no frame-backed reliable item (state %v)", last, st)
+		}
+		if r := it.frame.RSeq(); r != last+1 {
+			t.Fatalf("rseq %d reached the lane after rseq %d", r, last)
+		}
+		last++
+	}
+	if last != s.nextRSeq || last < repliers*replies+2*100 {
+		t.Fatalf("lane held rseqs 1..%d of %d", last, s.nextRSeq)
+	}
+}
+
+// TestReplayEnvelopeRecycleAllocs: in steady state — pump, one writer
+// service through the session's frame sink, cumulative ack — every
+// envelope's buffer goes back to the pool and the next one comes out
+// of it, so an envelope costs one allocation, its Frame.
+func TestReplayEnvelopeRecycleAllocs(t *testing.T) {
+	s, sr := replayRig(t, 20_000, 1200)
+	wp, fc := rigWriter(s)
+	step := func() {
+		pumpOne(t, s, sr)
+		wp.service(s, nil)
+		s.handleAck(s.nextRSeq)
+	}
+	for range 64 {
+		step()
+	}
+	if n := s.b.ctr.recycled.Value(); n != 64 || fc.frames != 64 {
+		t.Fatalf("64 envelopes flushed %d frames and recycled %d buffers, want 64 each", fc.frames, n)
+	}
+	testutil.SkipAllocGateUnderRace(t)
+	if got := testing.AllocsPerRun(100, step); got > 1 {
+		t.Fatalf("one recycled envelope allocated %.0f times, want <= 1 (Frame)", got)
+	}
+}
+
+// TestReplayRecycleLossyTCP replays a 20,000-record log over loopback
+// TCP through a link that drops some of the broker's frames, so some
+// envelopes are retransmitted while the others' buffers recycle under
+// the acks. Every record arrives byte-exact, exactly once, in order. A
+// buffer recycled while a frame in it is still queued would surface as
+// a gap, a duplicate or a failed CRC check (ErrCorrupt).
+func TestReplayRecycleLossyTCP(t *testing.T) {
+	b := recordedBroker(t, "/rec/#", Config{retransmitInterval: 20 * time.Millisecond, maxRetransmits: 100})
+	payload := func(i int) []byte {
+		p := bytes.Repeat([]byte{byte(i)}, 100+i%13*60)
+		copy(p, counterPayload(i))
+		return p
+	}
+	const records = 20_000
+	batch := make([][]byte, 0, 256)
+	for i := 1; i <= records; i++ {
+		e := event.New("/rec/a", event.KindData, payload(i))
+		e.Source, e.ID = "loss-pub", uint64(i)
+		batch = append(batch, event.Marshal(e))
+		if len(batch) == cap(batch) || i == records {
+			if _, err := b.TopicLog("/rec/#").Append(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	inner, err := transport.Listen("tcp://127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Serve(&lossyListener{Listener: inner, profile: transport.LinkProfile{Loss: 0.1, Seed: 11}})
+	c, err := Dial(inner.Addr(), "recycle-sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.SubscribeReplay(context.Background(), "/rec/#", 0, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeout := time.AfterFunc(60*time.Second, func() { _ = s.Cancel() })
+	defer timeout.Stop()
+	next := 1
+	buf := make([]*event.Event, 0, 256)
+	for next <= records {
+		var ok bool
+		buf, ok = s.RecvBatch(buf[:0], 256)
+		for _, e := range buf {
+			if !bytes.Equal(e.Payload, payload(next)) {
+				t.Fatalf("position %d got %.8q (%d bytes): duplicate, gap or damage", next, e.Payload, len(e.Payload))
+			}
+			next++
+		}
+		if !ok {
+			t.Fatalf("replay ended at %d of %d: %v", next-1, records, s.Err())
+		}
+	}
+	if b.ctr.retransmits.Value() == 0 || b.ctr.recycled.Value() == 0 {
+		t.Fatalf("retransmits %d, recycled buffers %d: the run exercised neither side of the rule",
+			b.ctr.retransmits.Value(), b.ctr.recycled.Value())
+	}
+}
+
 // BenchmarkReplayEnvelope is the replay lane's rung: cursor read →
-// frame build → rseq stamp → enqueue for 1200-byte records on a framed
+// frame build → rseq stamp → enqueue → writer flush → cumulative ack
+// (which recycles the buffer) for 1200-byte records on a framed
 // session, one op per ~64 KiB envelope.
 func BenchmarkReplayEnvelope(b *testing.B) {
 	const records = 40_000
 	s, sr := replayRig(b, records, 1200)
+	wp, _ := rigWriter(s)
 	log := s.b.TopicLog("/rec/#")
 	b.SetBytes(int64(replayEnvelopeTarget - replayHeadroom - event.RSeqSlotLen))
 	b.ReportAllocs()
 	b.ResetTimer()
 	defer func() { sr.cur.Close() }() // the rig only knows the first cursor
 	var buf []byte
-	var popped []outItem
 	for i := 0; i < b.N; i++ {
 		var progressed bool
 		var err error
@@ -378,10 +702,7 @@ func BenchmarkReplayEnvelope(b *testing.B) {
 			i--
 			continue
 		}
-		var st popState
-		if popped, st = s.queue.popBatch(popped[:0], 1); st != popOK {
-			b.Fatal("no envelope queued")
-		}
+		wp.service(s, nil)
 		s.handleAck(s.nextRSeq)
 	}
 }

@@ -78,6 +78,11 @@ type session struct {
 	// relOrder holds the unacked rseqs in lastSend order so retransmit
 	// scans only the expired prefix instead of sweeping the whole window.
 	relOrder ring[uint64]
+	// relFlushed is the highest rseq whose frame the writer has flushed
+	// (noteFlushed; written by the pool goroutine only). First sends are
+	// queued in rseq order, so every first send at or below it is off
+	// the wire — half of what handleAck needs to recycle a buffer.
+	relFlushed atomic.Uint64
 
 	// recv deduplicates and cumulatively acknowledges the rseq-tagged
 	// events arriving on this session.

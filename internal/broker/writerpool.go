@@ -294,6 +294,9 @@ func (wp *writerPool) service(s *session, linger *[]*session) {
 						wp.fail(s)
 						return
 					}
+					if it.frame != nil {
+						s.noteFlushed(it.frame.RSeq())
+					}
 				}
 			}
 			drained += len(wp.drain)

@@ -121,6 +121,7 @@ func TestWriterPoolReliableFlushOnClose(t *testing.T) {
 	const sessions = 4
 	const perSession = 8
 	conns := make([]*captureConn, 0, sessions)
+	var arena event.FrameArena
 	for i := 0; i < sessions; i++ {
 		conn := newCaptureConn()
 		s := newSession(b, conn, fmt.Sprintf("wp-close-%d", i), false)
@@ -131,7 +132,8 @@ func TestWriterPoolReliableFlushOnClose(t *testing.T) {
 				s.sendReliable(burstEvent(uint64(j+1), "/wp/close"))
 			} else {
 				e := burstEvent(uint64(j+1), "/wp/close")
-				s.queue.pushBestEffort(e, event.NewFrame(e))
+				f := arena.NewFrame(e)
+				s.queue.pushBestEffort(e, &f)
 			}
 		}
 		// Close the queue (as session close does first) while items are

@@ -19,12 +19,6 @@ type Frame struct {
 	b []byte
 }
 
-// NewFrame encodes e into a frame. The event must not be mutated while
-// the frame is in flight (the frame captures its current encoding).
-func NewFrame(e *Event) *Frame {
-	return &Frame{b: Marshal(e)}
-}
-
 // Bytes returns the encoded event. Callers must treat it as read-only.
 func (f *Frame) Bytes() []byte { return f.b }
 
@@ -87,14 +81,16 @@ const frameArenaSize = 64 << 10
 // recycled: when the next frame does not fit, a fresh chunk takes over
 // and the old one lives until the last frame cut from it is dropped.
 // That is why no ownership has to be proven — a frame from an arena is
-// as immutable and as shareable as one from NewFrame — and the price is
+// as immutable and as shareable as one Marshal encoded alone — and the price is
 // that one frame still queued keeps its whole chunk reachable. The zero
 // value is ready. Not safe for concurrent use.
 type FrameArena struct {
 	free []byte // unused tail of the current chunk: len 0, cap the room left
 }
 
-// NewFrame is the package-level NewFrame, encoding into the arena.
+// NewFrame encodes e into a frame cut from the arena. The event must not
+// be mutated while the frame is in flight (the frame captures its
+// current encoding).
 func (a *FrameArena) NewFrame(e *Event) Frame {
 	need := encodedBound(e)
 	if need > frameArenaSize/4 {

@@ -13,9 +13,16 @@ func frameEvent() *Event {
 	return e
 }
 
+// arenaFrame encodes e into a frame cut from an arena of its own.
+func arenaFrame(e *Event) *Frame {
+	var a FrameArena
+	f := a.NewFrame(e)
+	return &f
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	e := frameEvent()
-	f := NewFrame(e)
+	f := arenaFrame(e)
 	if f.Len() != len(Marshal(e)) {
 		t.Fatalf("frame len %d != marshal len %d", f.Len(), len(Marshal(e)))
 	}
@@ -32,7 +39,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameTTLPatch(t *testing.T) {
 	e := frameEvent()
 	e.TTL = 9
-	f := NewFrame(e)
+	f := arenaFrame(e)
 	if f.TTL() != 9 {
 		t.Fatalf("TTL() = %d, want 9", f.TTL())
 	}
@@ -108,7 +115,7 @@ func TestFrameRSeqPatch(t *testing.T) {
 		}
 	}
 	// Frames without the slot refuse the patch loudly.
-	plain := NewFrame(frameEvent())
+	plain := arenaFrame(frameEvent())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("WithRSeq on a slot-less frame did not panic")
@@ -157,7 +164,7 @@ func TestMaskWireRoundTrip(t *testing.T) {
 func TestFrameMaskPatch(t *testing.T) {
 	e := frameEvent()
 	e.Mask = ^uint64(0) // placeholder: encode the slot, patch per link
-	f := NewFrame(e)
+	f := arenaFrame(e)
 	if !f.HasMaskSlot() {
 		t.Fatal("masked frame has no mask slot")
 	}
@@ -194,7 +201,7 @@ func TestFrameMaskPatch(t *testing.T) {
 	}
 
 	// Frames without the slot refuse the patch loudly.
-	plain := NewFrame(frameEvent())
+	plain := arenaFrame(frameEvent())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("WithMask on a slot-less frame did not panic")
