@@ -1190,16 +1190,21 @@ func (c *Client) processBurst(events []*event.Event) {
 	ackDue := false
 	var ackCum uint64
 	for _, e := range events {
-		if e.RSeq == 0 {
-			c.processEvent(e)
+		if e.RSeq != 0 {
+			ackDue = true
+			ackCum, c.rlOrdered = c.recv.acceptInOrder(e, c.rlOrdered[:0])
+			for _, r := range c.rlOrdered {
+				c.processEvent(stripRSeq(r))
+			}
+			clear(c.rlOrdered) // never pin delivered events in the reused buffer
 			continue
 		}
-		ackDue = true
-		ackCum, c.rlOrdered = c.recv.acceptInOrder(e, c.rlOrdered[:0])
-		for _, r := range c.rlOrdered {
-			c.processEvent(stripRSeq(r))
+		if isControlTopic(e.Topic) {
+			c.flushStaged()
+			c.handleControl(e)
+			continue
 		}
-		clear(c.rlOrdered) // never pin delivered events in the reused buffer
+		c.stageEvent(e)
 	}
 	c.flushStaged()
 	if ackDue {
@@ -1211,7 +1216,8 @@ func (c *Client) processBurst(events []*event.Event) {
 // processEvent hands one event on: a control event to handleControl,
 // after the data staged ahead of it so control effects (fence echoes)
 // are observed in arrival order relative to the data around them, and
-// a data event to its subscriptions' stage.
+// a data event to its subscriptions' stage. processBurst's best-effort
+// branch is the same dispatch written inline.
 func (c *Client) processEvent(e *event.Event) {
 	if isControlTopic(e.Topic) {
 		c.flushStaged()

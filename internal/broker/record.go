@@ -339,8 +339,14 @@ func (s *session) replayPump(sr *sessionReplay) {
 	defer backoff.Stop()
 	// buf is the frame buffer the next step fills. A framed session gives
 	// it up with each envelope; an unframed one reuses it (the event path
-	// deep-copies the payload).
+	// deep-copies the payload). Whatever the pump holds when it exits was
+	// never enqueued, so a regular buffer goes back to the pool.
 	var buf []byte
+	defer func() {
+		if len(buf) == replayEnvelopeTarget {
+			envelopePool.Put((*envelopeBuf)(buf))
+		}
+	}()
 	for {
 		select {
 		case <-sr.stop:

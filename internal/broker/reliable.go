@@ -204,13 +204,17 @@ type reliableState struct {
 // under one lock hold so nextRSeq covers every salvaged rseq and
 // ackFloor is below it. The window is already in rseq order. Frame-backed
 // entries are decoded once here (link death is rare) and the stored
-// events' tags are stripped; the rseq travels alongside.
+// events' tags are stripped; the rseq travels alongside. A decoded
+// event's payload aliases its frame's buffer, so each entry gives up
+// its claim on envelopePool: the read loop may still be applying acks,
+// and a pooled buffer would be refilled under the parked event.
 func (s *session) salvageReliable() reliableState {
 	s.relMu.Lock()
 	defer s.relMu.Unlock()
 	st := reliableState{nextRSeq: s.nextRSeq, ackFloor: s.ackFloor, recvCum: s.recv.floor()}
 	for i := range s.window.len() {
 		ent := s.window.at(i)
+		ent.env = nil
 		e := ent.e
 		if ent.frame != nil {
 			dec, err := ent.frame.Decode()

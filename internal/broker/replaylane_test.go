@@ -380,14 +380,15 @@ func replayEnvelopeSeeds() (runs [][]byte, lasts []uint64) {
 	return runs, lasts
 }
 
-// FuzzReplayEnvelope drives Client.handleReplayData, the end-to-end check
-// that catches a replay frame whose bytes changed on the way (a buffer
-// recycled too early among them), with arbitrary envelope payloads on a
-// stream whose last delivered sequence is last. It must never panic; it
-// must deliver exactly the longest prefix of records that parse and
-// decode, skipping those at or below the last delivered sequence, in
-// order; and it must end the subscription with ErrCorrupt exactly when
-// damaged bytes remain.
+// FuzzReplayEnvelope drives Client.handleReplayData, the end-to-end
+// check that catches a replay frame whose bytes were damaged on the way
+// (torn or flipped; a buffer refilled with other whole records passes
+// it, which is why the recycle rule has a test per clause), with
+// arbitrary envelope payloads on a stream whose last delivered sequence
+// is last. It must never panic; it must deliver exactly the longest
+// prefix of records that parse and decode, skipping those at or below
+// the last delivered sequence, in order; and it must end the
+// subscription with ErrCorrupt exactly when damaged bytes remain.
 func FuzzReplayEnvelope(f *testing.F) {
 	runs, lasts := replayEnvelopeSeeds()
 	for i := range runs {
@@ -537,6 +538,30 @@ func TestEnvelopeRecycleNeedsFlush(t *testing.T) {
 	}
 }
 
+// TestEnvelopeRecycleNotAfterSalvage: salvaging a dying session's
+// window decodes its envelopes into parked events whose payloads alias
+// the frame buffers, and the read loop may still apply an ack after
+// that. The ack pops the entries but pools neither buffer, so no pump
+// can refill the bytes a resumed session would re-send.
+func TestEnvelopeRecycleNotAfterSalvage(t *testing.T) {
+	s, sr := replayRig(t, 2_000, 1200)
+	wp, _ := rigWriter(s)
+	pumpOne(t, s, sr) // rseq 1
+	pumpOne(t, s, sr) // rseq 2
+	wp.service(s, nil)
+	if s.relFlushed.Load() != 2 {
+		t.Fatalf("writer flushed up to rseq %d, want 2", s.relFlushed.Load())
+	}
+	st := s.salvageReliable()
+	if len(st.unacked) != 2 {
+		t.Fatalf("salvaged %d envelopes, want 2", len(st.unacked))
+	}
+	s.handleAck(s.nextRSeq)
+	if n := s.b.ctr.recycled.Value(); n != 0 {
+		t.Fatalf("an ack after salvage recycled %d buffers under the parked events", n)
+	}
+}
+
 // TestReliableFirstSendsQueueInRSeqOrder: two replay streams on one
 // session pump concurrently while control replies race them; every
 // first send reaches the reliable lane in rseq order. That order is
@@ -618,7 +643,9 @@ func TestReplayEnvelopeRecycleAllocs(t *testing.T) {
 // envelopes are retransmitted while the others' buffers recycle under
 // the acks. Every record arrives byte-exact, exactly once, in order. A
 // buffer recycled while a frame in it is still queued would surface as
-// a gap, a duplicate or a failed CRC check (ErrCorrupt).
+// a gap, a duplicate or a failed CRC check (ErrCorrupt): a refill with
+// other whole records passes the CRC check, so the test checks the
+// records themselves.
 func TestReplayRecycleLossyTCP(t *testing.T) {
 	b := recordedBroker(t, "/rec/#", Config{retransmitInterval: 20 * time.Millisecond, maxRetransmits: 100})
 	payload := func(i int) []byte {
