@@ -135,12 +135,13 @@ func BenchmarkBrokerChainDepth(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer subC.Close()
-			sub, err := subC.Subscribe("/chain/bench", 4096)
+			const pattern = "/chain/bench"
+			sub, err := subC.Subscribe(pattern, 4096)
 			if err != nil {
 				b.Fatal(err)
 			}
 			// Wait for the advertisement to reach the chain head.
-			waitRoutable(b, pub, sub)
+			waitRoutable(b, pub, sub, pattern)
 
 			payload := make([]byte, 1200)
 			buf := make([]*event.Event, 0, 1)
@@ -157,12 +158,13 @@ func BenchmarkBrokerChainDepth(b *testing.B) {
 	}
 }
 
-// waitRoutable publishes probes until one arrives, draining the probe.
-func waitRoutable(b *testing.B, pub *broker.Client, sub *broker.Subscription) {
+// waitRoutable publishes probes on pattern (sub's own, a plain topic)
+// until one arrives, draining the probe.
+func waitRoutable(b *testing.B, pub *broker.Client, sub *broker.Subscription, pattern string) {
 	b.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if err := pub.Publish(sub.Pattern(), event.KindData, nil); err != nil {
+		if err := pub.Publish(pattern, event.KindData, nil); err != nil {
 			b.Fatal(err)
 		}
 		// One receive takes the probe and any other buffered probes.
@@ -203,11 +205,12 @@ func BenchmarkRoutingMode(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer subC.Close()
-			sub, err := subC.Subscribe("/mode/bench", 4096)
+			const pattern = "/mode/bench"
+			sub, err := subC.Subscribe(pattern, 4096)
 			if err != nil {
 				b.Fatal(err)
 			}
-			waitRoutable(b, pub, sub)
+			waitRoutable(b, pub, sub, pattern)
 			payload := make([]byte, 1200)
 			buf := make([]*event.Event, 0, 1)
 			b.ResetTimer()

@@ -55,7 +55,7 @@ func recvOne(t *testing.T, sub *Subscription, within time.Duration) *event.Event
 		t.Fatal("subscription channel closed")
 	}
 	if err != nil {
-		t.Fatalf("no event within %v on %s", within, sub.Pattern())
+		t.Fatalf("no event within %v on %s", within, sub.pattern)
 	}
 	return e
 }
@@ -424,7 +424,7 @@ func TestBrokerOverUDP(t *testing.T) {
 	waitCondition(t, 5*time.Second, "reliable window acked", func() bool {
 		return subSession.unackedLen() == 0
 	})
-	if sub.AckSends() == 0 {
+	if sub.acksSent.Load() == 0 {
 		t.Fatal("subscriber never acked its reliable deliveries")
 	}
 }

@@ -76,7 +76,7 @@ const clientRouteCacheBound = 1024
 // appends every event under ONE ring-lock hold and deposits ONE
 // consumer wakeup — a burst of K matched events costs one lock/signal
 // pair, not K channel operations. Consumers drain in bursts too
-// (RecvBatch / RecvBatchContext / TryRecvBatch), straight from the ring.
+// (RecvBatch / RecvBatchContext), straight from the ring.
 //
 // Overflow policy mirrors the broker's send queues: best-effort events
 // displace the oldest buffered best-effort event (drops are counted and
@@ -177,9 +177,6 @@ func newSubscription(c *Client, pattern string, depth int) *Subscription {
 		closedSig: make(chan struct{}),
 	}
 }
-
-// Pattern returns the subscription pattern.
-func (s *Subscription) Pattern() string { return s.pattern }
 
 // OverflowMode selects what the ring does with an event that arrives
 // while it is full.
@@ -538,10 +535,10 @@ func (s *Subscription) RecvBatchContext(ctx context.Context, buf []*event.Event,
 	}
 }
 
-// TryRecvBatch is the non-blocking RecvBatch: it appends whatever is
+// tryRecvBatch is the non-blocking RecvBatch: it appends whatever is
 // buffered (up to max) and returns immediately. The second return is
 // false once the subscription is closed and fully drained.
-func (s *Subscription) TryRecvBatch(buf []*event.Event, max int) ([]*event.Event, bool) {
+func (s *Subscription) tryRecvBatch(buf []*event.Event, max int) ([]*event.Event, bool) {
 	if max <= 0 {
 		max = s.depth
 	}
@@ -775,14 +772,6 @@ func (c *Client) sendData(e *event.Event) error {
 	}
 	return nil
 }
-
-// AckSends reports how many reverse-path reliable acks this client has
-// sent (one cumulative ack per received burst).
-func (c *Client) AckSends() uint64 { return c.acksSent.Load() }
-
-// ReplayCorrupt reports how many replay envelopes failed their
-// end-to-end check, each ending its subscription (Subscription.Err).
-func (c *Client) ReplayCorrupt() uint64 { return c.replayCorrupt.Load() }
 
 // LocalClient attaches an in-process client directly to the broker,
 // shaping the broker→client direction with profile. It is the fast path

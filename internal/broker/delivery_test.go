@@ -171,7 +171,7 @@ func TestClientBurstDispatchOneLockPerSubscription(t *testing.T) {
 	var bufB []*event.Event
 	for len(bufB) < burst/2 && time.Now().Before(deadline) {
 		var got bool
-		bufB, got = subB.TryRecvBatch(bufB, burst)
+		bufB, got = subB.tryRecvBatch(bufB, burst)
 		if !got {
 			break
 		}
@@ -360,7 +360,7 @@ func TestCoalescedAckPerBurst(t *testing.T) {
 		t.Fatalf("second reverse-path event %v; want one coalesced ack per burst", extra)
 	case <-time.After(100 * time.Millisecond):
 	}
-	if n := rig.c.AckSends(); n != 1 {
+	if n := rig.c.acksSent.Load(); n != 1 {
 		t.Fatalf("client counted %d ack sends for one burst, want 1", n)
 	}
 
@@ -424,10 +424,10 @@ func TestPerEventDispatchAblation(t *testing.T) {
 	}
 	// Per-event acks: one per tagged event.
 	deadline := time.Now().Add(2 * time.Second)
-	for rig.c.AckSends() < burst && time.Now().Before(deadline) {
+	for rig.c.acksSent.Load() < burst && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := rig.c.AckSends(); n != burst {
+	if n := rig.c.acksSent.Load(); n != burst {
 		t.Fatalf("ablation sent %d acks for %d events, want one per event", n, burst)
 	}
 }
@@ -458,7 +458,7 @@ func TestReliableNeverDroppedFromRing(t *testing.T) {
 	}
 	sub.deliverBatch(flood, done)
 
-	buf, _ := sub.TryRecvBatch(nil, 64)
+	buf, _ := sub.tryRecvBatch(nil, 64)
 	want := []uint64{1, 8, 9, 10} // the reliable head survived, oldest best-effort evicted
 	if len(buf) != len(want) {
 		t.Fatalf("ring holds %d events, want %d", len(buf), len(want))
@@ -512,7 +512,7 @@ func TestReliableNeverDroppedFromRing(t *testing.T) {
 		t.Fatal("reliable delivery did not block at 2 × depth")
 	case <-time.After(50 * time.Millisecond):
 	}
-	drained, _ := sub.TryRecvBatch(nil, 2)
+	drained, _ := sub.tryRecvBatch(nil, 2)
 	if len(drained) != 2 {
 		t.Fatalf("drained %d, want 2", len(drained))
 	}
@@ -522,7 +522,7 @@ func TestReliableNeverDroppedFromRing(t *testing.T) {
 		t.Fatal("reliable delivery still blocked after space was freed")
 	}
 	// The unblocked producer has returned: everything is in the ring.
-	total, ok := sub.TryRecvBatch(drained, 16)
+	total, ok := sub.tryRecvBatch(drained, 16)
 	if !ok {
 		t.Fatal("subscription closed while draining backpressured traffic")
 	}
@@ -562,7 +562,7 @@ func TestRingGrowthKeepsOrder(t *testing.T) {
 		return out
 	}
 	sub.deliverBatch(rel(1, 2, 3), nil)
-	if got, _ := sub.TryRecvBatch(nil, 2); len(got) != 2 {
+	if got, _ := sub.tryRecvBatch(nil, 2); len(got) != 2 {
 		t.Fatalf("drained %d events, want 2", len(got))
 	}
 	sub.deliverBatch(rel(4, 5, 6), nil) // full and wrapped: head = 2
@@ -587,7 +587,7 @@ func TestRingGrowthKeepsOrder(t *testing.T) {
 	if d := sub.Drops(); d != 2 {
 		t.Fatalf("drop-oldest shed %d events, want 2", d)
 	}
-	got, _ := sub.TryRecvBatch(nil, 16)
+	got, _ := sub.tryRecvBatch(nil, 16)
 	want := []uint64{5, 6, 7, 8, 9, 10}
 	if len(got) != len(want) {
 		t.Fatalf("ring holds %d events, want %d", len(got), len(want))
@@ -678,7 +678,7 @@ func TestSubscriptionCloseDuringBurst(t *testing.T) {
 			buf := make([]*event.Event, 0, 8)
 			for i := 0; i < 5; i++ {
 				var ok bool
-				buf, ok = sub.TryRecvBatch(buf[:0], 8)
+				buf, ok = sub.tryRecvBatch(buf[:0], 8)
 				if !ok {
 					return
 				}
@@ -754,7 +754,7 @@ func TestCoalescedAcksLossLink(t *testing.T) {
 	if retrans == 0 {
 		t.Fatal("no retransmissions on a 25%-loss link")
 	}
-	acks := c.AckSends()
+	acks := c.acksSent.Load()
 	if acks == 0 {
 		t.Fatal("client sent no acks")
 	}
@@ -800,7 +800,7 @@ func TestOverflowDropModes(t *testing.T) {
 		if st := sub.DeliveryStats(); st.MaxOccupancy != 3 {
 			t.Fatalf("mode %d: buffered %d events at depth 3", tc.mode, st.MaxOccupancy)
 		}
-		buf, _ := sub.TryRecvBatch(nil, 8)
+		buf, _ := sub.tryRecvBatch(nil, 8)
 		if len(buf) != len(tc.want) {
 			t.Fatalf("mode %d: ring holds %d events, want %d", tc.mode, len(buf), len(tc.want))
 		}
@@ -901,7 +901,7 @@ func newOverloadRig(mode OverflowMode) *overloadRig {
 // step delivers one burst and drains one consumer step.
 func (r *overloadRig) step() {
 	r.sub.deliverBatch(r.burst, nil)
-	r.buf, _ = r.sub.TryRecvBatch(r.buf[:0], cap(r.buf))
+	r.buf, _ = r.sub.tryRecvBatch(r.buf[:0], cap(r.buf))
 	clear(r.buf)
 }
 

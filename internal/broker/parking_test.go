@@ -68,7 +68,7 @@ func TestParkingSiblingIsolation(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for gotB < siblingEvents && time.Now().Before(deadline) {
 		var ok bool
-		buf, ok = subB.TryRecvBatch(buf[:0], 64)
+		buf, ok = subB.tryRecvBatch(buf[:0], 64)
 		gotB += len(buf)
 		clear(buf)
 		if !ok {

@@ -195,16 +195,16 @@ func (b *Broker) TopicLog(pattern string) *topiclog.Log {
 // for sparse signalling events; envelopes are ~64KiB each, so filling
 // half the window would put >100MiB in flight — queueing delay alone
 // then pushes acks past the retransmit RTO and the link collapses into
-// resending history it already delivered. A few dozen envelopes keep
-// the pipe full (a couple of MiB, far above any bandwidth-delay
-// product on a LAN) while acks stay well inside the RTO. A full window
-// is polled every replayBackoff, not woken by the ack: DESIGN.md §5.3
-// records why (the wake-up took the live stream's latency gain back).
+// resending history it already delivered. 1 MiB keeps the pipe full
+// (far above a LAN's bandwidth-delay product); every envelope more waits
+// ahead of the live stream's events (DESIGN.md §5.3 has the curve). A
+// full window is polled every replayBackoff, not woken by the ack:
+// §5.3 records why (the wake-up took the live stream's latency back).
 const (
 	replayEnvelopeTarget = 64 << 10
 	replayEnvelopeMax    = event.MaxPayloadLen
 	replayHeadroom       = 96
-	replayMaxInflight    = 32
+	replayMaxInflight    = 1 << 20 / replayEnvelopeTarget
 	replayBackoff        = time.Millisecond
 )
 

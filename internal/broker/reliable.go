@@ -133,9 +133,10 @@ func (s *session) handleAck(cum uint64) {
 }
 
 // noteFlushed advances the session's flushed high-water mark to rseq.
-// Only the session's writer pool goroutine calls it, after a reliable
-// item's flush returned without error: FrameConn retains no frame past
-// SendFrames, so every first send at or below the mark is no longer read.
+// Only the session's writer pool goroutine calls it, with the highest
+// frame rseq of a batch, after the flush that ends the batch returned
+// without error: FrameConn retains no frame past SendFrames, so every
+// first send at or below the mark is no longer read.
 func (s *session) noteFlushed(rseq uint64) {
 	if rseq > s.relFlushed.Load() {
 		s.relFlushed.Store(rseq)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -351,7 +352,7 @@ func TestClientReplayCorruptEnvelope(t *testing.T) {
 	if err := s.Err(); !errors.Is(err, topiclog.ErrCorrupt) {
 		t.Fatalf("subscription ended with %v, want an error wrapping topiclog.ErrCorrupt", err)
 	}
-	if n := c.ReplayCorrupt(); n != 1 {
+	if n := c.replayCorrupt.Load(); n != 1 {
 		t.Fatalf("client.replay_corrupt = %d, want 1", n)
 	}
 }
@@ -436,10 +437,10 @@ func FuzzReplayEnvelope(f *testing.F) {
 		c.replays[id] = sub
 		c.mu.Unlock()
 		defer func() { _ = c.Unsubscribe(sub) }()
-		corrupt := c.ReplayCorrupt()
+		corrupt := c.replayCorrupt.Load()
 		c.handleReplayData(replayDataEvent(id, run))
 
-		got, _ := sub.TryRecvBatch(nil, len(want)+1)
+		got, _ := sub.tryRecvBatch(nil, len(want)+1)
 		if len(got) != len(want) {
 			t.Fatalf("delivered %d records, want %d", len(got), len(want))
 		}
@@ -451,20 +452,26 @@ func FuzzReplayEnvelope(f *testing.F) {
 		if ended := errors.Is(sub.Err(), topiclog.ErrCorrupt); ended != damaged {
 			t.Fatalf("damaged %v but the subscription ended with %v", damaged, sub.Err())
 		}
-		if d := c.ReplayCorrupt() - corrupt; (d == 1) != damaged || d > 1 {
+		if d := c.replayCorrupt.Load() - corrupt; (d == 1) != damaged || d > 1 {
 			t.Fatalf("damaged %v but client.replay_corrupt moved by %d", damaged, d)
 		}
 	})
 }
 
 // frameCounter is a FrameConn that keeps nothing it is handed (the
-// FrameConn contract): it counts frames and bytes and drops them.
+// FrameConn contract): it counts writes, frames and bytes and drops
+// them. With err set, every write fails with it and counts nothing.
 type frameCounter struct {
 	*captureConn
-	frames, bytes int
+	sends, frames, bytes int
+	err                  error
 }
 
 func (c *frameCounter) SendFrames(frames [][]byte) error {
+	if c.err != nil {
+		return c.err
+	}
+	c.sends++
 	c.frames += len(frames)
 	for _, f := range frames {
 		c.bytes += len(f)
@@ -474,8 +481,8 @@ func (c *frameCounter) SendFrames(frames [][]byte) error {
 
 // rigWriter gives a rig session a frame sink over a frameCounter and
 // returns a writer pool to drain it with: wp.service(s, nil) is one
-// writer service, flushing each reliable item and advancing the
-// session's flushed mark as the pool goroutine does.
+// writer service, flushing each batch that carried a reliable item and
+// advancing the session's flushed mark as the pool goroutine does.
 func rigWriter(s *session) (*writerPool, *frameCounter) {
 	fc := &frameCounter{captureConn: newCaptureConn()}
 	s.sink = &frameSink{bw: transport.NewBatcher(fc, 0)}
@@ -700,6 +707,163 @@ func TestReplayRecycleLossyTCP(t *testing.T) {
 	if b.ctr.retransmits.Value() == 0 || b.ctr.recycled.Value() == 0 {
 		t.Fatalf("retransmits %d, recycled buffers %d: the run exercised neither side of the rule",
 			b.ctr.retransmits.Value(), b.ctr.recycled.Value())
+	}
+}
+
+// TestReplayPumpStopsAtInflightCap: a pump sends while at most
+// replayMaxInflight reliable events are unacknowledged, checking before
+// each envelope, so with no acks it stops one envelope past the cap and
+// stays there. A cumulative ack frees the window and the next poll
+// fills it again.
+func TestReplayPumpStopsAtInflightCap(t *testing.T) {
+	s, sr := replayRig(t, 4_000, 1200)
+	sent := func() uint64 {
+		s.relMu.Lock()
+		defer s.relMu.Unlock()
+		return s.nextRSeq
+	}
+	s.wg.Add(1)
+	go s.replayPump(sr)
+	defer func() {
+		close(sr.stop)
+		s.wg.Wait()
+	}()
+	const full = replayMaxInflight + 1
+	waitFor(t, 5*time.Second, func() bool { return sent() == full }, "pump never filled its window")
+	time.Sleep(20 * replayBackoff)
+	if n, u := sent(), s.unackedLen(); n != full || u != full {
+		t.Fatalf("with no acks the pump sent %d envelopes, %d unacked, want %d", n, u, full)
+	}
+	s.handleAck(full)
+	waitFor(t, 5*time.Second, func() bool { return sent() == 2*full }, "pump never resumed after the ack")
+	time.Sleep(20 * replayBackoff)
+	if n, u := sent(), s.unackedLen(); n != 2*full || u != full {
+		t.Fatalf("after one ack the pump sent %d envelopes, %d unacked, want %d and %d", n, u, 2*full, full)
+	}
+}
+
+// TestReplayPassesContiguousAcrossSegmentEnds: a live publisher appends
+// reliable records of varying size to a log that rolls every 64 KiB, so
+// history envelopes end short at segment ends all the time, while two
+// joiners replay it from 0 over loopback TCP, pass after pass, until the
+// log has rolled 100 times. Every pass runs from record 1 through the
+// hand-off to live delivery, each record exactly once, in order and
+// byte-exact.
+func TestReplayPassesContiguousAcrossSegmentEnds(t *testing.T) {
+	b := recordedBroker(t, "/rec/#", Config{RecordSegmentBytes: 64 << 10})
+	l, err := b.Listen("tcp://127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := b.TopicLog("/rec/#")
+	payload := func(i int) []byte {
+		p := bytes.Repeat([]byte{byte(i)}, 1500+i*389%3000)
+		copy(p, counterPayload(i))
+		return p
+	}
+	dial := func(id string) *Client {
+		c, err := Dial(l.Addr(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		return c
+	}
+	pub := dial("seg-pub")
+
+	// pass replays the log from 0 until it has read every record
+	// committed when it started and gone live, then cancels and checks
+	// what is still buffered.
+	pass := func(c *Client) error {
+		target := int(log.NextSeq()) - 1
+		s, err := c.SubscribeReplay(context.Background(), "/rec/#", 0, 256)
+		if err != nil {
+			return err
+		}
+		next, cancelled := 1, false
+		buf := make([]*event.Event, 0, 64)
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			buf, err = s.RecvBatchContext(ctx, buf[:0], 64)
+			cancel()
+			for _, e := range buf {
+				if !bytes.Equal(e.Payload, payload(next)) {
+					return fmt.Errorf("position %d got %.8q (%d bytes): duplicate, gap or damage", next, e.Payload, len(e.Payload))
+				}
+				next++
+			}
+			switch {
+			case errors.Is(err, ErrSubscriptionClosed):
+				if !cancelled {
+					return fmt.Errorf("replay ended at %d: %v", next-1, s.Err())
+				}
+				return nil
+			case err != nil && !errors.Is(err, context.DeadlineExceeded):
+				return err
+			case time.Now().After(deadline):
+				return fmt.Errorf("pass stuck at %d of %d", next-1, target)
+			}
+			if !cancelled && next > target {
+				select {
+				case <-s.CaughtUp():
+					if err := s.Cancel(); err != nil {
+						return err
+					}
+					cancelled = true
+				default:
+				}
+			}
+		}
+	}
+
+	const rolls = 100
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		deadline := time.Now().Add(30 * time.Second)
+		for i := 1; log.Stats().Segments <= rolls; i++ {
+			if err := pub.PublishReliable("/rec/a", event.KindData, payload(i)); err != nil {
+				t.Errorf("publish %d: %v", i, err)
+				return
+			}
+			if i%4 == 0 {
+				time.Sleep(3 * time.Millisecond)
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("log rolled %d times in 30s, want %d", log.Stats().Segments-1, rolls)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	passes := make([]int, 2)
+	for j := range passes {
+		c := dial("seg-sub-" + strconv.Itoa(j))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if err := pass(c); err != nil {
+					t.Errorf("joiner %d, pass %d: %v", j, passes[j]+1, err)
+					return
+				}
+				passes[j]++
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	<-done
+	t.Logf("log rolled %d times; the joiners made %v passes", log.Stats().Segments-1, passes)
+	for j, n := range passes {
+		if n < 2 {
+			t.Errorf("joiner %d made %d passes while the log rolled, want at least 2", j, n)
+		}
 	}
 }
 

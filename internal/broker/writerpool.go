@@ -237,8 +237,8 @@ func (wp *writerPool) shutdown(linger []*session) {
 }
 
 // service drains one session's queue into its sink: batch pops under
-// one lock, immediate flush behind reliable items, error →
-// close-and-discard. linger is the pool's
+// one lock, one flush at the end of each batch that carried a reliable
+// item, error → close-and-discard. linger is the pool's
 // coalescing list; nil (during shutdown) flushes immediately instead of
 // lingering.
 func (wp *writerPool) service(s *session, linger *[]*session) {
@@ -280,6 +280,7 @@ func (wp *writerPool) service(s *session, linger *[]*session) {
 		wp.drain, st = s.queue.popBatch(wp.drain, maxBurst)
 		switch st {
 		case popOK:
+			reliable, relTop := false, uint64(0) // relTop: highest frame rseq
 			for _, it := range wp.drain {
 				if err := s.sink.add(it); err != nil {
 					clear(wp.drain)
@@ -287,17 +288,21 @@ func (wp *writerPool) service(s *session, linger *[]*session) {
 					return
 				}
 				if it.reliable {
-					// Signalling and acks flush as soon as the reliable
-					// lane drains; they never linger in user space.
-					if err := s.sink.flush(); err != nil {
-						clear(wp.drain)
-						wp.fail(s)
-						return
-					}
+					reliable = true
 					if it.frame != nil {
-						s.noteFlushed(it.frame.RSeq())
+						relTop = max(relTop, it.frame.RSeq())
 					}
 				}
+			}
+			if reliable {
+				// Signalling, acks and replay envelopes never linger: their
+				// batch is flushed, and only then does the mark move.
+				if err := s.sink.flush(); err != nil {
+					clear(wp.drain)
+					wp.fail(s)
+					return
+				}
+				s.noteFlushed(relTop)
 			}
 			drained += len(wp.drain)
 			wp.b.ctr.eventsOut.Add(uint64(len(wp.drain)))

@@ -10,6 +10,7 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"github.com/globalmmcs/globalmmcs/internal/event"
+	"github.com/globalmmcs/globalmmcs/internal/testutil"
 	"github.com/globalmmcs/globalmmcs/internal/transport"
 )
 
@@ -310,7 +312,7 @@ func TestWriterPoolSessionChurn(t *testing.T) {
 					deadline := time.Now().Add(5 * time.Millisecond)
 					for time.Now().Before(deadline) {
 						var ok bool
-						buf, ok = s.TryRecvBatch(buf[:0], 64)
+						buf, ok = s.tryRecvBatch(buf[:0], 64)
 						clear(buf)
 						if !ok {
 							break
@@ -330,4 +332,113 @@ func TestWriterPoolSessionChurn(t *testing.T) {
 	if routed := b.Metrics().Counter("broker.events_routed").Value(); routed == 0 {
 		t.Fatal("no events routed during churn")
 	}
+}
+
+// queuedEnvelopes pumps k history envelopes (~64 KiB frames) on a
+// replay rig and pops them off its send queue, so a test can queue the
+// same reliable frames for one writer service as often as it likes.
+func queuedEnvelopes(tb testing.TB, k int) (*session, []outItem) {
+	tb.Helper()
+	s, sr := replayRig(tb, 4_000, 1200)
+	for range k {
+		pumpOne(tb, s, sr)
+	}
+	items, st := s.queue.popBatch(nil, k)
+	if st != popOK || len(items) != k {
+		tb.Fatalf("popped %d of %d queued envelopes (state %v)", len(items), k, st)
+	}
+	return s, items
+}
+
+// TestWriterPoolFlushesReliableRunOnce: a service that drains k reliable
+// frames writes them in as few sends as the batch bound allows, not one
+// send per frame, and leaves the flushed mark at the highest rseq.
+func TestWriterPoolFlushesReliableRunOnce(t *testing.T) {
+	const k = 16
+	s, items := queuedEnvelopes(t, k)
+	wp, fc := rigWriter(s)
+	for _, it := range items {
+		s.queue.pushItem(it)
+	}
+	wp.service(s, nil)
+	if fc.frames != k {
+		t.Fatalf("service wrote %d frames, want %d", fc.frames, k)
+	}
+	want := (fc.bytes + transport.DefaultMaxBatchBytes - 1) / transport.DefaultMaxBatchBytes
+	if fc.sends != want {
+		t.Fatalf("%d frames (%d bytes) took %d writes, want %d", k, fc.bytes, fc.sends, want)
+	}
+	if got := s.relFlushed.Load(); got != k {
+		t.Fatalf("flushed mark at rseq %d after the service, want %d", got, k)
+	}
+}
+
+// TestWriterPoolFailedFlushKeepsMark: when the flush that ends a batch
+// fails, the flushed mark stays where the last good flush left it, so
+// an ack for the failed batch's envelopes recycles none of their
+// buffers.
+func TestWriterPoolFailedFlushKeepsMark(t *testing.T) {
+	s, sr := replayRig(t, 2_000, 1200)
+	wp, fc := rigWriter(s)
+	pumpOne(t, s, sr) // rseq 1
+	wp.service(s, nil)
+	if s.relFlushed.Load() != 1 {
+		t.Fatalf("flushed mark at rseq %d, want 1", s.relFlushed.Load())
+	}
+	fc.err = errors.New("link down")
+	pumpOne(t, s, sr) // rseq 2
+	pumpOne(t, s, sr) // rseq 3
+	wp.service(s, nil)
+	if !s.writerDone {
+		t.Fatal("a failed flush left the writer running")
+	}
+	if got := s.relFlushed.Load(); got != 1 {
+		t.Fatalf("a failed flush moved the flushed mark to rseq %d, want 1", got)
+	}
+	s.handleAck(3)
+	if n := s.b.ctr.recycled.Value(); n != 1 {
+		t.Fatalf("acking rseqs 1..3 recycled %d buffers, want 1 (rseq 1, the only one flushed)", n)
+	}
+}
+
+// serviceReliableAllocs is what one writer service over 16 queued
+// reliable envelopes may allocate: nothing, the count the per-frame
+// flush measured. The batcher's frame list and the pool's drain buffer
+// are reused across services.
+const serviceReliableAllocs = 0
+
+// TestWriterPoolServiceReliableAllocs gates BenchmarkWriterPoolServiceReliable's
+// allocations, so the count can only go down.
+func TestWriterPoolServiceReliableAllocs(t *testing.T) {
+	s, items := queuedEnvelopes(t, 16)
+	wp, _ := rigWriter(s)
+	step := func() {
+		for _, it := range items {
+			s.queue.pushItem(it)
+		}
+		wp.service(s, nil)
+	}
+	step()
+	testutil.SkipAllocGateUnderRace(t)
+	if got := testing.AllocsPerRun(100, step); got > serviceReliableAllocs {
+		t.Fatalf("one service over 16 reliable envelopes allocated %.0f times, want <= %d", got, serviceReliableAllocs)
+	}
+}
+
+// BenchmarkWriterPoolServiceReliable is the writer pool's rung: one
+// service over 16 queued reliable ~64 KiB frames (a replay pump's
+// 1 MiB window) through the session's frame sink on a counting
+// FrameConn. sends/service is how many writes the service issued.
+func BenchmarkWriterPoolServiceReliable(b *testing.B) {
+	s, items := queuedEnvelopes(b, 16)
+	wp, fc := rigWriter(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, it := range items {
+			s.queue.pushItem(it)
+		}
+		wp.service(s, nil)
+	}
+	b.ReportMetric(float64(fc.sends)/float64(b.N), "sends/service")
 }
