@@ -196,8 +196,8 @@ func (b *Broker) TopicLog(pattern string) *topiclog.Log {
 // half the window would put >100MiB in flight — queueing delay alone
 // then pushes acks past the retransmit RTO and the link collapses into
 // resending history it already delivered. 1 MiB keeps the pipe full
-// (far above a LAN's bandwidth-delay product); every envelope more waits
-// ahead of the live stream's events (DESIGN.md §5.3 has the curve). A
+// (far above a LAN's bandwidth-delay product); every envelope more is
+// writer-pool work ahead of live events (DESIGN.md §5.3 has the curve). A
 // full window is polled every replayBackoff, not woken by the ack:
 // §5.3 records why (the wake-up took the live stream's latency back).
 const (
